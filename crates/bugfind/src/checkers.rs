@@ -1,14 +1,13 @@
 //! The seven checkers.
 
 use crate::diagnostic::{DiagSeverity, Diagnostic};
-use minilang::ast::{Expr, ExprKind, Function, LValue, Module, Program, StmtKind, Type};
+use minilang::ast::{Expr, ExprKind, Function, Module, Program, StmtKind, Type};
 use minilang::{visit, Intrinsic};
-use static_analysis::cfg::{Cfg, NodeKind};
+use static_analysis::cfg::{Cfg, NodeId, NodeKind};
 use static_analysis::context::AnalysisContext;
 use static_analysis::dataflow;
 use static_analysis::interval::{self, Interval};
 use static_analysis::taint::TaintReport;
-use std::collections::BTreeMap;
 
 /// A bug-finding tool: scans a program, emits diagnostics.
 pub trait Checker {
@@ -56,87 +55,51 @@ pub struct BufferOverflowChecker;
 
 impl BufferOverflowChecker {
     /// One function's scan, parameterized over where the interval for an
-    /// index expression at a CFG node comes from (fresh analysis or the
-    /// shared context's precomputed one).
+    /// index site at a CFG node comes from (fresh analysis, or the shared
+    /// context's cached per-site intervals replayed in site order).
     fn check_function(
         module: &Module,
         function: &Function,
         cfg: &Cfg<'_>,
-        eval_at: &dyn Fn(usize, &Expr) -> Interval,
+        index_interval: &mut dyn FnMut(NodeId, &Expr) -> Interval,
         out: &mut Vec<Diagnostic>,
     ) {
-        let mut caps: BTreeMap<&str, usize> = BTreeMap::new();
-        for p in &function.params {
-            if let Some(c) = p.ty.buffer_capacity() {
-                caps.insert(p.name.as_str(), c);
+        let caps = interval::buffer_capacities(function);
+        interval::for_each_index_site(cfg, &mut |id, base, index, span| {
+            // Evaluate before the capacity lookup so a cached replay
+            // consumes exactly one interval per site.
+            let idx = index_interval(id, index);
+            let Some(&cap) = caps.get(base) else { return };
+            if idx.is_bottom() {
+                return; // unreachable
             }
-        }
-        visit::walk_stmts(&function.body, &mut |s| {
-            if let StmtKind::Let { name, ty, .. } = &s.kind {
-                if let Some(c) = ty.buffer_capacity() {
-                    caps.insert(name.as_str(), c);
-                }
+            if idx.lo >= 0 && idx.hi < cap as i64 {
+                return; // provably safe
             }
+            let (severity, rule, message) = if idx.hi < 0 || idx.lo >= cap as i64 {
+                (
+                    DiagSeverity::Error,
+                    "index-oob",
+                    format!("index {idx} is outside `{base}[{cap}]`"),
+                )
+            } else {
+                (
+                    DiagSeverity::Warning,
+                    "index-unproved",
+                    format!("cannot prove index {idx} inside `{base}[{cap}]`"),
+                )
+            };
+            out.push(Diagnostic {
+                tool: "bufcheck",
+                rule,
+                severity,
+                function: function.name.clone(),
+                module: module.path.clone(),
+                span,
+                cwe_hint: Some(121),
+                message,
+            });
         });
-
-        for (id, node) in cfg.nodes.iter().enumerate() {
-            let mut report = |base: &str, index: &Expr, span: minilang::Span| {
-                let Some(&cap) = caps.get(base) else { return };
-                let idx = eval_at(id, index);
-                if idx.is_bottom() {
-                    return; // unreachable
-                }
-                if idx.lo >= 0 && idx.hi < cap as i64 {
-                    return; // provably safe
-                }
-                let (severity, rule, message) = if idx.hi < 0 || idx.lo >= cap as i64 {
-                    (
-                        DiagSeverity::Error,
-                        "index-oob",
-                        format!("index {idx} is outside `{base}[{cap}]`"),
-                    )
-                } else {
-                    (
-                        DiagSeverity::Warning,
-                        "index-unproved",
-                        format!("cannot prove index {idx} inside `{base}[{cap}]`"),
-                    )
-                };
-                out.push(Diagnostic {
-                    tool: "bufcheck",
-                    rule,
-                    severity,
-                    function: function.name.clone(),
-                    module: module.path.clone(),
-                    span,
-                    cwe_hint: Some(121),
-                    message,
-                });
-            };
-            let roots: Vec<&Expr> = match &node.kind {
-                NodeKind::Stmt(stmt) => {
-                    if let StmtKind::Assign {
-                        target: LValue::Index { base, index, span },
-                        ..
-                    } = &stmt.kind
-                    {
-                        report(base, index, *span);
-                    }
-                    visit::stmt_exprs(stmt)
-                }
-                NodeKind::Cond(c) => vec![c],
-                _ => vec![],
-            };
-            for root in roots {
-                visit::walk_expr(root, &mut |e| {
-                    if let ExprKind::Index { base, index } = &e.kind {
-                        if let ExprKind::Var(name) = &base.kind {
-                            report(name, index, e.span);
-                        }
-                    }
-                });
-            }
-        }
 
         // `strcpy(dst, src)` into a fixed-size buffer is flagged unless
         // the copy is bounded (`strncpy`).
@@ -177,7 +140,7 @@ impl Checker for BufferOverflowChecker {
                 module,
                 function,
                 &cfg,
-                &|id, index| interval::eval(index, &analysis.envs[id]),
+                &mut |id, index| interval::eval(index, &analysis.envs[id]),
                 &mut out,
             );
         });
@@ -189,13 +152,15 @@ impl Checker for BufferOverflowChecker {
         let mut fcxs = cx.functions.iter();
         for_each_function(cx.program, |module, function| {
             let fcx = fcxs.next().expect("one context per function");
+            let mut sites = fcx.index_sites.iter().copied();
             Self::check_function(
                 module,
                 function,
                 &fcx.cfg,
-                &|id, index| interval::eval_sym(index, &fcx.intervals.envs[id], &fcx.symbols),
+                &mut |_, _| sites.next().expect("one cached interval per index site"),
                 &mut out,
             );
+            debug_assert!(sites.next().is_none(), "unreplayed index-site intervals");
         });
         out
     }

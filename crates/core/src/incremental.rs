@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 /// function key, so bumping it invalidates all resident entries at once.
 /// Bump whenever [`FnPayload`], the taint memo, or the fingerprint scheme
 /// changes shape or meaning.
-pub const INCR_SCHEMA_VERSION: u64 = 1;
+pub const INCR_SCHEMA_VERSION: u64 = 2;
 
 /// Retained taint memo entries per function. Phase 1 of the fixpoint
 /// probes two (clean/dirty) per summary-digest generation and the later

@@ -1038,6 +1038,43 @@ mod tests {
     }
 
     #[test]
+    fn streaming_training_rejects_a_truncated_spill_segment() {
+        // More rows than one raw spill segment holds, so a full segment
+        // lands on disk mid-stream; the row source then cuts it short by
+        // one byte (a full disk, a concurrent cleanup). Training must
+        // fail with an error, not panic inside a worker.
+        let trainer = Trainer::new();
+        let histories: Vec<cvedb::AppHistory> = corpus()
+            .db
+            .select(&trainer.config.selection)
+            .iter()
+            .cycle()
+            .take(4097)
+            .cloned()
+            .collect();
+        let schema: Vec<String> = vec!["a".into(), "b".into()];
+        let dir = std::env::temp_dir().join(format!("clvy-train-trunc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let seg = dir.join("raw").join("seg-0.col");
+        let cut = std::cell::Cell::new(false);
+        let rows = (0..histories.len()).map(|i| {
+            if !cut.get() && seg.exists() {
+                let len = std::fs::metadata(&seg).unwrap().len();
+                let file = std::fs::OpenOptions::new().write(true).open(&seg);
+                file.unwrap().set_len(len - 1).unwrap();
+                cut.set(true);
+            }
+            vec![i as f64, (i % 7) as f64]
+        });
+        let Err(err) = trainer.train_streaming(&schema, rows, &histories, Some(&dir)) else {
+            panic!("training over a truncated spill segment succeeded");
+        };
+        assert!(cut.get(), "no segment was spilled mid-stream");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn report_display_is_readable() {
         let corpus = corpus();
         let (_, report) = Trainer::new().train_with_report(corpus);

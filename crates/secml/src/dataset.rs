@@ -394,6 +394,23 @@ impl SpillReader {
         if segment_rows.iter().map(|&r| r as usize).sum::<usize>() != n_rows {
             return Err(bad_meta("segment rows do not sum to n_rows"));
         }
+        // A short or overlong segment would otherwise open fine and fail
+        // only on first column read, deep inside a training worker.
+        for (k, &rows) in segment_rows.iter().enumerate() {
+            let path = dir.join(format!("seg-{k}.col"));
+            // u128: a hostile header's n_cols × rows × 8 can pass u64.
+            let expected = n_cols as u128 * rows as u128 * 8;
+            let actual = std::fs::metadata(&path)?.len();
+            if actual as u128 != expected {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "spill segment {}: {actual} bytes, expected {expected}",
+                        path.display()
+                    ),
+                ));
+            }
+        }
         Ok(SpillReader {
             dir: dir.to_path_buf(),
             n_cols,
@@ -824,6 +841,27 @@ mod tests {
         let (_, spilled) = spill_twin(&rows, 2, "access");
         assert_eq!(spilled.value(1, 1), 20.0);
         assert_eq!(spilled.row(2), vec![3.0, 30.0]);
+    }
+
+    #[test]
+    fn open_spilled_rejects_truncated_segment() {
+        let dir = scratch_dir("truncated");
+        let mut b = ColMatrixBuilder::new(2).chunk_rows(2).spill(&dir).unwrap();
+        for i in 0..5 {
+            b.push_row(&[i as f64, -(i as f64)]).unwrap();
+        }
+        b.finish().unwrap();
+        // Cut the middle segment short by one byte.
+        let seg = dir.join("seg-1.col");
+        let len = std::fs::metadata(&seg).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&seg)
+            .unwrap()
+            .set_len(len - 1)
+            .unwrap();
+        let err = ColMatrix::open_spilled(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -197,6 +197,10 @@ impl Shared {
     fn shard_depths(&self) -> Vec<usize> {
         self.shards.iter().map(ShardQueue::depth).collect()
     }
+
+    fn incr_resident_fns(&self) -> usize {
+        self.shards.iter().map(ShardQueue::resident_fns).sum()
+    }
 }
 
 /// A running daemon. Dropping the handle shuts the server down
@@ -340,7 +344,12 @@ pub(crate) fn admin_response(request: Request, shared: &Arc<Shared>, t0: Instant
             let depths = shared.shard_depths();
             let response = ok_response(
                 "stats",
-                vec![("stats", shared.stats.to_json(inflight, &depths))],
+                vec![(
+                    "stats",
+                    shared
+                        .stats
+                        .to_json(inflight, &depths, shared.incr_resident_fns()),
+                )],
             );
             stats.latency.record(t0.elapsed());
             response

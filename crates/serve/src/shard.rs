@@ -68,12 +68,13 @@ pub(crate) struct Job {
 }
 
 /// One shard's job queue: a mutexed deque plus a condvar for the shard
-/// thread and an exact depth mirror the `stats` endpoint can read
-/// without taking the lock.
+/// thread, and an exact depth mirror and the shard engine's resident
+/// entry count, both readable by the `stats` endpoint without the lock.
 pub(crate) struct ShardQueue {
     queue: Mutex<VecDeque<Job>>,
     signal: Condvar,
     depth: AtomicUsize,
+    resident_fns: AtomicUsize,
 }
 
 impl ShardQueue {
@@ -82,6 +83,7 @@ impl ShardQueue {
             queue: Mutex::new(VecDeque::new()),
             signal: Condvar::new(),
             depth: AtomicUsize::new(0),
+            resident_fns: AtomicUsize::new(0),
         }
     }
 
@@ -103,6 +105,12 @@ impl ShardQueue {
     /// Jobs queued and not yet drained into a batch.
     pub fn depth(&self) -> usize {
         self.depth.load(Ordering::SeqCst)
+    }
+
+    /// Per-function entries resident in the shard's incremental engine,
+    /// as of its last batch.
+    pub fn resident_fns(&self) -> usize {
+        self.resident_fns.load(Ordering::Relaxed)
     }
 
     /// Wake the shard thread so it re-checks the shutdown exit condition.
@@ -272,6 +280,10 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard_id: usize) {
             };
             items.push((job.token, job.seq, resolved));
         }
+        // Published before any completion is delivered, so a client that
+        // reads `stats` after its response sees this batch's entries.
+        me.resident_fns
+            .store(engine.resident_entries(), Ordering::Relaxed);
 
         // Panic isolation: a poisoned feature row must not kill the
         // shard — that would strand every queued connection and leak the

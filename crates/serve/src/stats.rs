@@ -149,8 +149,14 @@ impl ServiceStats {
     /// Snapshot as the `stats` response body. `shard_depths` is each
     /// batcher shard's queued-job count; `queue_depth` stays in the
     /// schema as their sum so dashboards keyed on the old field keep
-    /// working.
-    pub fn to_json(&self, inflight: usize, shard_depths: &[usize]) -> Json {
+    /// working. `incr_resident_fns` is the per-function entries resident
+    /// across every shard's incremental engine (the warm cache's size).
+    pub fn to_json(
+        &self,
+        inflight: usize,
+        shard_depths: &[usize],
+        incr_resident_fns: usize,
+    ) -> Json {
         let n = |a: &AtomicU64| Json::Number(a.load(Ordering::Relaxed) as f64);
         Json::object(vec![
             (
@@ -176,6 +182,7 @@ impl ServiceStats {
             ("incr_hits", n(&self.incr_hits)),
             ("incr_misses", n(&self.incr_misses)),
             ("incr_rebuilt_fns", n(&self.incr_rebuilt_fns)),
+            ("incr_resident_fns", Json::Number(incr_resident_fns as f64)),
             ("inflight", Json::Number(inflight as f64)),
             (
                 "queue_depth",
@@ -222,7 +229,7 @@ mod tests {
         let s = ServiceStats::default();
         s.score.requests.fetch_add(2, Ordering::Relaxed);
         s.score.latency.record(Duration::from_micros(10));
-        let json = s.to_json(1, &[3, 4]).to_string();
+        let json = s.to_json(1, &[3, 4], 5).to_string();
         assert!(json.contains("\"requests\":2"));
         assert!(json.contains("\"inflight\":1"));
         // Per-shard depths plus the legacy total.
@@ -233,5 +240,6 @@ mod tests {
         assert!(json.contains("\"incr_hits\""));
         assert!(json.contains("\"incr_misses\""));
         assert!(json.contains("\"incr_rebuilt_fns\""));
+        assert!(json.contains("\"incr_resident_fns\":5"));
     }
 }

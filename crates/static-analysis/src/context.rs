@@ -10,8 +10,8 @@
 //!   in one deterministic sequential pass);
 //! * one [`FunctionContext`] per function — its [`Cfg`], reverse
 //!   postorder, immediate dominators, per-node def/use sets as dense
-//!   symbol indices, and the precomputed dataflow / interval / bounds /
-//!   path / dead-code results every collector needs;
+//!   symbol indices, and the precomputed dataflow / bounds / path /
+//!   dead-code results and index-site intervals every collector needs;
 //! * one shared interprocedural [`TaintReport`] (the legacy path computed
 //!   it up to three times per program: taint features, attack-surface
 //!   features, and the path-traversal checker).
@@ -25,7 +25,7 @@ use crate::bitset::BitSet;
 use crate::cfg::{Cfg, NodeId};
 use crate::cyclomatic;
 use crate::dataflow::{self, DataflowStats};
-use crate::interval::{self, BoundsReport, SymIntervalAnalysis};
+use crate::interval::{self, BoundsReport, Interval};
 use crate::paths::{self, PathConfig, PathReport};
 use crate::symbols::{SymbolId, SymbolTable};
 use crate::taint::{self, TaintReport};
@@ -119,7 +119,6 @@ pub struct FunctionContext<'p> {
     /// occurrence).
     pub uses: Vec<Vec<LocalId>>,
     pub dataflow: DataflowStats,
-    pub intervals: SymIntervalAnalysis,
     pub bounds: BoundsReport,
     pub paths: PathReport,
     /// The function contains CFG-unreachable statements (dead code smell).
@@ -135,6 +134,11 @@ pub struct FunctionContext<'p> {
     /// FNV digest per top-level statement's printed form (program order),
     /// feeding duplicate-code detection without re-printing the body.
     pub stmt_hashes: Vec<u64>,
+    /// Index interval of every `base[index]` site, in
+    /// [`interval::for_each_index_site`] order — what `bufcheck` replays
+    /// in place of the per-node interval environments, which are dropped
+    /// once the bounds verdicts are in. Sized by the sites, not the CFG.
+    pub index_sites: Vec<Interval>,
 }
 
 /// The *owned* expensive analysis results for one function: everything in
@@ -147,13 +151,13 @@ pub struct FunctionContext<'p> {
 #[derive(Debug, Clone)]
 pub struct FnPayload {
     pub dataflow: DataflowStats,
-    pub intervals: SymIntervalAnalysis,
     pub bounds: BoundsReport,
     pub paths: PathReport,
     pub has_dead_code: bool,
     pub decision_complexity: usize,
     pub dead_store_sites: Vec<(NodeId, u32)>,
     pub stmt_hashes: Vec<u64>,
+    pub index_sites: Vec<Interval>,
 }
 
 /// The cheap, borrow-carrying half of a [`FunctionContext`]: CFG, orders,
@@ -259,23 +263,27 @@ impl<'p> FnStructure<'p> {
             &self.param_set,
             &self.global_set,
         );
-        let intervals =
-            interval::analyze_cfg_sym(&self.cfg, self.function, &self.symbols, &self.rpo);
-        let bounds =
-            interval::check_bounds_sym(&self.cfg, self.function, &self.symbols, &intervals);
+        // The per-node interval environments are the largest thing this
+        // builds; they reduce to the bounds verdicts plus one interval per
+        // index site and are dropped here rather than cached.
+        let (bounds, index_sites) = {
+            let intervals =
+                interval::analyze_cfg_sym(&self.cfg, self.function, &self.symbols, &self.rpo);
+            interval::check_bounds_sym(&self.cfg, self.function, &self.symbols, &intervals)
+        };
         let paths = paths::explore_cfg(&self.cfg, self.function, path_config);
         let has_dead_code = !self.cfg.unreachable_nodes().is_empty();
         let decision_complexity = cyclomatic::decision_complexity(self.function);
         let stmt_hashes = crate::smells::stmt_print_hashes(self.function);
         FnPayload {
             dataflow,
-            intervals,
             bounds,
             paths,
             has_dead_code,
             decision_complexity,
             dead_store_sites,
             stmt_hashes,
+            index_sites,
         }
     }
 
@@ -292,13 +300,13 @@ impl<'p> FnStructure<'p> {
             defs: self.defs,
             uses: self.uses,
             dataflow: payload.dataflow,
-            intervals: payload.intervals,
             bounds: payload.bounds,
             paths: payload.paths,
             has_dead_code: payload.has_dead_code,
             decision_complexity: payload.decision_complexity,
             dead_store_sites: payload.dead_store_sites,
             stmt_hashes: payload.stmt_hashes,
+            index_sites: payload.index_sites,
         }
     }
 }
@@ -321,13 +329,13 @@ impl<'p> FunctionContext<'p> {
     pub fn payload(&self) -> FnPayload {
         FnPayload {
             dataflow: self.dataflow,
-            intervals: self.intervals.clone(),
             bounds: self.bounds.clone(),
             paths: self.paths,
             has_dead_code: self.has_dead_code,
             decision_complexity: self.decision_complexity,
             dead_store_sites: self.dead_store_sites.clone(),
             stmt_hashes: self.stmt_hashes.clone(),
+            index_sites: self.index_sites.clone(),
         }
     }
 }
@@ -565,6 +573,43 @@ mod tests {
             assert!(fcx.idom[id].is_none());
         }
         assert!(fcx.has_dead_code);
+    }
+
+    #[test]
+    fn payload_holds_no_per_node_interval_state() {
+        // A long straight-line body with no indexing: the cached payload
+        // carries no index intervals however many CFG nodes there are.
+        let body: String = (0..210).map(|_| "x = x + 1; ").collect();
+        let p = program(&format!("fn f(x: int) -> int {{ {body} return x; }}"));
+        let cx = AnalysisContext::build(&p);
+        let fcx = &cx.functions[0];
+        assert!(fcx.cfg.node_count() >= 200, "{}", fcx.cfg.node_count());
+        assert!(fcx.index_sites.is_empty());
+        assert!(fcx.payload().index_sites.is_empty());
+    }
+
+    #[test]
+    fn payload_holds_one_interval_per_index_site() {
+        // Sites: `b[0]` target; `b[n]` target, then `b[1]`, `b[2]` in the
+        // value; `b[3]` and nested `b[b[4]]` (two sites) in the condition;
+        // `n[0]` indexes a non-buffer. Eight in all.
+        let p = program(
+            "fn f(n: int) {
+                 let b: int[8];
+                 b[0] = 1;
+                 b[n] = b[1] + b[2];
+                 if b[3] > b[b[4]] { n = n[0]; }
+             }",
+        );
+        let cx = AnalysisContext::build(&p);
+        let fcx = &cx.functions[0];
+        let mut sites = 0;
+        interval::for_each_index_site(&fcx.cfg, &mut |_, _, _, _| sites += 1);
+        assert_eq!(sites, 8);
+        assert_eq!(fcx.index_sites.len(), 8);
+        assert_eq!(fcx.payload().index_sites, fcx.index_sites);
+        // `b[0] = 1` is first in site order, and its index is the constant.
+        assert_eq!(fcx.index_sites[0], Interval::constant(0));
     }
 
     #[test]

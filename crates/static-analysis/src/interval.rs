@@ -12,7 +12,7 @@
 
 use crate::cfg::{Cfg, NodeId, NodeKind};
 use minilang::ast::{BinaryOp, Expr, ExprKind, Function, LValue, StmtKind, Type, UnaryOp};
-use minilang::visit;
+use minilang::{visit, Span};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -604,13 +604,21 @@ pub struct BoundsReport {
     pub unknown: usize,
 }
 
-/// Check all indexed accesses of locally-declared buffers in `f`.
-pub fn check_bounds(f: &Function) -> BoundsReport {
-    let cfg = Cfg::build(f);
-    let analysis = analyze_cfg(&cfg, f);
+impl BoundsReport {
+    /// Tally one access whose index evaluates to `idx`. `cap` is the
+    /// base's declared capacity; undeclared bases are never provable.
+    fn record(&mut self, cap: Option<usize>, idx: Interval) {
+        match cap {
+            // A ⊥ index is an unreachable access.
+            Some(cap) if idx.is_bottom() || (idx.lo >= 0 && idx.hi < cap as i64) => self.safe += 1,
+            Some(cap) if idx.hi < 0 || idx.lo >= cap as i64 => self.out_of_bounds += 1,
+            _ => self.unknown += 1,
+        }
+    }
+}
 
-    // Buffer capacities from declarations (locals + params + none for
-    // unknown).
+/// Declared buffer capacities of `f`'s parameters and `let` locals.
+pub fn buffer_capacities(f: &Function) -> BTreeMap<&str, usize> {
     let mut caps: BTreeMap<&str, usize> = BTreeMap::new();
     for p in &f.params {
         if let Some(c) = p.ty.buffer_capacity() {
@@ -624,51 +632,53 @@ pub fn check_bounds(f: &Function) -> BoundsReport {
             }
         }
     });
+    caps
+}
 
-    let mut report = BoundsReport::default();
+/// Visit every `base[index]` site with a variable base as
+/// `(node, base, index, span)`, in the one order all consumers share:
+/// nodes by id; within a statement, an indexed assignment target first,
+/// then every `Var[index]` pre-order through [`visit::stmt_exprs`];
+/// within a condition, the same walk over the condition. The bounds
+/// verdicts, the cached per-site intervals and the `bufcheck` replay all
+/// enumerate sites here, so their orders cannot drift apart.
+pub fn for_each_index_site<'a>(cfg: &Cfg<'a>, f: &mut dyn FnMut(NodeId, &'a str, &'a Expr, Span)) {
     for (id, node) in cfg.nodes.iter().enumerate() {
-        let env = &analysis.envs[id];
-        let mut check = |base: &str, index: &Expr| {
-            let Some(&cap) = caps.get(base) else {
-                report.unknown += 1;
-                return;
-            };
-            let idx = eval(index, env);
-            if idx.is_bottom() {
-                // Unreachable access.
-                report.safe += 1;
-            } else if idx.lo >= 0 && idx.hi < cap as i64 {
-                report.safe += 1;
-            } else if idx.hi < 0 || idx.lo >= cap as i64 {
-                report.out_of_bounds += 1;
-            } else {
-                report.unknown += 1;
-            }
-        };
-        let exprs: Vec<&Expr> = match &node.kind {
+        let roots: Vec<&'a Expr> = match node.kind {
             NodeKind::Stmt(stmt) => {
                 if let StmtKind::Assign {
-                    target: LValue::Index { base, index, .. },
+                    target: LValue::Index { base, index, span },
                     ..
                 } = &stmt.kind
                 {
-                    check(base, index);
+                    f(id, base, index, *span);
                 }
                 visit::stmt_exprs(stmt)
             }
             NodeKind::Cond(c) => vec![c],
             _ => vec![],
         };
-        for root in exprs {
+        for root in roots {
             visit::walk_expr(root, &mut |e| {
                 if let ExprKind::Index { base, index } = &e.kind {
                     if let ExprKind::Var(name) = &base.kind {
-                        check(name, index);
+                        f(id, name, index, e.span);
                     }
                 }
             });
         }
     }
+}
+
+/// Check all indexed accesses of locally-declared buffers in `f`.
+pub fn check_bounds(f: &Function) -> BoundsReport {
+    let cfg = Cfg::build(f);
+    let analysis = analyze_cfg(&cfg, f);
+    let caps = buffer_capacities(f);
+    let mut report = BoundsReport::default();
+    for_each_index_site(&cfg, &mut |id, base, index, _| {
+        report.record(caps.get(base).copied(), eval(index, &analysis.envs[id]));
+    });
     report
 }
 
@@ -942,9 +952,9 @@ fn edge_env_sym(
 }
 
 /// Per-node symbol-indexed environments (at node entry) for one function.
-/// `Clone` so the incremental engine can cache one function's stabilized
-/// envs and re-install them on a fingerprint hit.
-#[derive(Debug, Clone)]
+/// Transient: context construction reduces them to per-site index
+/// intervals ([`check_bounds_sym`]) and drops them.
+#[derive(Debug)]
 pub struct SymIntervalAnalysis {
     pub envs: Vec<SymEnv>,
 }
@@ -1026,70 +1036,25 @@ pub fn analyze_cfg_sym(
     }
 }
 
-/// Bounds check over precomputed symbol-indexed environments; verdicts are
-/// identical to [`check_bounds`].
+/// Bounds check over precomputed symbol-indexed environments, plus the
+/// index interval of every site in [`for_each_index_site`] order — all
+/// `bufcheck` needs once the per-node environments are dropped. Verdicts
+/// are identical to [`check_bounds`].
 pub fn check_bounds_sym(
     cfg: &Cfg<'_>,
     f: &Function,
     syms: &FnSymbols<'_>,
     analysis: &SymIntervalAnalysis,
-) -> BoundsReport {
-    let mut caps: BTreeMap<&str, usize> = BTreeMap::new();
-    for p in &f.params {
-        if let Some(c) = p.ty.buffer_capacity() {
-            caps.insert(p.name.as_str(), c);
-        }
-    }
-    visit::walk_stmts(&f.body, &mut |s| {
-        if let StmtKind::Let { name, ty, .. } = &s.kind {
-            if let Some(c) = ty.buffer_capacity() {
-                caps.insert(name.as_str(), c);
-            }
-        }
-    });
-
+) -> (BoundsReport, Vec<Interval>) {
+    let caps = buffer_capacities(f);
     let mut report = BoundsReport::default();
-    for (id, node) in cfg.nodes.iter().enumerate() {
-        let env = &analysis.envs[id];
-        let mut check = |base: &str, index: &Expr| {
-            let Some(&cap) = caps.get(base) else {
-                report.unknown += 1;
-                return;
-            };
-            let idx = eval_sym(index, env, syms);
-            if idx.is_bottom() || (idx.lo >= 0 && idx.hi < cap as i64) {
-                report.safe += 1;
-            } else if idx.hi < 0 || idx.lo >= cap as i64 {
-                report.out_of_bounds += 1;
-            } else {
-                report.unknown += 1;
-            }
-        };
-        let exprs: Vec<&Expr> = match &node.kind {
-            NodeKind::Stmt(stmt) => {
-                if let StmtKind::Assign {
-                    target: LValue::Index { base, index, .. },
-                    ..
-                } = &stmt.kind
-                {
-                    check(base, index);
-                }
-                visit::stmt_exprs(stmt)
-            }
-            NodeKind::Cond(c) => vec![c],
-            _ => vec![],
-        };
-        for root in exprs {
-            visit::walk_expr(root, &mut |e| {
-                if let ExprKind::Index { base, index } = &e.kind {
-                    if let ExprKind::Var(name) = &base.kind {
-                        check(name, index);
-                    }
-                }
-            });
-        }
-    }
-    report
+    let mut sites = Vec::new();
+    for_each_index_site(cfg, &mut |id, base, index, _| {
+        let idx = eval_sym(index, &analysis.envs[id], syms);
+        report.record(caps.get(base).copied(), idx);
+        sites.push(idx);
+    });
+    (report, sites)
 }
 
 #[cfg(test)]
@@ -1320,11 +1285,11 @@ mod tests {
                 let present = sym.envs[id].present.count();
                 assert_eq!(present, env.len(), "{src}: node {id} domain differs");
             }
-            assert_eq!(
-                check_bounds_sym(&cfg, f, &syms, &sym),
-                check_bounds(f),
-                "{src}: bounds verdicts differ"
-            );
+            let (bounds, sites) = check_bounds_sym(&cfg, f, &syms, &sym);
+            assert_eq!(bounds, check_bounds(f), "{src}: bounds verdicts differ");
+            let mut n_sites = 0;
+            for_each_index_site(&cfg, &mut |_, _, _, _| n_sites += 1);
+            assert_eq!(sites.len(), n_sites, "{src}: one interval per site");
         }
     }
 

@@ -1095,6 +1095,7 @@ fn entry(s: str, n: int) -> int {
     assert_eq!(stat_field(&stats, "incr_hits"), 0.0);
     assert_eq!(stat_field(&stats, "incr_misses"), 2.0);
     assert_eq!(stat_field(&stats, "incr_rebuilt_fns"), 2.0);
+    assert_eq!(stat_field(&stats, "incr_resident_fns"), 2.0);
 
     // Warm: the connection is pinned to its shard, whose engine now holds
     // both entries — every function hits, nothing is rebuilt, and the
@@ -1108,6 +1109,7 @@ fn entry(s: str, n: int) -> int {
         2.0,
         "no new fixpoints"
     );
+    assert_eq!(stat_field(&stats, "incr_resident_fns"), 2.0);
 
     // Edit one function: exactly one entry is invalidated and rebuilt.
     let edited = source.replace("n > 2", "n > 3");
@@ -1122,5 +1124,8 @@ fn entry(s: str, n: int) -> int {
         3.0,
         "only `entry` re-ran"
     );
+    // The edited `entry` is a new entry beside the stale one, which
+    // stays resident until the store evicts it.
+    assert_eq!(stat_field(&stats, "incr_resident_fns"), 3.0);
     handle.shutdown();
 }
