@@ -10,6 +10,7 @@
 use bench::harness::{black_box, Criterion, Throughput};
 use bench::{criterion_group, criterion_main};
 use clairvoyant::prelude::*;
+use static_analysis::AnalysisContext;
 
 fn sample_program() -> minilang::ast::Program {
     let spec = corpus::AppSpec {
@@ -50,22 +51,19 @@ fn bench_passes(c: &mut Criterion) {
     group.bench_function("callgraph", |b| {
         b.iter(|| black_box(static_analysis::callgraph::CallGraph::build(&program).stats()))
     });
-    group.bench_function("taint", |b| {
-        b.iter(|| black_box(static_analysis::taint::analyze(&program).flows.len()))
+    // CFGs, dominators, dataflow, interval, path and taint fixpoints: the
+    // shared per-program context every collector and checker reads.
+    group.bench_function("context", |b| {
+        b.iter(|| black_box(AnalysisContext::build(&program).taint.flows.len()))
     });
     group.bench_function("smells", |b| {
-        b.iter(|| {
-            black_box(
-                static_analysis::smells::detect(
-                    &program,
-                    &static_analysis::smells::Thresholds::default(),
-                )
-                .len(),
-            )
-        })
+        let cx = AnalysisContext::build(&program);
+        let thresholds = static_analysis::smells::Thresholds::default();
+        b.iter(|| black_box(static_analysis::smells::detect(&cx, &thresholds).len()))
     });
     group.bench_function("bugfind_meta", |b| {
-        b.iter(|| black_box(bugfind::MetaTool::new().run(&program).total()))
+        let cx = AnalysisContext::build(&program);
+        b.iter(|| black_box(bugfind::MetaTool::new().run(&cx).total()))
     });
     group.bench_function("rasq", |b| {
         b.iter(|| black_box(attack_graph::AttackSurface::measure(&program).quotient))
@@ -155,13 +153,13 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// BENCH-PERF (part 2): the fused single-pass engine vs the pre-fusion
-/// path. Races [`Testbed::extract`] (one shared `AnalysisContext`, bitset
-/// fixpoints, one taint pass) against [`Testbed::extract_legacy`] (every
-/// analysis rebuilds its own CFGs, string-keyed lattices, taint ×3) over a
-/// synthesized corpus, asserts the vectors bit-identical — including
-/// across per-function worker counts — and prints a `BENCH_ANALYSIS` JSON
-/// line (snapshot: `results/BENCH_ANALYSIS.json`).
+/// BENCH-PERF (part 2): absolute wall time of [`Testbed::extract`] (one
+/// shared `AnalysisContext` per program, bitset fixpoints, one taint pass)
+/// over a synthesized corpus. Before timing, asserts the vectors
+/// bit-identical across 1 and 4 per-function workers, then prints a
+/// `BENCH_ANALYSIS` JSON line with the machine's core count (snapshot:
+/// `results/BENCH_ANALYSIS.json`). A change in `fused_ms` counts only
+/// against a snapshot taken on the same machine.
 ///
 /// `CLAIRVOYANT_BENCH_SMOKE=1` shrinks the corpus and iteration count to
 /// a CI-sized equality smoke test.
@@ -173,19 +171,11 @@ fn bench_engine(_c: &mut Criterion) {
     let testbed = Testbed::new();
     let parallel_testbed = Testbed::new().with_fn_jobs(4);
 
-    // Equality gate: the fused engine must reproduce the legacy vector
-    // bit-for-bit, for 1 and 4 per-function workers.
+    // Equality gate: per-function fan-out must not change a single bit.
     for app in &corpus.apps {
-        let fused = testbed.extract(&app.program);
-        let legacy = testbed.extract_legacy(&app.program);
         assert_eq!(
-            fused, legacy,
-            "fused vector diverged from legacy for {}",
-            app.spec.name
-        );
-        let parallel = parallel_testbed.extract(&app.program);
-        assert_eq!(
-            fused, parallel,
+            testbed.extract(&app.program),
+            parallel_testbed.extract(&app.program),
             "4-worker context construction diverged for {}",
             app.spec.name
         );
@@ -199,26 +189,15 @@ fn bench_engine(_c: &mut Criterion) {
     }
     let fused_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        for app in &corpus.apps {
-            black_box(testbed.extract_legacy(&app.program).len());
-        }
-    }
-    let legacy_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
-
-    let speedup = legacy_ms / fused_ms.max(1e-9);
+    let cores = pipeline::default_workers();
     println!(
-        "BENCH_ANALYSIS {{\"programs\":{},\"iters\":{iters},\"fused_ms\":{:.1},\
-         \"legacy_ms\":{:.1},\"speedup\":{:.2},\"vectors_identical\":true}}",
+        "BENCH_ANALYSIS {{\"programs\":{},\"iters\":{iters},\"cores\":{cores},\
+         \"fused_ms\":{:.1},\"vectors_identical\":true}}",
         corpus.apps.len(),
         fused_ms,
-        legacy_ms,
-        speedup
     );
     eprintln!(
-        "analysis engine: fused {fused_ms:.0} ms, legacy {legacy_ms:.0} ms, \
-         speedup {speedup:.1}× over {} programs",
+        "analysis engine: {fused_ms:.0} ms per pass over {} programs on {cores} core(s)",
         corpus.apps.len()
     );
 }

@@ -10,6 +10,7 @@
 
 use bugfind::MetaTool;
 use cvedb::Cwe;
+use static_analysis::AnalysisContext;
 
 fn main() {
     let corpus = bench::experiment_corpus();
@@ -34,7 +35,7 @@ fn main() {
     let reports: Vec<(&corpus::GeneratedApp, bugfind::MetaReport)> = corpus
         .apps
         .iter()
-        .map(|a| (a, tool.run(&a.program)))
+        .map(|a| (a, tool.run(&AnalysisContext::build(&a.program))))
         .collect();
 
     println!(

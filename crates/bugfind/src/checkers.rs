@@ -1,27 +1,21 @@
-//! The seven checkers.
+//! The ten checkers.
 
 use crate::diagnostic::{DiagSeverity, Diagnostic};
-use minilang::ast::{Expr, ExprKind, Function, Module, Program, StmtKind, Type};
+use minilang::ast::{Expr, ExprKind, Function, Module, Program, StmtKind};
 use minilang::{visit, Intrinsic};
-use static_analysis::cfg::{Cfg, NodeId, NodeKind};
-use static_analysis::context::AnalysisContext;
-use static_analysis::dataflow;
+use static_analysis::cfg::{Cfg, NodeKind};
+use static_analysis::context::{AnalysisContext, FunctionContext};
 use static_analysis::interval::{self, Interval};
-use static_analysis::taint::TaintReport;
 
-/// A bug-finding tool: scans a program, emits diagnostics.
+/// A bug-finding tool: scans a program through its shared
+/// [`AnalysisContext`] and emits diagnostics. AST-pattern checkers read
+/// `cx.program`; the CFG-, interval- and taint-driven ones read the
+/// context's precomputed results instead of re-deriving them.
 pub trait Checker {
     /// Stable tool name.
     fn name(&self) -> &'static str;
     /// Scan the whole program.
-    fn check(&self, program: &Program) -> Vec<Diagnostic>;
-    /// Scan using the shared [`AnalysisContext`]. Checkers that need CFGs,
-    /// interval analysis or the interprocedural taint result override this
-    /// to reuse the precomputed artifacts; the default is the plain
-    /// program scan. Diagnostics must be identical either way.
-    fn check_ctx(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        self.check(cx.program)
-    }
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic>;
 }
 
 /// Every checker in the suite, in a deterministic order.
@@ -48,27 +42,38 @@ fn for_each_function(program: &Program, mut f: impl FnMut(&Module, &Function)) {
     }
 }
 
+/// Every function's context with its module, in program order.
+fn for_each_context<'p>(
+    cx: &AnalysisContext<'p>,
+    mut f: impl FnMut(&Module, &FunctionContext<'p>),
+) {
+    let mut fcxs = cx.functions.iter();
+    for_each_function(cx.program, |module, _| {
+        f(module, fcxs.next().expect("one context per function"))
+    });
+}
+
 /// CWE-121-style checker: every `buf[i]` whose index interval is not
 /// provably inside `[0, capacity)` is reported — `Error` when provably
 /// outside, `Warning` when merely unproved (the realistic FP source).
 pub struct BufferOverflowChecker;
 
 impl BufferOverflowChecker {
-    /// One function's scan, parameterized over where the interval for an
-    /// index site at a CFG node comes from (fresh analysis, or the shared
-    /// context's cached per-site intervals replayed in site order).
+    /// One function's scan. `index_sites` holds the context's cached index
+    /// interval of every site, in [`interval::for_each_index_site`] order.
     fn check_function(
         module: &Module,
         function: &Function,
         cfg: &Cfg<'_>,
-        index_interval: &mut dyn FnMut(NodeId, &Expr) -> Interval,
+        index_sites: &[Interval],
         out: &mut Vec<Diagnostic>,
     ) {
         let caps = interval::buffer_capacities(function);
-        interval::for_each_index_site(cfg, &mut |id, base, index, span| {
-            // Evaluate before the capacity lookup so a cached replay
-            // consumes exactly one interval per site.
-            let idx = index_interval(id, index);
+        let mut sites = index_sites.iter();
+        interval::for_each_index_site(cfg, &mut |_, base, _, span| {
+            // Take the interval before the capacity lookup so every site
+            // consumes exactly one.
+            let idx = *sites.next().expect("one cached interval per index site");
             let Some(&cap) = caps.get(base) else { return };
             if idx.is_bottom() {
                 return; // unreachable
@@ -100,6 +105,7 @@ impl BufferOverflowChecker {
                 message,
             });
         });
+        debug_assert!(sites.next().is_none(), "unreplayed index-site intervals");
 
         // `strcpy(dst, src)` into a fixed-size buffer is flagged unless
         // the copy is bounded (`strncpy`).
@@ -131,36 +137,10 @@ impl Checker for BufferOverflowChecker {
         "bufcheck"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
-            let cfg = Cfg::build(function);
-            let analysis = interval::analyze_cfg(&cfg, function);
-            Self::check_function(
-                module,
-                function,
-                &cfg,
-                &mut |id, index| interval::eval(index, &analysis.envs[id]),
-                &mut out,
-            );
-        });
-        out
-    }
-
-    fn check_ctx(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let mut fcxs = cx.functions.iter();
-        for_each_function(cx.program, |module, function| {
-            let fcx = fcxs.next().expect("one context per function");
-            let mut sites = fcx.index_sites.iter().copied();
-            Self::check_function(
-                module,
-                function,
-                &fcx.cfg,
-                &mut |_, _| sites.next().expect("one cached interval per index site"),
-                &mut out,
-            );
-            debug_assert!(sites.next().is_none(), "unreplayed index-site intervals");
+        for_each_context(cx, |module, fcx| {
+            Self::check_function(module, fcx.function, &fcx.cfg, &fcx.index_sites, &mut out);
         });
         out
     }
@@ -175,9 +155,9 @@ impl Checker for FormatStringChecker {
         "fmtcheck"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
+        for_each_function(cx.program, |module, function| {
             visit::walk_exprs(&function.body, &mut |e| {
                 let ExprKind::Call { callee, args } = &e.kind else {
                     return;
@@ -233,9 +213,9 @@ impl Checker for IntegerOverflowChecker {
         "intcheck"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
+        for_each_function(cx.program, |module, function| {
             let mut push = |span, message: String| {
                 out.push(Diagnostic {
                     tool: "intcheck",
@@ -277,9 +257,9 @@ impl Checker for UntrustedInputChecker {
         "inputcheck"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
+        for_each_function(cx.program, |module, function| {
             if !function.is_untrusted() && function.endpoint_channels().is_empty() {
                 return;
             }
@@ -350,9 +330,9 @@ impl Checker for ToctouChecker {
         "racecheck"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
+        for_each_function(cx.program, |module, function| {
             // Collect (callee, first-arg-var, span) in source order.
             let mut calls: Vec<(Intrinsic, String, minilang::Span)> = Vec::new();
             visit::walk_exprs(&function.body, &mut |e| {
@@ -400,65 +380,12 @@ impl Checker for ToctouChecker {
 /// reports correlate with process quality rather than direct exploitability.
 pub struct DeadStoreChecker;
 
-impl DeadStoreChecker {
-    fn program_globals(program: &Program) -> Vec<String> {
-        program
-            .modules
-            .iter()
-            .flat_map(|m| m.globals.iter().map(|g| g.name.clone()))
-            .collect()
-    }
-
-    fn check_function(
-        module: &Module,
-        function: &Function,
-        cfg: &Cfg<'_>,
-        globals: &[String],
-        out: &mut Vec<Diagnostic>,
-    ) {
-        let rd = dataflow::reaching_definitions(cfg);
-        let lv = dataflow::liveness(cfg);
-        let params: Vec<&str> = function.params.iter().map(|p| p.name.as_str()).collect();
-        for def in &rd.defs {
-            if !def.strong || params.contains(&def.var.as_str()) || globals.contains(&def.var) {
-                continue;
-            }
-            if !lv.is_live_out(def.node, &def.var) {
-                let span = match cfg.nodes[def.node].kind {
-                    NodeKind::Stmt(s) => s.span,
-                    _ => minilang::Span::dummy(),
-                };
-                out.push(Diagnostic {
-                    tool: "deadstore",
-                    rule: "dead-store",
-                    severity: DiagSeverity::Note,
-                    function: function.name.clone(),
-                    module: module.path.clone(),
-                    span,
-                    cwe_hint: None,
-                    message: format!("value assigned to `{}` is never read", def.var),
-                });
-            }
-        }
-    }
-}
-
 impl Checker for DeadStoreChecker {
     fn name(&self) -> &'static str {
         "deadstore"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let globals = Self::program_globals(program);
-        for_each_function(program, |module, function| {
-            let cfg = Cfg::build(function);
-            Self::check_function(module, function, &cfg, &globals, &mut out);
-        });
-        out
-    }
-
-    fn check_ctx(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         // The dead-store sites were already computed (under this checker's
         // exact predicate) by the context's dataflow fixpoint, as
         // structure-relative (node, local) pairs. Replaying them here —
@@ -466,9 +393,7 @@ impl Checker for DeadStoreChecker {
         // table — keeps repeat runs over a warm incremental cache from
         // paying for reaching-definitions + liveness twice per function.
         let mut out = Vec::new();
-        let mut fcxs = cx.functions.iter();
-        for_each_function(cx.program, |module, function| {
-            let fcx = fcxs.next().expect("one context per function");
+        for_each_context(cx, |module, fcx| {
             for &(node, local) in &fcx.dead_store_sites {
                 let span = match fcx.cfg.nodes[node].kind {
                     NodeKind::Stmt(s) => s.span,
@@ -479,7 +404,7 @@ impl Checker for DeadStoreChecker {
                     tool: "deadstore",
                     rule: "dead-store",
                     severity: DiagSeverity::Note,
-                    function: function.name.clone(),
+                    function: fcx.function.name.clone(),
                     module: module.path.clone(),
                     span,
                     cwe_hint: None,
@@ -509,9 +434,9 @@ impl Checker for HardcodedCredentialChecker {
         "credcheck"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
+        for_each_function(cx.program, |module, function| {
             visit::walk_exprs(&function.body, &mut |e| match &e.kind {
                 ExprKind::Call { callee, args }
                     if Intrinsic::from_name(callee) == Some(Intrinsic::AuthCheck)
@@ -559,19 +484,20 @@ impl Checker for HardcodedCredentialChecker {
     }
 }
 
-// Re-check that the Type import is used (buffer capacities come through it).
-const _: fn(&Type) -> Option<usize> = Type::buffer_capacity;
-
 /// CWE-22: a tainted path (parameter of an untrusted/endpoint function, or
 /// data from an input intrinsic) flowing into `read_file`/`write_file`/
 /// `open` without a validating branch on it.
 pub struct PathTraversalChecker;
 
-impl PathTraversalChecker {
-    fn check_with(program: &Program, taint: &TaintReport) -> Vec<Diagnostic> {
+impl Checker for PathTraversalChecker {
+    fn name(&self) -> &'static str {
+        "pathcheck"
+    }
+
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
-            let entry_tainted = taint.tainted_entry_functions.contains(&function.name);
+        for_each_function(cx.program, |module, function| {
+            let entry_tainted = cx.taint.tainted_entry_functions.contains(&function.name);
             // Variables holding raw input in this function.
             let mut tainted_vars: Vec<String> = if entry_tainted {
                 function.params.iter().map(|p| p.name.clone()).collect()
@@ -659,20 +585,6 @@ impl PathTraversalChecker {
     }
 }
 
-impl Checker for PathTraversalChecker {
-    fn name(&self) -> &'static str {
-        "pathcheck"
-    }
-
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
-        Self::check_with(program, &static_analysis::taint::analyze(program))
-    }
-
-    fn check_ctx(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
-        Self::check_with(cx.program, &cx.taint)
-    }
-}
-
 /// CWE-416 / CWE-401: `free(p)` followed by a later use of `p` (UAF), and
 /// `alloc` results whose variable is never passed to `free` (leak).
 pub struct AllocLifetimeChecker;
@@ -682,9 +594,9 @@ impl Checker for AllocLifetimeChecker {
         "alloccheck"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
+        for_each_function(cx.program, |module, function| {
             // Source-order events on alloc'd variables.
             let mut allocated: Vec<String> = Vec::new();
             visit::walk_stmts(&function.body, &mut |s| {
@@ -779,9 +691,9 @@ impl Checker for InfoExposureChecker {
         "leakcheck"
     }
 
-    fn check(&self, program: &Program) -> Vec<Diagnostic> {
+    fn check(&self, cx: &AnalysisContext<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for_each_function(program, |module, function| {
+        for_each_function(cx.program, |module, function| {
             // Secret carriers: secret-named variables and getenv() results.
             let mut secrets: Vec<String> = Vec::new();
             visit::walk_stmts(&function.body, &mut |s| {
@@ -849,7 +761,7 @@ mod tests {
 
     fn run(checker: &dyn Checker, src: &str) -> Vec<Diagnostic> {
         let p = parse_program("app", Dialect::C, &[("m.c".into(), src.into())]).unwrap();
-        checker.check(&p)
+        checker.check(&AnalysisContext::build(&p))
     }
 
     #[test]

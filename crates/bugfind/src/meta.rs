@@ -3,7 +3,6 @@
 
 use crate::checkers::{all_checkers, Checker};
 use crate::diagnostic::{DiagSeverity, Diagnostic};
-use minilang::ast::Program;
 use static_analysis::context::AnalysisContext;
 use std::collections::BTreeMap;
 
@@ -70,26 +69,15 @@ impl MetaTool {
         self.checkers.iter().map(|c| c.name()).collect()
     }
 
-    /// Run every tool and merge.
-    pub fn run(&self, program: &Program) -> MetaReport {
-        self.merge(|c| c.check(program))
-    }
-
-    /// Run every tool over the shared [`AnalysisContext`] and merge. The
-    /// report is identical to [`MetaTool::run`]'s, but the CFG/interval/
-    /// taint-driven checkers reuse the context's precomputed results
-    /// instead of re-deriving them.
-    pub fn run_ctx(&self, cx: &AnalysisContext<'_>) -> MetaReport {
-        self.merge(|c| c.check_ctx(cx))
-    }
-
-    fn merge(&self, run: impl Fn(&(dyn Checker + Send + Sync)) -> Vec<Diagnostic>) -> MetaReport {
+    /// Run every tool over the program's shared [`AnalysisContext`] and
+    /// merge.
+    pub fn run(&self, cx: &AnalysisContext<'_>) -> MetaReport {
         let mut report = MetaReport::default();
         // (function, span start) → set of tools that flagged it.
         let mut site_tools: BTreeMap<(String, usize), Vec<&'static str>> = BTreeMap::new();
 
         for checker in &self.checkers {
-            for diag in run(checker.as_ref()) {
+            for diag in checker.check(cx) {
                 *report
                     .by_rule
                     .entry(format!("{}/{}", diag.tool, diag.rule))
@@ -119,13 +107,15 @@ mod tests {
     use super::*;
     use minilang::{parse_program, Dialect};
 
-    fn program(src: &str) -> Program {
-        parse_program("app", Dialect::C, &[("m.c".into(), src.into())]).unwrap()
+    fn run(tool: &MetaTool, src: &str) -> MetaReport {
+        let p = parse_program("app", Dialect::C, &[("m.c".into(), src.into())]).unwrap();
+        tool.run(&AnalysisContext::build(&p))
     }
 
     #[test]
     fn merges_reports_from_multiple_tools() {
-        let p = program(
+        let report = run(
+            &MetaTool::new(),
             "@endpoint(network)
              fn handle(req: str) {
                  let buf: str[32];
@@ -133,7 +123,6 @@ mod tests {
                  printf(req);
              }",
         );
-        let report = MetaTool::new().run(&p);
         // bufcheck (strcpy), fmtcheck (printf), inputcheck (req unvalidated ×2 uses → 1 per param)
         assert!(report.count_cwe(121) >= 1);
         assert!(report.count_cwe(134) >= 1);
@@ -144,11 +133,11 @@ mod tests {
 
     #[test]
     fn clean_program_is_quiet() {
-        let p = program(
+        let report = run(
+            &MetaTool::new(),
             "fn add(a: int, b: int) -> int { return a + b; }
              fn main_loop() { let total: int = add(1, 2); printf(\"%d\", total); }",
         );
-        let report = MetaTool::new().run(&p);
         assert_eq!(report.total(), 0, "{:#?}", report.diagnostics);
     }
 
@@ -157,21 +146,21 @@ mod tests {
         // strcpy from an untrusted param into a fixed buffer: bufcheck flags
         // the strcpy site, inputcheck flags the same call site for the
         // unvalidated parameter.
-        let p = program(
+        let report = run(
+            &MetaTool::new(),
             "@endpoint(network)
              fn handle(req: str) { let buf: str[8]; strcpy(buf, req); }",
         );
-        let report = MetaTool::new().run(&p);
         assert!(report.multi_tool_sites >= 1, "{:#?}", report.diagnostics);
     }
 
     #[test]
     fn diagnostics_sorted_by_location() {
-        let p = program(
+        let report = run(
+            &MetaTool::new(),
             "fn a() { let x: int = 1; x = 2; log_msg(\"s\"); }
              fn b() { let y: int = 3; y = 4; log_msg(\"t\"); }",
         );
-        let report = MetaTool::new().run(&p);
         let starts: Vec<usize> = report.diagnostics.iter().map(|d| d.span.start).collect();
         let mut sorted = starts.clone();
         sorted.sort_unstable();
@@ -180,56 +169,23 @@ mod tests {
 
     #[test]
     fn custom_suite_restricts_tools() {
-        let p = program("fn f(s: str) { printf(s); let b: int[2]; b[5] = 1; }");
         let only_fmt =
             MetaTool::with_checkers(vec![Box::new(crate::checkers::FormatStringChecker)]);
         assert_eq!(only_fmt.tool_names(), vec!["fmtcheck"]);
-        let report = only_fmt.run(&p);
+        let report = run(
+            &only_fmt,
+            "fn f(s: str) { printf(s); let b: int[2]; b[5] = 1; }",
+        );
         assert_eq!(report.count_cwe(134), 1);
         assert_eq!(report.count_cwe(121), 0);
     }
 
     #[test]
-    fn context_run_matches_program_run() {
-        // Exercises the three context-aware checkers: bufcheck (interval
-        // analysis), deadstore (reaching defs + liveness), pathcheck
-        // (interprocedural taint) — plus the AST-only rest.
-        let p = program(
-            "global limit: int = 4;
-             @endpoint(network)
-             fn serve(req: str) {
-                 let buf: str[8];
-                 strcpy(buf, req);
-                 let data: str = read_file(req);
-                 send(0, data);
-                 printf(req);
-             }
-             fn helper(i: int) -> int {
-                 let b: int[4];
-                 let waste: int = 1;
-                 waste = 2;
-                 if i >= 0 && i < 4 { b[i] = 1; }
-                 b[9] = 0;
-                 return b[0];
-             }",
-        );
-        let tool = MetaTool::new();
-        let legacy = tool.run(&p);
-        let cx = AnalysisContext::build(&p);
-        let fused = tool.run_ctx(&cx);
-        assert!(legacy.total() > 0);
-        assert_eq!(legacy.diagnostics, fused.diagnostics);
-        assert_eq!(legacy.by_rule, fused.by_rule);
-        assert_eq!(legacy.by_severity, fused.by_severity);
-        assert_eq!(legacy.by_cwe, fused.by_cwe);
-        assert_eq!(legacy.multi_tool_sites, fused.multi_tool_sites);
-    }
-
-    #[test]
     fn severity_counts() {
-        let p =
-            program("fn f() { let b: int[2]; b[9] = 1; let z: int = 5; z = 6; log_msg(\"x\"); }");
-        let report = MetaTool::new().run(&p);
+        let report = run(
+            &MetaTool::new(),
+            "fn f() { let b: int[2]; b[9] = 1; let z: int = 5; z = 6; log_msg(\"x\"); }",
+        );
         assert!(report.count_severity(DiagSeverity::Error) >= 1);
         assert!(report.count_severity(DiagSeverity::Note) >= 1);
     }

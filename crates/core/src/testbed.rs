@@ -15,11 +15,8 @@
 //! All three families share one [`AnalysisContext`] built once per
 //! program: the registry collectors read its precomputed CFGs and bitset
 //! fixpoints, the bug checkers reuse the same CFGs/intervals through
-//! `MetaTool::run_ctx`, and the attack-graph exploit facts come from the
-//! context's single interprocedural taint pass (the legacy path ran
-//! `taint::analyze` three times per program). [`Testbed::extract_legacy`]
-//! preserves that pre-fusion path for the equivalence property tests and
-//! the `analysis_throughput` benchmark.
+//! `MetaTool::run`, and the attack-graph exploit facts come from the
+//! context's single interprocedural taint pass.
 
 use attack_graph::{interaction_facts, AttackGraph, AttackSurface, VectorKind};
 use bugfind::{DiagSeverity, MetaReport, MetaTool};
@@ -96,27 +93,13 @@ impl Testbed {
         }
 
         let start = Instant::now();
-        let report = self.metatool.run_ctx(cx);
+        let report = self.metatool.run(cx);
         Self::set_bugfind(&report, program, &mut fv);
         self.record("bugfind", start.elapsed());
 
         let start = Instant::now();
         Self::set_attack(program, &cx.taint, &mut fv);
         self.record("attackgraph", start.elapsed());
-        fv
-    }
-
-    /// The pre-fusion extraction path: every analysis rebuilds its own
-    /// CFGs, the fixpoints hash variable-name strings, and the
-    /// interprocedural taint pass runs three times (taint features,
-    /// attack features, path-traversal checker). Kept as the oracle the
-    /// fused engine is raced against and asserted bit-identical to.
-    pub fn extract_legacy(&self, program: &Program) -> FeatureVector {
-        let mut fv = static_analysis::legacy_standard_vector(program);
-        let report = self.metatool.run(program);
-        Self::set_bugfind(&report, program, &mut fv);
-        let taint = static_analysis::taint::analyze(program);
-        Self::set_attack(program, &taint, &mut fv);
         fv
     }
 
@@ -364,31 +347,6 @@ mod tests {
         let p = program("fn f(s: str) { printf(s); }");
         let fv = Testbed::new().extract(&p);
         assert_eq!(fv.get("bugfind.density"), Some(1.0));
-    }
-
-    #[test]
-    fn fused_extraction_matches_legacy_path() {
-        let p = program(
-            "global limit: int = 4;
-             @endpoint(network)
-             fn serve(req: str) {
-                 let buf: str[8];
-                 strcpy(buf, req);
-                 let data: str = read_file(req);
-                 send(0, data);
-                 printf(req);
-             }
-             fn helper(i: int) -> int {
-                 let b: int[4];
-                 let waste: int = 1;
-                 waste = 2;
-                 if i >= 0 && i < limit { b[i] = 1; }
-                 while i < 10 { i += 1; }
-                 return b[0];
-             }",
-        );
-        let testbed = Testbed::new();
-        assert_eq!(testbed.extract(&p), testbed.extract_legacy(&p));
     }
 
     #[test]

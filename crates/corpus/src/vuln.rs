@@ -335,7 +335,8 @@ mod tests {
             dialect: Dialect::C,
             modules: vec![m],
         };
-        let report = bugfind::MetaTool::new().run(&program);
+        let report =
+            bugfind::MetaTool::new().run(&static_analysis::AnalysisContext::build(&program));
         assert!(report.count_cwe(121) >= 1, "{:?}", report.by_rule);
     }
 
@@ -347,7 +348,8 @@ mod tests {
             dialect: Dialect::C,
             modules: vec![m],
         };
-        let report = bugfind::MetaTool::new().run(&program);
+        let report =
+            bugfind::MetaTool::new().run(&static_analysis::AnalysisContext::build(&program));
         assert!(report.count_cwe(134) >= 1);
     }
 
@@ -359,7 +361,8 @@ mod tests {
             dialect: Dialect::C,
             modules: vec![m],
         };
-        let report = bugfind::MetaTool::new().run(&program);
+        let report =
+            bugfind::MetaTool::new().run(&static_analysis::AnalysisContext::build(&program));
         assert!(report.count_cwe(367) >= 1);
     }
 
@@ -371,7 +374,8 @@ mod tests {
             dialect: Dialect::C,
             modules: vec![m],
         };
-        let report = bugfind::MetaTool::new().run(&program);
+        let report =
+            bugfind::MetaTool::new().run(&static_analysis::AnalysisContext::build(&program));
         assert!(report.count_cwe(798) >= 1);
     }
 
@@ -383,7 +387,7 @@ mod tests {
             dialect: Dialect::C,
             modules: vec![m],
         };
-        let taint = static_analysis::taint::analyze(&program);
+        let taint = static_analysis::AnalysisContext::build(&program).taint;
         assert_eq!(taint.flows.len(), 1);
         assert!(taint.flows[0].via_parameters);
     }

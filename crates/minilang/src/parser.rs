@@ -30,6 +30,14 @@ use crate::lexer::Lexer;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// Deepest nesting of expressions, unary operators, blocks and `else if`
+/// chains the parser accepts. Recursive descent — and every AST pass
+/// after it — uses stack in proportion to nesting, so a fixed bound turns
+/// a hostile input (a few kilobytes of `(((…` or nested `if`s) into a
+/// [`ParseError`] instead of a stack overflow. Real programs stay far
+/// below it.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parse one source file into a [`Module`].
 pub fn parse_module(path: &str, source: &str, dialect: Dialect) -> Result<Module, ParseError> {
     let tokens = Lexer::new(source, dialect).tokenize()?;
@@ -62,11 +70,35 @@ pub fn parse_program(
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth, bounded by [`MAX_NESTING_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
     pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Run `parse` one nesting level deeper, failing once the input nests
+    /// past [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(ParseError::new(
+                format!("nesting deeper than {MAX_NESTING_DEPTH} levels"),
+                self.peek().span,
+            ));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &Token {
@@ -268,6 +300,10 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Block, ParseError> {
+        self.nested(Self::block_inner)
+    }
+
+    fn block_inner(&mut self) -> Result<Block, ParseError> {
         let start = self.expect(TokenKind::LBrace)?.span;
         let mut stmts = Vec::new();
         while !self.check(&TokenKind::RBrace) {
@@ -304,94 +340,8 @@ impl Parser {
                 let span = start.to(body.span);
                 Ok(Stmt::new(StmtKind::While { cond, body }, span))
             }
-            TokenKind::KwFor => {
-                self.advance();
-                let init = if self.check(&TokenKind::Semi) {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt()?))
-                };
-                self.expect(TokenKind::Semi)?;
-                let cond = if self.check(&TokenKind::Semi) {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect(TokenKind::Semi)?;
-                let step = if self.check(&TokenKind::LBrace) {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt()?))
-                };
-                let body = self.block()?;
-                let span = start.to(body.span);
-                Ok(Stmt::new(
-                    StmtKind::For {
-                        init,
-                        cond,
-                        step,
-                        body,
-                    },
-                    span,
-                ))
-            }
-            TokenKind::KwSwitch => {
-                self.advance();
-                let scrutinee = self.expr()?;
-                self.expect(TokenKind::LBrace)?;
-                let mut cases = Vec::new();
-                let mut default = None;
-                loop {
-                    if self.eat(&TokenKind::KwCase) {
-                        let case_start = self.peek().span;
-                        let negative = self.eat(&TokenKind::Minus);
-                        let value = match self.peek_kind() {
-                            TokenKind::Int(n) => {
-                                let v = *n;
-                                self.advance();
-                                if negative {
-                                    -v
-                                } else {
-                                    v
-                                }
-                            }
-                            other => {
-                                return Err(ParseError::new(
-                                    format!(
-                                        "expected integer case label, found {}",
-                                        other.describe()
-                                    ),
-                                    self.peek().span,
-                                ))
-                            }
-                        };
-                        self.expect(TokenKind::Colon)?;
-                        let body = self.block()?;
-                        let span = case_start.to(body.span);
-                        cases.push(SwitchCase { value, body, span });
-                    } else if self.eat(&TokenKind::KwDefault) {
-                        self.expect(TokenKind::Colon)?;
-                        if default.is_some() {
-                            return Err(ParseError::new(
-                                "duplicate `default` arm",
-                                self.peek().span,
-                            ));
-                        }
-                        default = Some(self.block()?);
-                    } else {
-                        break;
-                    }
-                }
-                let end = self.expect(TokenKind::RBrace)?.span;
-                Ok(Stmt::new(
-                    StmtKind::Switch {
-                        scrutinee,
-                        cases,
-                        default,
-                    },
-                    start.to(end),
-                ))
-            }
+            TokenKind::KwFor => self.for_stmt(start),
+            TokenKind::KwSwitch => self.switch_stmt(start),
             TokenKind::KwBreak => {
                 self.advance();
                 let end = self.expect(TokenKind::Semi)?.span;
@@ -425,6 +375,93 @@ impl Parser {
         }
     }
 
+    // `for` and `switch` parse out of line: their locals would otherwise
+    // sit in every `stmt` frame, and `stmt` recurses once per nesting
+    // level.
+    fn for_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.advance();
+        let init = if self.check(&TokenKind::Semi) {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt()?))
+        };
+        self.expect(TokenKind::Semi)?;
+        let cond = if self.check(&TokenKind::Semi) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect(TokenKind::Semi)?;
+        let step = if self.check(&TokenKind::LBrace) {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt()?))
+        };
+        let body = self.block()?;
+        let span = start.to(body.span);
+        Ok(Stmt::new(
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            },
+            span,
+        ))
+    }
+
+    fn switch_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.advance();
+        let scrutinee = self.expr()?;
+        self.expect(TokenKind::LBrace)?;
+        let mut cases = Vec::new();
+        let mut default = None;
+        loop {
+            if self.eat(&TokenKind::KwCase) {
+                let case_start = self.peek().span;
+                let negative = self.eat(&TokenKind::Minus);
+                let value = match self.peek_kind() {
+                    TokenKind::Int(n) => {
+                        let v = *n;
+                        self.advance();
+                        if negative {
+                            -v
+                        } else {
+                            v
+                        }
+                    }
+                    other => {
+                        return Err(ParseError::new(
+                            format!("expected integer case label, found {}", other.describe()),
+                            self.peek().span,
+                        ))
+                    }
+                };
+                self.expect(TokenKind::Colon)?;
+                let body = self.block()?;
+                let span = case_start.to(body.span);
+                cases.push(SwitchCase { value, body, span });
+            } else if self.eat(&TokenKind::KwDefault) {
+                self.expect(TokenKind::Colon)?;
+                if default.is_some() {
+                    return Err(ParseError::new("duplicate `default` arm", self.peek().span));
+                }
+                default = Some(self.block()?);
+            } else {
+                break;
+            }
+        }
+        let end = self.expect(TokenKind::RBrace)?.span;
+        Ok(Stmt::new(
+            StmtKind::Switch {
+                scrutinee,
+                cases,
+                default,
+            },
+            start.to(end),
+        ))
+    }
+
     fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.expect(TokenKind::KwIf)?.span;
         let cond = self.expr()?;
@@ -432,7 +469,7 @@ impl Parser {
         let else_branch = if self.eat(&TokenKind::KwElse) {
             if self.check(&TokenKind::KwIf) {
                 // `else if` desugars to `else { if .. }`.
-                let nested = self.if_stmt()?;
+                let nested = self.nested(Self::if_stmt)?;
                 let span = nested.span;
                 Some(Block::new(vec![nested], span))
             } else {
@@ -500,7 +537,7 @@ impl Parser {
 
     /// Expression entry point (precedence climbing).
     pub fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.binary_expr(0)
+        self.nested(|p| p.binary_expr(0))
     }
 
     /// Binding powers, loosest to tightest:
@@ -557,7 +594,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.advance();
-            let operand = self.unary_expr()?;
+            let operand = self.nested(Self::unary_expr)?;
             let span = start.to(operand.span);
             return Ok(Expr::new(
                 ExprKind::Unary {
@@ -886,6 +923,58 @@ mod tests {
         assert!(matches!(
             m.functions[0].body.stmts[0].kind,
             StmtKind::Block(_)
+        ));
+    }
+
+    /// A source whose `let` initializer is `open` + `1` + `close`.
+    fn let_source(open: &str, close: &str, depth: usize) -> String {
+        format!(
+            "fn main() {{ let x: int = {}1{}; }}",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    fn nesting_error(src: &str) -> ParseError {
+        let err = parse_module("t.c", src, Dialect::C).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        err
+    }
+
+    #[test]
+    fn deep_parentheses_are_a_typed_error() {
+        nesting_error(&let_source("(", ")", 20_000));
+    }
+
+    #[test]
+    fn deep_if_nesting_is_a_typed_error() {
+        let src = format!(
+            "fn f(a: int) {{ {}{} }}",
+            "if a > 0 { ".repeat(20_000),
+            "}".repeat(20_000)
+        );
+        nesting_error(&src);
+    }
+
+    #[test]
+    fn deep_unary_and_else_if_chains_are_typed_errors() {
+        nesting_error(&let_source("-", "", 20_000));
+        let src = format!(
+            "fn f(a: int) {{ if a > 0 {{ }}{} }}",
+            " else if a > 1 { }".repeat(20_000)
+        );
+        nesting_error(&src);
+    }
+
+    #[test]
+    fn nesting_below_the_limit_parses() {
+        parse(&let_source("(", ")", MAX_NESTING_DEPTH - 8));
+        parse(&let_source("-", "", MAX_NESTING_DEPTH - 8));
+        let ifs = MAX_NESTING_DEPTH - 8;
+        parse(&format!(
+            "fn f(a: int) {{ {}{} }}",
+            "if a > 0 { ".repeat(ifs),
+            "}".repeat(ifs)
         ));
     }
 }

@@ -223,7 +223,7 @@ fn trained_model(engine: &PipelineConfig, train_jobs: usize) -> TrainedModel {
 
 fn lint(paths: &[String]) -> Result<ExitCode, String> {
     let program = load_program("input", paths)?;
-    let report = bugfind::MetaTool::new().run(&program);
+    let report = bugfind::MetaTool::new().run(&static_analysis::AnalysisContext::build(&program));
     for d in &report.diagnostics {
         println!("{d}");
     }

@@ -12,9 +12,8 @@
 //!   postorder, immediate dominators, per-node def/use sets as dense
 //!   symbol indices, and the precomputed dataflow / bounds / path /
 //!   dead-code results and index-site intervals every collector needs;
-//! * one shared interprocedural [`TaintReport`] (the legacy path computed
-//!   it up to three times per program: taint features, attack-surface
-//!   features, and the path-traversal checker).
+//! * one shared interprocedural [`TaintReport`], read by the taint
+//!   features, the attack-graph features and the path-traversal checker.
 //!
 //! Function contexts are independent once interning is done, so
 //! [`AnalysisContext::build_with`] lets callers fan their construction out

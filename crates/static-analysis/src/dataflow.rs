@@ -11,25 +11,16 @@
 //! * **def-use chains** — the count of definition→use influence edges, the
 //!   "expressions influencing other parts" feature the paper wants.
 //!
-//! All three run a standard worklist fixpoint; sets are bit-vectors for
-//! predictable performance on the synthesized corpus.
+//! All three run a standard worklist fixpoint over the per-node def/use
+//! sets a [`crate::context::FunctionContext`] interns as dense local
+//! symbols; sets are bit-vectors for predictable performance on the
+//! synthesized corpus.
 
 use crate::cfg::{Cfg, NodeId, NodeKind};
-use minilang::ast::{Expr, ExprKind, Function, LValue, Stmt, StmtKind};
+use minilang::ast::{Expr, ExprKind, LValue, StmtKind};
 use minilang::visit;
-use std::collections::HashMap;
 
 pub use crate::bitset::BitSet;
-
-/// One definition site: variable `var` defined at CFG node `node`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Def {
-    pub var: String,
-    pub node: NodeId,
-    /// Strong defs (plain assignment / let) kill earlier defs of the same
-    /// variable; weak defs (`buf[i] = ..`) do not.
-    pub strong: bool,
-}
 
 /// The variable a node defines, if any.
 pub fn node_def(kind: &NodeKind<'_>) -> Option<(String, bool)> {
@@ -79,170 +70,6 @@ pub fn node_uses(kind: &NodeKind<'_>) -> Vec<String> {
     out
 }
 
-fn collect_stmt_of<'a>(kind: &NodeKind<'a>) -> Option<&'a Stmt> {
-    match kind {
-        NodeKind::Stmt(s) => Some(s),
-        _ => None,
-    }
-}
-
-/// Result of the reaching-definitions analysis.
-#[derive(Debug)]
-pub struct ReachingDefs {
-    /// All definition sites, indexed by def id.
-    pub defs: Vec<Def>,
-    /// For each node, the set of def ids reaching its entry.
-    pub reach_in: Vec<BitSet>,
-}
-
-/// Run reaching definitions over the CFG.
-pub fn reaching_definitions(cfg: &Cfg<'_>) -> ReachingDefs {
-    // Enumerate defs.
-    let mut defs: Vec<Def> = Vec::new();
-    let mut defs_at: Vec<Option<usize>> = vec![None; cfg.node_count()];
-    let mut defs_of_var: HashMap<String, Vec<usize>> = HashMap::new();
-    for (id, node) in cfg.nodes.iter().enumerate() {
-        if let Some((var, strong)) = node_def(&node.kind) {
-            let def_id = defs.len();
-            defs_of_var.entry(var.clone()).or_default().push(def_id);
-            defs.push(Def {
-                var,
-                node: id,
-                strong,
-            });
-            defs_at[id] = Some(def_id);
-        }
-    }
-
-    let universe = defs.len();
-    // gen/kill per node.
-    let mut gen: Vec<BitSet> = Vec::with_capacity(cfg.node_count());
-    let mut kill: Vec<BitSet> = Vec::with_capacity(cfg.node_count());
-    for &slot in defs_at.iter().take(cfg.node_count()) {
-        let mut g = BitSet::new(universe);
-        let mut k = BitSet::new(universe);
-        if let Some(def_id) = slot {
-            g.insert(def_id);
-            if defs[def_id].strong {
-                for &other in &defs_of_var[&defs[def_id].var] {
-                    if other != def_id {
-                        k.insert(other);
-                    }
-                }
-            }
-        }
-        gen.push(g);
-        kill.push(k);
-    }
-
-    // Worklist fixpoint in reverse post-order.
-    let order = cfg.reverse_postorder();
-    let mut reach_in = vec![BitSet::new(universe); cfg.node_count()];
-    let mut reach_out = vec![BitSet::new(universe); cfg.node_count()];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &id in &order {
-            let mut inset = BitSet::new(universe);
-            for &p in &cfg.nodes[id].preds {
-                inset.union_with(&reach_out[p]);
-            }
-            let mut outset = inset.clone();
-            outset.subtract(&kill[id]);
-            outset.union_with(&gen[id]);
-            if outset != reach_out[id] {
-                reach_out[id] = outset;
-                changed = true;
-            }
-            reach_in[id] = inset;
-        }
-    }
-    ReachingDefs { defs, reach_in }
-}
-
-/// Result of liveness analysis.
-#[derive(Debug)]
-pub struct Liveness {
-    /// Variable name table; sets index into it.
-    pub vars: Vec<String>,
-    /// Live-out variable ids per node.
-    pub live_out: Vec<BitSet>,
-    /// Live-in variable ids per node.
-    pub live_in: Vec<BitSet>,
-}
-
-impl Liveness {
-    fn var_id(&self, name: &str) -> Option<usize> {
-        self.vars.iter().position(|v| v == name)
-    }
-
-    /// True if `name` is live out of `node`.
-    pub fn is_live_out(&self, node: NodeId, name: &str) -> bool {
-        self.var_id(name)
-            .is_some_and(|v| self.live_out[node].contains(v))
-    }
-}
-
-/// Run liveness over the CFG (backward may-analysis).
-pub fn liveness(cfg: &Cfg<'_>) -> Liveness {
-    // Variable table from every def and use.
-    let mut vars: Vec<String> = Vec::new();
-    let mut id_of: HashMap<String, usize> = HashMap::new();
-    let intern = |name: String, vars: &mut Vec<String>, id_of: &mut HashMap<String, usize>| {
-        *id_of.entry(name.clone()).or_insert_with(|| {
-            vars.push(name);
-            vars.len() - 1
-        })
-    };
-    let mut uses: Vec<Vec<usize>> = Vec::with_capacity(cfg.node_count());
-    let mut defs: Vec<Option<(usize, bool)>> = Vec::with_capacity(cfg.node_count());
-    for node in &cfg.nodes {
-        let u: Vec<usize> = node_uses(&node.kind)
-            .into_iter()
-            .map(|n| intern(n, &mut vars, &mut id_of))
-            .collect();
-        let d = node_def(&node.kind).map(|(n, strong)| (intern(n, &mut vars, &mut id_of), strong));
-        uses.push(u);
-        defs.push(d);
-    }
-
-    let universe = vars.len();
-    let mut live_in = vec![BitSet::new(universe); cfg.node_count()];
-    let mut live_out = vec![BitSet::new(universe); cfg.node_count()];
-    // Backward: iterate post-order (reverse of RPO).
-    let mut order = cfg.reverse_postorder();
-    order.reverse();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &id in &order {
-            let mut out = BitSet::new(universe);
-            for &s in &cfg.nodes[id].succs {
-                out.union_with(&live_in[s]);
-            }
-            let mut inset = out.clone();
-            if let Some((d, strong)) = defs[id] {
-                if strong {
-                    inset.remove(d);
-                }
-            }
-            for &u in &uses[id] {
-                inset.insert(u);
-            }
-            if inset != live_in[id] {
-                live_in[id] = inset;
-                changed = true;
-            }
-            live_out[id] = out;
-        }
-    }
-    Liveness {
-        vars,
-        live_out,
-        live_in,
-    }
-}
-
 /// Aggregate data-flow statistics used as features.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DataflowStats {
@@ -259,92 +86,20 @@ pub struct DataflowStats {
     pub possibly_uninitialized_uses: usize,
 }
 
-/// Compute def-use statistics for one function's CFG. Parameter names are
-/// read straight off the function so callers iterating a whole program
-/// don't clone a `Vec<String>` per function.
-pub fn dataflow_stats(cfg: &Cfg<'_>, function: &Function, globals: &[String]) -> DataflowStats {
-    let rd = reaching_definitions(cfg);
-    let lv = liveness(cfg);
-
-    // Local variables declared by `let`.
-    let mut locals: Vec<String> = Vec::new();
-    for node in &cfg.nodes {
-        if let Some(stmt) = collect_stmt_of(&node.kind) {
-            if let StmtKind::Let { name, .. } = &stmt.kind {
-                if !locals.contains(name) {
-                    locals.push(name.clone());
-                }
-            }
-        }
-    }
-
-    let mut stats = DataflowStats {
-        defs: rd.defs.len(),
-        ..Default::default()
-    };
-
-    // du pairs + uninitialized uses.
-    for (id, node) in cfg.nodes.iter().enumerate() {
-        for used in node_uses(&node.kind) {
-            let reaching: Vec<usize> = rd.reach_in[id]
-                .iter()
-                .filter(|&d| rd.defs[d].var == used)
-                .collect();
-            stats.du_pairs += reaching.len();
-            let is_param = function.params.iter().any(|p| p.name == used);
-            let is_tracked_local = locals.contains(&used) && !is_param && !globals.contains(&used);
-            if reaching.is_empty() && is_tracked_local {
-                stats.possibly_uninitialized_uses += 1;
-            }
-        }
-    }
-
-    // Dead stores: a strong def of a local whose variable is not live out of
-    // the defining node. (Bare `let` declarations never appear in the def
-    // table, so every def here is a real store.)
-    for def in &rd.defs {
-        if !def.strong || !locals.contains(&def.var) {
-            continue;
-        }
-        if !lv.is_live_out(def.node, &def.var) {
-            stats.dead_stores += 1;
-        }
-    }
-    stats
-}
-
-/// Symbol-indexed variant of [`dataflow_stats`], used by the fused engine:
-/// the caller (a [`crate::context::FunctionContext`]) has already built the
-/// CFG, its reverse postorder and the per-node def/use sets as dense
-/// function-local symbol indices, so this runs both fixpoints without
-/// allocating a single string. Results are identical to the legacy path —
-/// du-pairs are still counted per use *occurrence* and the same
-/// local/param/global classification applies.
-#[allow(clippy::too_many_arguments)]
-pub fn dataflow_stats_sym(
-    cfg: &Cfg<'_>,
-    order: &[NodeId],
-    node_defs: &[Option<(u32, bool)>],
-    node_uses: &[Vec<u32>],
-    universe: usize,
-    let_locals: &BitSet,
-    params: &BitSet,
-    globals: &BitSet,
-) -> DataflowStats {
-    dataflow_stats_sym_sites(
-        cfg, order, node_defs, node_uses, universe, let_locals, params, globals,
-    )
-    .0
-}
-
-/// [`dataflow_stats_sym`] plus the dead-store *sites* the `deadstore`
-/// bug checker reports: `(defining node, local)` for every strong def of
-/// a non-parameter, non-global variable that is not live out of its node
+/// One function's def-use statistics plus the dead-store *sites* the
+/// `deadstore` bug checker reports. The caller (a
+/// [`crate::context::FnStructure`]) has already built the CFG, its reverse
+/// postorder and the per-node def/use sets as dense function-local symbol
+/// indices, so both fixpoints run without allocating a string. du-pairs
+/// are counted per use *occurrence*.
+///
+/// Sites are `(defining node, local)` for every strong def of a
+/// non-parameter, non-global variable that is not live out of its node
 /// (the checker's slightly wider predicate — the `dead_stores` statistic
-/// keeps counting `let`-declared locals only, exactly as before). Sites
-/// are structure-relative (node ids and dense locals, no spans), so they
-/// cache safely in a [`crate::context::FnPayload`] and the checker can
-/// re-anchor them against any identical-text rebuild of the CFG.
+/// counts `let`-declared locals only). Sites are structure-relative (node
+/// ids and dense locals, no spans), so they cache safely in a
+/// [`crate::context::FnPayload`] and the checker can re-anchor them
+/// against any identical-text rebuild of the CFG.
 #[allow(clippy::too_many_arguments)]
 pub fn dataflow_stats_sym_sites(
     cfg: &Cfg<'_>,
@@ -356,7 +111,7 @@ pub fn dataflow_stats_sym_sites(
     params: &BitSet,
     globals: &BitSet,
 ) -> (DataflowStats, Vec<(NodeId, u32)>) {
-    // Enumerate def sites in node order (same ids the legacy path assigns).
+    // Enumerate def sites in node order.
     struct SymDef {
         var: u32,
         node: NodeId,
@@ -442,8 +197,7 @@ pub fn dataflow_stats_sym_sites(
         ..Default::default()
     };
 
-    // du pairs + uninitialized uses (per use occurrence, like the legacy
-    // path).
+    // du pairs + uninitialized uses, per use occurrence.
     for (id, uses) in node_uses.iter().enumerate() {
         for &used in uses {
             let reaching = defs_of_var[used as usize]
@@ -481,17 +235,14 @@ pub fn dataflow_stats_sym_sites(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minilang::{parse_module, Dialect};
+    use crate::context::AnalysisContext;
+    use minilang::{parse_program, Dialect};
 
-    fn with_cfg<R>(src: &str, f: impl FnOnce(&Cfg<'_>, &minilang::Function) -> R) -> R {
-        let m = parse_module("t.c", src, Dialect::C).unwrap();
-        let func = &m.functions[0];
-        let cfg = Cfg::build(func);
-        f(&cfg, func)
-    }
-
+    /// The first function's statistics, as the analysis context computes
+    /// them.
     fn stats(src: &str) -> DataflowStats {
-        with_cfg(src, |cfg, func| dataflow_stats(cfg, func, &[]))
+        let p = parse_program("t", Dialect::C, &[("t.c".into(), src.into())]).unwrap();
+        AnalysisContext::build(&p).functions[0].dataflow
     }
 
     #[test]
@@ -523,90 +274,52 @@ mod tests {
 
     #[test]
     fn straight_line_reaching_defs() {
-        with_cfg("fn f() { let x: int = 1; let y: int = x; }", |cfg, _| {
-            let rd = reaching_definitions(cfg);
-            assert_eq!(rd.defs.len(), 2);
-            // At the second let, the def of x reaches.
-            let y_node = rd.defs.iter().find(|d| d.var == "y").unwrap().node;
-            let reaching: Vec<&str> = rd.reach_in[y_node]
-                .iter()
-                .map(|d| rd.defs[d].var.as_str())
-                .collect();
-            assert_eq!(reaching, vec!["x"]);
-        });
+        let s = stats("fn f() { let x: int = 1; let y: int = x; }");
+        assert_eq!(s.defs, 2);
+        // The def of x reaches the second let, its only use.
+        assert_eq!(s.du_pairs, 1);
+        assert_eq!(s.possibly_uninitialized_uses, 0);
     }
 
     #[test]
     fn strong_def_kills_previous() {
-        with_cfg(
-            "fn f() { let x: int = 1; x = 2; let y: int = x; }",
-            |cfg, _| {
-                let rd = reaching_definitions(cfg);
-                let y_node = rd.defs.iter().find(|d| d.var == "y").unwrap().node;
-                let reaching: Vec<usize> = rd.reach_in[y_node]
-                    .iter()
-                    .filter(|&d| rd.defs[d].var == "x")
-                    .collect();
-                // Only the second def of x reaches.
-                assert_eq!(reaching.len(), 1);
-                assert!(
-                    rd.defs[reaching[0]].node > rd.defs.iter().find(|d| d.var == "x").unwrap().node
-                );
-            },
-        );
+        let s = stats("fn f() { let x: int = 1; x = 2; let y: int = x; }");
+        assert_eq!(s.defs, 3);
+        // Only the second def of x reaches the use; the first is killed
+        // (and therefore dead, along with the never-read y).
+        assert_eq!(s.du_pairs, 1);
+        assert_eq!(s.dead_stores, 2);
     }
 
     #[test]
     fn weak_def_does_not_kill() {
-        with_cfg(
-            "fn f(i: int) { let b: int[8]; b[0] = 1; b[i] = 2; let y: int = b[0]; }",
-            |cfg, _| {
-                let rd = reaching_definitions(cfg);
-                let y_node = rd.defs.iter().find(|d| d.var == "y").unwrap().node;
-                let reaching_b = rd.reach_in[y_node]
-                    .iter()
-                    .filter(|&d| rd.defs[d].var == "b")
-                    .count();
-                // b[0]= and b[i]= both reach (weak defs never kill); the
-                // bare `let b` declaration is not a def.
-                assert_eq!(reaching_b, 2);
-            },
-        );
+        let s = stats("fn f(i: int) { let b: int[8]; b[0] = 1; b[i] = 2; let y: int = b[0]; }");
+        // Indexed writes read the buffer they update. `b[0] =` sees no def
+        // of b (the bare `let b` declaration is not one), `b[i] =` sees
+        // `b[0] =`, and the final read sees both weak defs: 0 + 1 + 2.
+        assert_eq!(s.du_pairs, 3);
+        assert_eq!(s.possibly_uninitialized_uses, 1);
     }
 
     #[test]
     fn branch_merges_defs() {
-        with_cfg(
+        let s = stats(
             "fn f(c: int) { let x: int = 0; if c > 0 { x = 1; } else { x = 2; } let y: int = x; }",
-            |cfg, _| {
-                let rd = reaching_definitions(cfg);
-                let y_node = rd.defs.iter().find(|d| d.var == "y").unwrap().node;
-                let reaching_x = rd.reach_in[y_node]
-                    .iter()
-                    .filter(|&d| rd.defs[d].var == "x")
-                    .count();
-                // Both branch defs reach the join; the initial def is killed
-                // on both paths.
-                assert_eq!(reaching_x, 2);
-            },
         );
+        // Both branch defs reach the join; the initial def is killed on
+        // both paths (so it is a dead store, as is y).
+        assert_eq!(s.du_pairs, 2);
+        assert_eq!(s.dead_stores, 2);
     }
 
     #[test]
     fn loop_defs_reach_around_back_edge() {
-        with_cfg(
-            "fn f(n: int) { let i: int = 0; while i < n { i = i + 1; } let z: int = i; }",
-            |cfg, _| {
-                let rd = reaching_definitions(cfg);
-                let z_node = rd.defs.iter().find(|d| d.var == "z").unwrap().node;
-                let reaching_i = rd.reach_in[z_node]
-                    .iter()
-                    .filter(|&d| rd.defs[d].var == "i")
-                    .count();
-                // Initial def and loop-body def both reach after the loop.
-                assert_eq!(reaching_i, 2);
-            },
-        );
+        let s =
+            stats("fn f(n: int) { let i: int = 0; while i < n { i = i + 1; } let z: int = i; }");
+        // The initial def and the loop-body def both reach each of the
+        // three uses of i: the condition, the increment, and `let z`.
+        assert_eq!(s.du_pairs, 6);
+        assert_eq!(s.possibly_uninitialized_uses, 0);
     }
 
     #[test]

@@ -401,122 +401,6 @@ fn refine_left(op: BinaryOp, cur: Interval, bound: Interval) -> Interval {
     }
 }
 
-/// Per-node abstract environments (at node entry) for one function.
-#[derive(Debug)]
-pub struct IntervalAnalysis {
-    pub envs: Vec<Env>,
-}
-
-/// Number of fixpoint sweeps before widening kicks in.
-const WIDEN_AFTER: usize = 3;
-
-/// Run the forward interval fixpoint over a function.
-pub fn analyze_function(f: &Function) -> IntervalAnalysis {
-    let cfg = Cfg::build(f);
-    analyze_cfg(&cfg, f)
-}
-
-/// Run over an existing CFG (callers that already built one).
-pub fn analyze_cfg(cfg: &Cfg<'_>, f: &Function) -> IntervalAnalysis {
-    let order = cfg.reverse_postorder();
-    // Widening points: targets of back edges (loop heads). Widening anywhere
-    // else would wipe out branch refinements computed after the loop.
-    let mut pos = vec![0usize; cfg.node_count()];
-    for (i, &n) in order.iter().enumerate() {
-        pos[n] = i;
-    }
-    let mut widen_at = vec![false; cfg.node_count()];
-    for (from, node) in cfg.nodes.iter().enumerate() {
-        for &to in &node.succs {
-            if pos[from] >= pos[to] {
-                widen_at[to] = true;
-            }
-        }
-    }
-    let mut envs: Vec<Option<Env>> = vec![None; cfg.node_count()];
-    // Parameters: ints start Top; nothing else tracked.
-    let mut entry_env = Env::new();
-    for p in &f.params {
-        if p.ty == Type::Int {
-            entry_env.insert(p.name.clone(), Interval::TOP);
-        }
-    }
-    envs[cfg.entry] = Some(entry_env);
-
-    let mut sweeps = 0usize;
-    loop {
-        sweeps += 1;
-        let mut changed = false;
-        for &id in &order {
-            if id == cfg.entry {
-                continue;
-            }
-            // Join over incoming edge-refined environments.
-            let mut joined: Option<Env> = None;
-            for &p in &cfg.nodes[id].preds {
-                let Some(pred_env) = envs[p].as_ref() else {
-                    continue;
-                };
-                let contributed = edge_env(cfg, p, id, pred_env);
-                let Some(contributed) = contributed else {
-                    continue;
-                };
-                joined = Some(match joined {
-                    None => contributed,
-                    Some(j) => join_env(&j, &contributed),
-                });
-            }
-            let Some(inset) = joined else { continue };
-            let outset = apply_node(&cfg.nodes[id].kind, inset);
-            let new = match (&envs[id], sweeps > WIDEN_AFTER && widen_at[id]) {
-                (Some(old), true) => widen_env(old, &outset),
-                _ => outset,
-            };
-            if envs[id].as_ref() != Some(&new) {
-                envs[id] = Some(new);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        // Hard safety valve: widening guarantees convergence, but cap sweeps
-        // anyway so a domain bug cannot hang the testbed.
-        if sweeps > 200 {
-            break;
-        }
-    }
-    IntervalAnalysis {
-        envs: envs.into_iter().map(|e| e.unwrap_or_default()).collect(),
-    }
-}
-
-/// Environment flowing along edge `from → to` (branch refinement applied).
-///
-/// When both the `True` and `False` edges of a condition lead to `to`
-/// (an empty branch), the refinements of the parallel edges are joined.
-fn edge_env(cfg: &Cfg<'_>, from: NodeId, to: NodeId, env: &Env) -> Option<Env> {
-    if let NodeKind::Cond(cond) = &cfg.nodes[from].kind {
-        let mut joined: Option<Env> = None;
-        for label in cfg.edge_labels(from, to) {
-            let refined = match label {
-                crate::cfg::EdgeLabel::True => assume(cond, true, env),
-                crate::cfg::EdgeLabel::False => assume(cond, false, env),
-                // Switch arms and jumps: no refinement.
-                _ => Some(env.clone()),
-            };
-            if let Some(r) = refined {
-                joined = Some(match joined {
-                    None => r,
-                    Some(j) => join_env(&j, &r),
-                });
-            }
-        }
-        return joined;
-    }
-    Some(env.clone())
-}
-
 /// Public adapter for [`apply_node`], used by the path explorer.
 pub fn apply_node_public(kind: &NodeKind<'_>, env: Env) -> Env {
     apply_node(kind, env)
@@ -560,29 +444,6 @@ fn apply_node(kind: &NodeKind<'_>, mut env: Env) -> Env {
         }
     }
     env
-}
-
-fn join_env(a: &Env, b: &Env) -> Env {
-    let mut out = Env::new();
-    // A variable absent from one side is Top there; Top join x = Top, so
-    // only variables present in both sides stay bounded.
-    for (k, va) in a {
-        if let Some(vb) = b.get(k) {
-            out.insert(k.clone(), va.join(vb));
-        }
-    }
-    out
-}
-
-fn widen_env(old: &Env, new: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, vn) in new {
-        match old.get(k) {
-            Some(vo) => out.insert(k.clone(), vo.widen(vn)),
-            None => out.insert(k.clone(), *vn),
-        };
-    }
-    out
 }
 
 /// Verdict for one buffer access.
@@ -670,29 +531,16 @@ pub fn for_each_index_site<'a>(cfg: &Cfg<'a>, f: &mut dyn FnMut(NodeId, &'a str,
     }
 }
 
-/// Check all indexed accesses of locally-declared buffers in `f`.
-pub fn check_bounds(f: &Function) -> BoundsReport {
-    let cfg = Cfg::build(f);
-    let analysis = analyze_cfg(&cfg, f);
-    let caps = buffer_capacities(f);
-    let mut report = BoundsReport::default();
-    for_each_index_site(&cfg, &mut |id, base, index, _| {
-        report.record(caps.get(base).copied(), eval(index, &analysis.envs[id]));
-    });
-    report
-}
-
 // ---------------------------------------------------------------------------
-// Symbol-indexed environments — the fused engine's dense lattice.
+// Symbol-indexed environments — the analysis fixpoint's dense lattice.
 //
-// The legacy fixpoint keys environments by variable-name `String` in a
-// `BTreeMap`. The fused path replaces that with a bitset of present
-// function-local symbols plus a flat `Vec<Interval>`, with the invariant
-// that absent slots always hold `TOP`. Since no interval transfer function
-// ever *removes* a variable (joins intersect key sets, widening keeps the
-// new env's keys), the derived `PartialEq` on the flat representation is
-// exactly `BTreeMap` equality, so the fixpoint converges after the same
-// sweeps and every env matches the legacy one bit for bit.
+// The name-keyed [`Env`] above serves the path explorer, which forks one
+// environment per path. The per-function fixpoint instead keeps a bitset of
+// present function-local symbols plus a flat `Vec<Interval>`, with the
+// invariant that absent slots always hold `TOP`. Since no interval transfer
+// function ever *removes* a variable (joins intersect key sets, widening
+// keeps the new env's keys), the derived `PartialEq` on the flat
+// representation is exactly map equality over the present variables.
 // ---------------------------------------------------------------------------
 
 use crate::bitset::BitSet;
@@ -901,6 +749,8 @@ pub fn apply_node_sym(kind: &NodeKind<'_>, mut env: SymEnv, syms: &FnSymbols<'_>
 }
 
 fn join_env_sym(a: &SymEnv, b: &SymEnv) -> SymEnv {
+    // A variable absent from one side is Top there; Top join x = Top, so
+    // only variables present in both sides stay bounded.
     let mut out = SymEnv::new(a.vals.len());
     let mut present = a.present.clone();
     present.intersect_with(&b.present);
@@ -951,6 +801,9 @@ fn edge_env_sym(
     Some(env.clone())
 }
 
+/// Number of fixpoint sweeps before widening kicks in.
+const WIDEN_AFTER: usize = 3;
+
 /// Per-node symbol-indexed environments (at node entry) for one function.
 /// Transient: context construction reduces them to per-site index
 /// intervals ([`check_bounds_sym`]) and drops them.
@@ -959,8 +812,10 @@ pub struct SymIntervalAnalysis {
     pub envs: Vec<SymEnv>,
 }
 
-/// The fused engine's interval fixpoint: same sweeps, same widening points,
-/// same convergence test as [`analyze_cfg`], over dense environments.
+/// The forward interval fixpoint over one function's CFG, visiting nodes
+/// in `order` (reverse postorder). Widening applies at loop heads (targets
+/// of back edges) after [`WIDEN_AFTER`] sweeps; widening anywhere else
+/// would wipe out branch refinements computed after the loop.
 pub fn analyze_cfg_sym(
     cfg: &Cfg<'_>,
     f: &Function,
@@ -1024,6 +879,8 @@ pub fn analyze_cfg_sym(
         if !changed {
             break;
         }
+        // Hard safety valve: widening guarantees convergence, but cap sweeps
+        // anyway so a domain bug cannot hang the testbed.
         if sweeps > 200 {
             break;
         }
@@ -1036,10 +893,10 @@ pub fn analyze_cfg_sym(
     }
 }
 
-/// Bounds check over precomputed symbol-indexed environments, plus the
-/// index interval of every site in [`for_each_index_site`] order — all
-/// `bufcheck` needs once the per-node environments are dropped. Verdicts
-/// are identical to [`check_bounds`].
+/// Check every indexed access of a locally-declared buffer against
+/// precomputed symbol-indexed environments, returning the verdict tally
+/// plus the index interval of every site in [`for_each_index_site`] order —
+/// all `bufcheck` needs once the per-node environments are dropped.
 pub fn check_bounds_sym(
     cfg: &Cfg<'_>,
     f: &Function,
@@ -1060,6 +917,7 @@ pub fn check_bounds_sym(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{AnalysisContext, FunctionContext};
     use minilang::{parse_module, Dialect};
 
     #[test]
@@ -1107,20 +965,66 @@ mod tests {
         parse_module("t.c", src, Dialect::C).unwrap()
     }
 
+    /// Run `check` over the first function's context.
+    fn with_fcx<R>(src: &str, check: impl FnOnce(&FunctionContext<'_>) -> R) -> R {
+        let p = minilang::parse_program("t", Dialect::C, &[("t.c".into(), src.into())]).unwrap();
+        let cx = AnalysisContext::build(&p);
+        check(&cx.functions[0])
+    }
+
+    fn analyze(fcx: &FunctionContext<'_>) -> SymIntervalAnalysis {
+        analyze_cfg_sym(&fcx.cfg, fcx.function, &fcx.symbols, &fcx.rpo)
+    }
+
+    fn bounds(src: &str) -> BoundsReport {
+        with_fcx(src, |fcx| {
+            check_bounds_sym(&fcx.cfg, fcx.function, &fcx.symbols, &analyze(fcx)).0
+        })
+    }
+
+    /// The interval of `name` at node entry, if the variable is tracked.
+    fn var_at(
+        fcx: &FunctionContext<'_>,
+        a: &SymIntervalAnalysis,
+        node: NodeId,
+        name: &str,
+    ) -> Option<Interval> {
+        let local = fcx.symbols.local(name)?;
+        a.envs[node]
+            .contains(local)
+            .then(|| a.envs[node].get(local))
+    }
+
+    /// The node of the `let <name>` statement.
+    fn let_node(fcx: &FunctionContext<'_>, name: &str) -> NodeId {
+        fcx.cfg
+            .nodes
+            .iter()
+            .position(|nd| {
+                matches!(nd.kind, NodeKind::Stmt(s)
+                    if matches!(&s.kind, StmtKind::Let { name: n, .. } if n == name))
+            })
+            .unwrap()
+    }
+
     #[test]
     fn constant_propagation_through_straight_line() {
-        let m = func("fn f() { let x: int = 3; let y: int = x + 4; let z: int = y * 2; }");
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let a = analyze_cfg(&cfg, f);
-        // The exit env is at the Exit node.
-        let exit_env = &a.envs[cfg.exit];
-        assert_eq!(exit_env.get("z"), Some(&Interval::constant(14)));
+        with_fcx(
+            "fn f() { let x: int = 3; let y: int = x + 4; let z: int = y * 2; }",
+            |fcx| {
+                let a = analyze(fcx);
+                // The exit env is at the Exit node.
+                assert_eq!(
+                    var_at(fcx, &a, fcx.cfg.exit, "z"),
+                    Some(Interval::constant(14))
+                );
+            },
+        );
     }
 
     #[test]
     fn branch_refinement() {
-        let m = func(
+        with_fcx(
             "fn f(n: int) {
                 if n < 10 {
                     if n >= 0 {
@@ -1128,63 +1032,41 @@ mod tests {
                     }
                 }
             }",
+            |fcx| {
+                let a = analyze(fcx);
+                let node = let_node(fcx, "inside");
+                assert_eq!(var_at(fcx, &a, node, "n"), Some(Interval::new(0, 9)));
+            },
         );
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let a = analyze_cfg(&cfg, f);
-        // Find the `let inside` node and check n's interval there.
-        let node = cfg
-            .nodes
-            .iter()
-            .position(|nd| {
-                matches!(nd.kind, NodeKind::Stmt(s)
-                    if matches!(&s.kind, StmtKind::Let { name, .. } if name == "inside"))
-            })
-            .unwrap();
-        assert_eq!(a.envs[node].get("n"), Some(&Interval::new(0, 9)));
     }
 
     #[test]
     fn loop_with_widening_finds_lower_bound() {
-        let m = func(
+        with_fcx(
             "fn f(n: int) {
                 let i: int = 0;
                 while i < n { i = i + 1; }
                 let after: int = i;
             }",
+            |fcx| {
+                let a = analyze(fcx);
+                let i = var_at(fcx, &a, let_node(fcx, "after"), "i").unwrap();
+                // Widening loses the upper bound but i ≥ 0 must survive.
+                assert!(i.lo >= 0, "lower bound lost: {i}");
+            },
         );
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let a = analyze_cfg(&cfg, f);
-        let node = cfg
-            .nodes
-            .iter()
-            .position(|nd| {
-                matches!(nd.kind, NodeKind::Stmt(s)
-                    if matches!(&s.kind, StmtKind::Let { name, .. } if name == "after"))
-            })
-            .unwrap();
-        let i = a.envs[node].get("i").copied().unwrap();
-        // Widening loses the upper bound but i ≥ 0 must survive.
-        assert!(i.lo >= 0, "lower bound lost: {i}");
     }
 
     #[test]
     fn assume_conjunction_refines_both() {
-        let env = Env::new();
-        let m = func("fn f(a: int) { if a > 2 && a < 7 { let x: int = a; } }");
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let a = analyze_cfg(&cfg, f);
-        let node = cfg
-            .nodes
-            .iter()
-            .position(|nd| {
-                matches!(nd.kind, NodeKind::Stmt(s) if matches!(&s.kind, StmtKind::Let { .. }))
-            })
-            .unwrap();
-        assert_eq!(a.envs[node].get("a"), Some(&Interval::new(3, 6)));
-        drop(env);
+        with_fcx(
+            "fn f(a: int) { if a > 2 && a < 7 { let x: int = a; } }",
+            |fcx| {
+                let a = analyze(fcx);
+                let node = let_node(fcx, "x");
+                assert_eq!(var_at(fcx, &a, node, "a"), Some(Interval::new(3, 6)));
+            },
+        );
     }
 
     #[test]
@@ -1201,7 +1083,7 @@ mod tests {
 
     #[test]
     fn bounds_check_constant_safe_and_unsafe() {
-        let m = func(
+        let r = bounds(
             "fn f() {
                 let buf: int[8];
                 buf[0] = 1;
@@ -1209,7 +1091,6 @@ mod tests {
                 buf[8] = 3;
             }",
         );
-        let r = check_bounds(&m.functions[0]);
         assert_eq!(
             r,
             BoundsReport {
@@ -1222,21 +1103,19 @@ mod tests {
 
     #[test]
     fn bounds_check_guarded_loop_is_safe() {
-        let m = func(
+        let r = bounds(
             "fn f(n: int) {
                 let buf: int[16];
                 for i = 0; i < 16; i += 1 { buf[i] = i; }
             }",
         );
-        let r = check_bounds(&m.functions[0]);
         assert_eq!(r.out_of_bounds, 0);
         assert_eq!(r.safe, 1);
     }
 
     #[test]
     fn bounds_check_unguarded_parameter_is_unknown() {
-        let m = func("fn f(i: int) { let buf: int[8]; buf[i] = 1; }");
-        let r = check_bounds(&m.functions[0]);
+        let r = bounds("fn f(i: int) { let buf: int[8]; buf[i] = 1; }");
         assert_eq!(r.unknown, 1);
     }
 
@@ -1244,53 +1123,14 @@ mod tests {
     fn bounds_check_off_by_one_loop_detected_as_unknown_or_oob() {
         // `i <= 16` overruns a 16-element buffer on the last iteration: the
         // refined interval on the true edge is [0, 16], not inside [0, 15].
-        let m = func(
+        let r = bounds(
             "fn f() {
                 let buf: int[16];
                 for i = 0; i <= 16; i += 1 { buf[i] = i; }
             }",
         );
-        let r = check_bounds(&m.functions[0]);
         assert_eq!(r.safe, 0);
         assert_eq!(r.out_of_bounds + r.unknown, 1);
-    }
-
-    #[test]
-    fn sym_analysis_matches_legacy_envs_and_bounds() {
-        let sources = [
-            "fn f() { let buf: int[8]; buf[0] = 1; buf[7] = 2; buf[8] = 3; }",
-            "fn f(n: int) { let buf: int[16]; for i = 0; i < 16; i += 1 { buf[i] = i; } }",
-            "fn f(i: int) { let buf: int[8]; buf[i] = 1; }",
-            "fn f(a: int) { if a > 2 && a < 7 { let x: int = a; let b: int[4]; b[x - 3] = 0; } }",
-            "fn f(n: int) { let i: int = 0; while i < n { i = i + 1; } let after: int = i; }",
-        ];
-        for src in sources {
-            let m = func(src);
-            let f = &m.functions[0];
-            let cfg = Cfg::build(f);
-            let order = cfg.reverse_postorder();
-            let mut table = crate::symbols::SymbolTable::new();
-            table.intern_function(f);
-            let syms = FnSymbols::build(f, &table);
-
-            let legacy = analyze_cfg(&cfg, f);
-            let sym = analyze_cfg_sym(&cfg, f, &syms, &order);
-            // Every env agrees: same present variables, same intervals.
-            for (id, env) in legacy.envs.iter().enumerate() {
-                for (name, iv) in env {
-                    let local = syms.local(name).unwrap();
-                    assert!(sym.envs[id].contains(local), "{src}: {name} missing");
-                    assert_eq!(sym.envs[id].get(local), *iv, "{src}: {name} differs");
-                }
-                let present = sym.envs[id].present.count();
-                assert_eq!(present, env.len(), "{src}: node {id} domain differs");
-            }
-            let (bounds, sites) = check_bounds_sym(&cfg, f, &syms, &sym);
-            assert_eq!(bounds, check_bounds(f), "{src}: bounds verdicts differ");
-            let mut n_sites = 0;
-            for_each_index_site(&cfg, &mut |_, _, _, _| n_sites += 1);
-            assert_eq!(sites.len(), n_sites, "{src}: one interval per site");
-        }
     }
 
     #[test]

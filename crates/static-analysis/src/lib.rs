@@ -19,9 +19,8 @@
 //! | basic counts (functions, declarations, branches, args) | [`counts`] |
 //! | extensible collector registry (Metrix++ role) | [`registry`], [`features`] |
 //!
-//! Every analysis exposes a plain function from AST to a result struct, plus
-//! a [`registry::MetricCollector`] adapter that flattens the result into
-//! named [`features::FeatureVector`] entries for the ML stage.
+//! Each analysis flattens its result into named [`features::FeatureVector`]
+//! entries for the ML stage through a [`registry::MetricCollector`].
 //!
 //! Collectors share one [`context::AnalysisContext`]: identifiers are
 //! interned into a [`symbols::SymbolTable`], each function's CFG,
@@ -49,8 +48,5 @@ pub mod taint;
 pub use bitset::BitSet;
 pub use context::{AnalysisContext, FunctionContext};
 pub use features::FeatureVector;
-pub use registry::{
-    legacy_standard_vector, standard_registry, MetricCollector, ProgramCollectorAdapter,
-    ProgramMetricCollector, Registry,
-};
+pub use registry::{standard_registry, MetricCollector, Registry};
 pub use symbols::{SymbolId, SymbolTable};

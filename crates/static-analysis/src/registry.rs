@@ -8,18 +8,11 @@
 //!
 //! Collectors consume a shared [`AnalysisContext`]: CFGs, symbol tables,
 //! dataflow/taint/interval/path results are computed once per program and
-//! every collector reads the precomputed slice it needs. Collectors written
-//! against the older per-program interface keep working through
-//! [`ProgramCollectorAdapter`]. The pre-fusion extraction path is retained
-//! verbatim as [`legacy_standard_vector`] — the reference implementation
-//! benches race against and tests assert bit-identical vectors with.
+//! every collector reads the precomputed slice it needs.
 
 use crate::context::AnalysisContext;
 use crate::features::FeatureVector;
-use crate::paths::PathConfig;
-use crate::{
-    callgraph, counts, cyclomatic, dataflow, halstead, interval, loc, paths, smells, taint,
-};
+use crate::{callgraph, counts, cyclomatic, dataflow, halstead, interval, loc, smells};
 use minilang::ast::Program;
 use std::time::Instant;
 
@@ -30,28 +23,6 @@ pub trait MetricCollector {
     fn name(&self) -> &'static str;
     /// Append features computed from the shared context.
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector);
-}
-
-/// The pre-context collector interface: an analysis that only needs the
-/// program AST. Wrap implementations in [`ProgramCollectorAdapter`] to
-/// register them alongside context-aware collectors.
-pub trait ProgramMetricCollector {
-    fn name(&self) -> &'static str;
-    fn collect(&self, program: &Program, out: &mut FeatureVector);
-}
-
-/// Compatibility adapter: lifts a [`ProgramMetricCollector`] into the
-/// context-driven [`MetricCollector`] interface.
-pub struct ProgramCollectorAdapter<C>(pub C);
-
-impl<C: ProgramMetricCollector> MetricCollector for ProgramCollectorAdapter<C> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        self.0.collect(cx.program, out)
-    }
 }
 
 /// An ordered set of collectors.
@@ -125,138 +96,6 @@ pub fn standard_registry() -> Registry {
         .with(Box::new(LanguageCollector))
 }
 
-fn set_loc(program: &Program, out: &mut FeatureVector) {
-    let c = loc::count_program(program);
-    out.set("loc.code", c.code as f64);
-    out.set("loc.comment", c.comment as f64);
-    out.set("loc.blank", c.blank as f64);
-    out.set("loc.total", c.total() as f64);
-    out.set("loc.kloc", c.kloc());
-    out.set("loc.comment_ratio", c.comment_ratio());
-    out.set("loc.log10_kloc", (c.kloc().max(1e-3)).log10());
-    out.set("loc.files", program.modules.len() as f64);
-}
-
-fn set_cyclomatic(s: &cyclomatic::ComplexityStats, out: &mut FeatureVector) {
-    out.set("cyclomatic.total", s.total as f64);
-    out.set("cyclomatic.max", s.max as f64);
-    out.set("cyclomatic.mean", s.mean);
-    out.set("cyclomatic.over_10", s.over_10 as f64);
-    out.set("cyclomatic.log10_total", (s.total.max(1) as f64).log10());
-}
-
-fn set_halstead(program: &Program, out: &mut FeatureVector) {
-    let h = halstead::program_halstead(program);
-    out.set("halstead.vocabulary", h.vocabulary() as f64);
-    out.set("halstead.length", h.length() as f64);
-    out.set("halstead.volume", h.volume());
-    out.set("halstead.difficulty", h.difficulty());
-    out.set("halstead.effort", h.effort());
-    out.set("halstead.estimated_bugs", h.estimated_bugs());
-}
-
-fn set_counts(program: &Program, out: &mut FeatureVector) {
-    let c = counts::program_counts(program);
-    out.set("counts.functions", c.functions as f64);
-    out.set("counts.declarations", c.declarations as f64);
-    out.set("counts.globals", c.globals as f64);
-    out.set("counts.branches", c.branches as f64);
-    out.set("counts.loops", c.loops as f64);
-    out.set("counts.parameters", c.parameters as f64);
-    out.set("counts.returning_functions", c.returning_functions as f64);
-    out.set("counts.endpoints", c.endpoints as f64);
-    out.set("counts.privileged_functions", c.privileged_functions as f64);
-    out.set("counts.buffers", c.buffers as f64);
-    out.set("counts.buffer_capacity", c.buffer_capacity as f64);
-    out.set("counts.calls", c.calls as f64);
-    out.set("counts.returns", c.returns as f64);
-    let mean_params = if c.functions == 0 {
-        0.0
-    } else {
-        c.parameters as f64 / c.functions as f64
-    };
-    out.set("counts.mean_parameters", mean_params);
-}
-
-fn set_callgraph(program: &Program, out: &mut FeatureVector) {
-    let s = callgraph::CallGraph::build(program).stats();
-    out.set("callgraph.call_edges", s.call_edges as f64);
-    out.set("callgraph.intrinsic_edges", s.intrinsic_edges as f64);
-    out.set("callgraph.unresolved_edges", s.unresolved_edges as f64);
-    out.set("callgraph.max_out_degree", s.max_out_degree as f64);
-    out.set("callgraph.max_in_degree", s.max_in_degree as f64);
-    out.set("callgraph.leaf_functions", s.leaf_functions as f64);
-    out.set("callgraph.root_functions", s.root_functions as f64);
-    out.set(
-        "callgraph.recursive_functions",
-        s.recursive_functions as f64,
-    );
-}
-
-fn set_dataflow(total: &dataflow::DataflowStats, out: &mut FeatureVector) {
-    out.set("dataflow.defs", total.defs as f64);
-    out.set("dataflow.du_pairs", total.du_pairs as f64);
-    out.set("dataflow.dead_stores", total.dead_stores as f64);
-    out.set(
-        "dataflow.uninitialized_uses",
-        total.possibly_uninitialized_uses as f64,
-    );
-}
-
-fn set_taint(r: &taint::TaintReport, out: &mut FeatureVector) {
-    out.set("taint.flows", r.flows.len() as f64);
-    out.set("taint.exposed_flows", r.exposed_flows() as f64);
-    out.set("taint.source_calls", r.source_calls as f64);
-    out.set("taint.sink_calls", r.sink_calls as f64);
-    out.set(
-        "taint.tainted_entry_functions",
-        r.tainted_entry_functions.len() as f64,
-    );
-}
-
-fn set_bounds(total: &interval::BoundsReport, out: &mut FeatureVector) {
-    out.set("bounds.safe", total.safe as f64);
-    out.set("bounds.out_of_bounds", total.out_of_bounds as f64);
-    out.set("bounds.unknown", total.unknown as f64);
-    let checked = total.safe + total.out_of_bounds + total.unknown;
-    let unproved_ratio = if checked == 0 {
-        0.0
-    } else {
-        (total.out_of_bounds + total.unknown) as f64 / checked as f64
-    };
-    out.set("bounds.unproved_ratio", unproved_ratio);
-}
-
-fn set_smells(found: &[smells::Smell], out: &mut FeatureVector) {
-    let by_kind = smells::counts_by_kind(found);
-    use smells::SmellKind::*;
-    let all = [
-        (LongMethod, "smells.long_method"),
-        (LongParameterList, "smells.long_parameter_list"),
-        (DeepNesting, "smells.deep_nesting"),
-        (GodFunction, "smells.god_function"),
-        (SparseComments, "smells.sparse_comments"),
-        (DuplicateCode, "smells.duplicate_code"),
-        (DeprecatedCall, "smells.deprecated_call"),
-        (DeadCode, "smells.dead_code"),
-    ];
-    for (kind, name) in all {
-        out.set(name, by_kind.get(&kind).copied().unwrap_or(0) as f64);
-    }
-    out.set("smells.total", found.len() as f64);
-}
-
-fn set_language(program: &Program, out: &mut FeatureVector) {
-    for d in minilang::Dialect::ALL {
-        let name = format!("lang.is_{}", d.extension());
-        out.set(name, (program.dialect == d) as u8 as f64);
-    }
-    out.set(
-        "lang.memory_unsafe",
-        program.dialect.is_memory_unsafe() as u8 as f64,
-    );
-}
-
 /// `loc.*` — cloc-equivalent line counts.
 pub struct LocCollector;
 
@@ -266,7 +105,15 @@ impl MetricCollector for LocCollector {
     }
 
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        set_loc(cx.program, out);
+        let c = loc::count_program(cx.program);
+        out.set("loc.code", c.code as f64);
+        out.set("loc.comment", c.comment as f64);
+        out.set("loc.blank", c.blank as f64);
+        out.set("loc.total", c.total() as f64);
+        out.set("loc.kloc", c.kloc());
+        out.set("loc.comment_ratio", c.comment_ratio());
+        out.set("loc.log10_kloc", (c.kloc().max(1e-3)).log10());
+        out.set("loc.files", cx.program.modules.len() as f64);
     }
 }
 
@@ -282,7 +129,11 @@ impl MetricCollector for CyclomaticCollector {
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
         let values: Vec<usize> = cx.functions.iter().map(|f| f.decision_complexity).collect();
         let s = cyclomatic::ComplexityStats::from_values(&values);
-        set_cyclomatic(&s, out);
+        out.set("cyclomatic.total", s.total as f64);
+        out.set("cyclomatic.max", s.max as f64);
+        out.set("cyclomatic.mean", s.mean);
+        out.set("cyclomatic.over_10", s.over_10 as f64);
+        out.set("cyclomatic.log10_total", (s.total.max(1) as f64).log10());
     }
 }
 
@@ -295,7 +146,13 @@ impl MetricCollector for HalsteadCollector {
     }
 
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        set_halstead(cx.program, out);
+        let h = halstead::program_halstead(cx.program);
+        out.set("halstead.vocabulary", h.vocabulary() as f64);
+        out.set("halstead.length", h.length() as f64);
+        out.set("halstead.volume", h.volume());
+        out.set("halstead.difficulty", h.difficulty());
+        out.set("halstead.effort", h.effort());
+        out.set("halstead.estimated_bugs", h.estimated_bugs());
     }
 }
 
@@ -308,7 +165,26 @@ impl MetricCollector for CountsCollector {
     }
 
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        set_counts(cx.program, out);
+        let c = counts::program_counts(cx.program);
+        out.set("counts.functions", c.functions as f64);
+        out.set("counts.declarations", c.declarations as f64);
+        out.set("counts.globals", c.globals as f64);
+        out.set("counts.branches", c.branches as f64);
+        out.set("counts.loops", c.loops as f64);
+        out.set("counts.parameters", c.parameters as f64);
+        out.set("counts.returning_functions", c.returning_functions as f64);
+        out.set("counts.endpoints", c.endpoints as f64);
+        out.set("counts.privileged_functions", c.privileged_functions as f64);
+        out.set("counts.buffers", c.buffers as f64);
+        out.set("counts.buffer_capacity", c.buffer_capacity as f64);
+        out.set("counts.calls", c.calls as f64);
+        out.set("counts.returns", c.returns as f64);
+        let mean_params = if c.functions == 0 {
+            0.0
+        } else {
+            c.parameters as f64 / c.functions as f64
+        };
+        out.set("counts.mean_parameters", mean_params);
     }
 }
 
@@ -321,7 +197,18 @@ impl MetricCollector for CallGraphCollector {
     }
 
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        set_callgraph(cx.program, out);
+        let s = callgraph::CallGraph::build(cx.program).stats();
+        out.set("callgraph.call_edges", s.call_edges as f64);
+        out.set("callgraph.intrinsic_edges", s.intrinsic_edges as f64);
+        out.set("callgraph.unresolved_edges", s.unresolved_edges as f64);
+        out.set("callgraph.max_out_degree", s.max_out_degree as f64);
+        out.set("callgraph.max_in_degree", s.max_in_degree as f64);
+        out.set("callgraph.leaf_functions", s.leaf_functions as f64);
+        out.set("callgraph.root_functions", s.root_functions as f64);
+        out.set(
+            "callgraph.recursive_functions",
+            s.recursive_functions as f64,
+        );
     }
 }
 
@@ -342,7 +229,13 @@ impl MetricCollector for DataflowCollector {
             total.dead_stores += fcx.dataflow.dead_stores;
             total.possibly_uninitialized_uses += fcx.dataflow.possibly_uninitialized_uses;
         }
-        set_dataflow(&total, out);
+        out.set("dataflow.defs", total.defs as f64);
+        out.set("dataflow.du_pairs", total.du_pairs as f64);
+        out.set("dataflow.dead_stores", total.dead_stores as f64);
+        out.set(
+            "dataflow.uninitialized_uses",
+            total.possibly_uninitialized_uses as f64,
+        );
     }
 }
 
@@ -356,7 +249,15 @@ impl MetricCollector for TaintCollector {
     }
 
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        set_taint(&cx.taint, out);
+        let r = &cx.taint;
+        out.set("taint.flows", r.flows.len() as f64);
+        out.set("taint.exposed_flows", r.exposed_flows() as f64);
+        out.set("taint.source_calls", r.source_calls as f64);
+        out.set("taint.sink_calls", r.sink_calls as f64);
+        out.set(
+            "taint.tainted_entry_functions",
+            r.tainted_entry_functions.len() as f64,
+        );
     }
 }
 
@@ -375,13 +276,22 @@ impl MetricCollector for IntervalCollector {
             total.out_of_bounds += fcx.bounds.out_of_bounds;
             total.unknown += fcx.bounds.unknown;
         }
-        set_bounds(&total, out);
+        out.set("bounds.safe", total.safe as f64);
+        out.set("bounds.out_of_bounds", total.out_of_bounds as f64);
+        out.set("bounds.unknown", total.unknown as f64);
+        let checked = total.safe + total.out_of_bounds + total.unknown;
+        let unproved_ratio = if checked == 0 {
+            0.0
+        } else {
+            (total.out_of_bounds + total.unknown) as f64 / checked as f64
+        };
+        out.set("bounds.unproved_ratio", unproved_ratio);
     }
 }
 
 /// `paths.*` — bounded symbolic path counts. Floating-point sums accumulate
 /// in `program.functions()` order (the order contexts are stored in), so the
-/// result is bit-identical to the legacy sequential sweep.
+/// result does not depend on how contexts were built.
 pub struct PathCollector;
 
 impl MetricCollector for PathCollector {
@@ -418,15 +328,23 @@ impl MetricCollector for SmellCollector {
     }
 
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        let dead: Vec<bool> = cx.functions.iter().map(|f| f.has_dead_code).collect();
-        let hashes: Vec<&[u64]> = cx
-            .functions
-            .iter()
-            .map(|f| f.stmt_hashes.as_slice())
-            .collect();
-        let found =
-            smells::detect_precomputed(cx.program, &smells::Thresholds::default(), &dead, &hashes);
-        set_smells(&found, out);
+        let found = smells::detect(cx, &smells::Thresholds::default());
+        let by_kind = smells::counts_by_kind(&found);
+        use smells::SmellKind::*;
+        let all = [
+            (LongMethod, "smells.long_method"),
+            (LongParameterList, "smells.long_parameter_list"),
+            (DeepNesting, "smells.deep_nesting"),
+            (GodFunction, "smells.god_function"),
+            (SparseComments, "smells.sparse_comments"),
+            (DuplicateCode, "smells.duplicate_code"),
+            (DeprecatedCall, "smells.deprecated_call"),
+            (DeadCode, "smells.dead_code"),
+        ];
+        for (kind, name) in all {
+            out.set(name, by_kind.get(&kind).copied().unwrap_or(0) as f64);
+        }
+        out.set("smells.total", found.len() as f64);
     }
 }
 
@@ -439,78 +357,16 @@ impl MetricCollector for LanguageCollector {
     }
 
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        set_language(cx.program, out);
-    }
-}
-
-/// The pre-fusion extraction path, preserved in full: every collector redoes
-/// its own structural work — per-collector CFG builds, a fresh
-/// `taint::analyze`, string-keyed fixpoints — exactly as the standard
-/// registry did before [`AnalysisContext`] existed. This is the reference
-/// implementation the `analysis_throughput` bench races the fused engine
-/// against, and what tests use to assert the fused path is bit-identical.
-pub fn legacy_standard_vector(program: &Program) -> FeatureVector {
-    let mut out = FeatureVector::new();
-    set_loc(program, &mut out);
-    set_cyclomatic(&cyclomatic::program_complexity(program), &mut out);
-    set_halstead(program, &mut out);
-    set_counts(program, &mut out);
-    set_callgraph(program, &mut out);
-    {
-        let mut total = dataflow::DataflowStats::default();
-        let globals: Vec<String> = program
-            .modules
-            .iter()
-            .flat_map(|m| m.globals.iter().map(|g| g.name.clone()))
-            .collect();
-        for f in program.functions() {
-            let cfg = crate::cfg::Cfg::build(f);
-            let s = dataflow::dataflow_stats(&cfg, f, &globals);
-            total.defs += s.defs;
-            total.du_pairs += s.du_pairs;
-            total.dead_stores += s.dead_stores;
-            total.possibly_uninitialized_uses += s.possibly_uninitialized_uses;
+        let dialect = cx.program.dialect;
+        for d in minilang::Dialect::ALL {
+            let name = format!("lang.is_{}", d.extension());
+            out.set(name, (dialect == d) as u8 as f64);
         }
-        set_dataflow(&total, &mut out);
+        out.set(
+            "lang.memory_unsafe",
+            dialect.is_memory_unsafe() as u8 as f64,
+        );
     }
-    set_taint(&taint::analyze(program), &mut out);
-    {
-        let mut total = interval::BoundsReport::default();
-        for f in program.functions() {
-            let r = interval::check_bounds(f);
-            total.safe += r.safe;
-            total.out_of_bounds += r.out_of_bounds;
-            total.unknown += r.unknown;
-        }
-        set_bounds(&total, &mut out);
-    }
-    {
-        let config = PathConfig {
-            max_states: 4_000,
-            ..Default::default()
-        };
-        let mut feasible = 0f64;
-        let mut infeasible = 0usize;
-        let mut log_sum = 0f64;
-        let mut capped = 0usize;
-        for f in program.functions() {
-            let r = paths::explore(f, &config);
-            feasible += r.paths as f64;
-            infeasible += r.infeasible;
-            log_sum += ((r.paths + 1) as f64).log2();
-            capped += r.capped as usize;
-        }
-        out.set("paths.feasible", feasible);
-        out.set("paths.infeasible", infeasible as f64);
-        out.set("paths.log2_sum", log_sum);
-        out.set("paths.capped_functions", capped as f64);
-    }
-    set_smells(
-        &smells::detect(program, &smells::Thresholds::default()),
-        &mut out,
-    );
-    set_language(program, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -592,14 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_vector_is_bit_identical_to_legacy() {
-        let p = program();
-        let fused = standard_registry().run(&p);
-        let legacy = legacy_standard_vector(&p);
-        assert_eq!(fused, legacy);
-    }
-
-    #[test]
     fn run_with_timings_covers_every_collector() {
         let p = program();
         let cx = AnalysisContext::build(&p);
@@ -612,7 +460,6 @@ mod tests {
 
     #[test]
     fn custom_collector_extensibility() {
-        // Context-aware collectors implement MetricCollector directly…
         struct Custom;
         impl MetricCollector for Custom {
             fn name(&self) -> &'static str {
@@ -623,22 +470,8 @@ mod tests {
                 out.set("custom.functions", cx.functions.len() as f64);
             }
         }
-        // …and program-level ones ride through the compat adapter.
-        struct OldStyle;
-        impl ProgramMetricCollector for OldStyle {
-            fn name(&self) -> &'static str {
-                "old"
-            }
-            fn collect(&self, program: &Program, out: &mut FeatureVector) {
-                out.set("old.modules", program.modules.len() as f64);
-            }
-        }
-        let fv = Registry::new()
-            .with(Box::new(Custom))
-            .with(Box::new(ProgramCollectorAdapter(OldStyle)))
-            .run(&program());
+        let fv = Registry::new().with(Box::new(Custom)).run(&program());
         assert_eq!(fv.get("custom.modules"), Some(1.0));
         assert_eq!(fv.get("custom.functions"), Some(2.0));
-        assert_eq!(fv.get("old.modules"), Some(1.0));
     }
 }

@@ -5,9 +5,9 @@
 //! such as lines of comments or numbers of long methods."* Each detector
 //! reports instances; their counts become testbed features.
 
-use crate::cfg::Cfg;
+use crate::context::AnalysisContext;
 use crate::loc;
-use minilang::ast::{Annotation, Function, Program};
+use minilang::ast::{Annotation, Function};
 use minilang::{visit, Span};
 use std::collections::HashMap;
 
@@ -68,44 +68,6 @@ impl Default for Thresholds {
     }
 }
 
-/// Detect smells across a program.
-pub fn detect(program: &Program, thresholds: &Thresholds) -> Vec<Smell> {
-    detect_inner(
-        program,
-        thresholds,
-        &mut |f| !Cfg::build(f).unreachable_nodes().is_empty(),
-        &mut stmt_print_hashes,
-    )
-}
-
-/// Detect smells with per-function verdicts precomputed by the fused
-/// engine (`dead[i]` / `stmt_hashes[i]` correspond to the i-th function in
-/// `program.functions()` order), so the detector never rebuilds a CFG or
-/// touches the pretty-printer.
-pub fn detect_precomputed(
-    program: &Program,
-    thresholds: &Thresholds,
-    dead: &[bool],
-    stmt_hashes: &[&[u64]],
-) -> Vec<Smell> {
-    let mut i = 0usize;
-    let mut j = 0usize;
-    detect_inner(
-        program,
-        thresholds,
-        &mut |_| {
-            let d = dead[i];
-            i += 1;
-            d
-        },
-        &mut |_| {
-            let h = stmt_hashes[j].to_vec();
-            j += 1;
-            h
-        },
-    )
-}
-
 /// FNV digest of each *top-level* statement's printed form, in order —
 /// the per-function raw material of duplicate-code detection. A pure
 /// function of the statement list, so the fused engine caches it in the
@@ -130,12 +92,12 @@ pub fn stmt_print_hashes(function: &Function) -> Vec<u64> {
         .collect()
 }
 
-fn detect_inner(
-    program: &Program,
-    thresholds: &Thresholds,
-    dead_code: &mut dyn FnMut(&Function) -> bool,
-    body_hashes: &mut dyn FnMut(&Function) -> Vec<u64>,
-) -> Vec<Smell> {
+/// Detect smells across a program. Dead-code verdicts and statement
+/// digests come precomputed from each function's context, so the detector
+/// never rebuilds a CFG or touches the pretty-printer.
+pub fn detect(cx: &AnalysisContext<'_>, thresholds: &Thresholds) -> Vec<Smell> {
+    let program = cx.program;
+    let mut fcxs = cx.functions.iter();
     let mut smells = Vec::new();
     let mut deprecated: Vec<&str> = Vec::new();
     for m in &program.modules {
@@ -151,7 +113,7 @@ fn detect_inner(
     // "claims" a duplicated window decides who gets flagged, so iterating
     // a randomly-seeded HashMap here made the DuplicateCode *count* vary
     // between two detections of the same program in one process.
-    let mut bodies: Vec<(String, Vec<u64>)> = Vec::new();
+    let mut bodies: Vec<(String, &[u64])> = Vec::new();
     let mut body_index: HashMap<String, usize> = HashMap::new();
     for m in &program.modules {
         // Module-level: comment ratio.
@@ -164,9 +126,10 @@ fn detect_inner(
             });
         }
         for f in &m.functions {
-            detect_function(f, thresholds, &deprecated, dead_code, &mut smells);
+            let fcx = fcxs.next().expect("one context per function");
+            detect_function(f, thresholds, &deprecated, fcx.has_dead_code, &mut smells);
             // Collect printed-statement digests for duplicate detection.
-            let printed = body_hashes(f);
+            let printed = fcx.stmt_hashes.as_slice();
             match body_index.get(&f.name) {
                 Some(&i) => bodies[i].1 = printed,
                 None => {
@@ -218,7 +181,7 @@ fn detect_function(
     f: &Function,
     thresholds: &Thresholds,
     deprecated: &[&str],
-    dead_code: &mut dyn FnMut(&Function) -> bool,
+    dead_code: bool,
     smells: &mut Vec<Smell>,
 ) {
     let mut push = |kind| {
@@ -249,7 +212,7 @@ fn detect_function(
     if callees.iter().any(|c| deprecated.contains(c)) {
         push(SmellKind::DeprecatedCall);
     }
-    if dead_code(f) {
+    if dead_code {
         push(SmellKind::DeadCode);
     }
 }
@@ -288,7 +251,7 @@ mod tests {
 
     fn smells_in(src: &str) -> Vec<Smell> {
         let p = parse_program("app", Dialect::C, &[("m.c".into(), src.into())]).unwrap();
-        detect(&p, &Thresholds::default())
+        detect(&AnalysisContext::build(&p), &Thresholds::default())
     }
 
     fn has(smells: &[Smell], kind: SmellKind) -> bool {

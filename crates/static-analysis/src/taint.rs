@@ -19,7 +19,9 @@
 //!    parameters, to fixpoint; a final intraprocedural pass per function
 //!    records every sink call receiving tainted data.
 
-use crate::cfg::{Cfg, NodeKind};
+use crate::bitset::BitSet;
+use crate::cfg::NodeKind;
+use crate::context::{FnSymbols, FunctionContext};
 use minilang::ast::{Expr, ExprKind, Function, LValue, Program, StmtKind};
 use minilang::{visit, Intrinsic, Span};
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,95 +76,6 @@ impl TaintReport {
     }
 }
 
-/// Run the analysis over a program.
-pub fn analyze(program: &Program) -> TaintReport {
-    let functions: BTreeMap<&str, &Function> =
-        program.functions().map(|f| (f.name.as_str(), f)).collect();
-
-    // Phase 1: summaries to fixpoint.
-    let mut summaries: BTreeMap<String, TaintSummary> = functions
-        .keys()
-        .map(|&n| (n.to_string(), TaintSummary::default()))
-        .collect();
-    loop {
-        let mut changed = false;
-        for (&name, &f) in &functions {
-            // (a) clean parameters.
-            let clean = intra(f, false, &summaries);
-            // (b) all parameters tainted.
-            let dirty = intra(f, true, &summaries);
-            let new = TaintSummary {
-                returns_taint_always: clean.returns_taint,
-                // Only attribute to params what clean analysis cannot explain.
-                returns_taint_if_param: dirty.returns_taint,
-                param_reaches_sink: dirty.hit_sink,
-            };
-            let entry = summaries.get_mut(name).expect("summary exists");
-            if *entry != new {
-                *entry = new;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Phase 2: which functions run with tainted parameters?
-    let mut tainted_entry: BTreeSet<String> = program
-        .functions()
-        .filter(|f| f.is_untrusted() || !f.endpoint_channels().is_empty())
-        .map(|f| f.name.clone())
-        .collect();
-    loop {
-        let mut changed = false;
-        for (&name, &f) in &functions {
-            let params_tainted = tainted_entry.contains(name);
-            let result = intra(f, params_tainted, &summaries);
-            for callee in result.tainted_arg_callees {
-                if functions.contains_key(callee.as_str()) && tainted_entry.insert(callee) {
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Final pass: collect flows and counts.
-    let mut report = TaintReport {
-        tainted_entry_functions: tainted_entry.clone(),
-        summaries: summaries.clone(),
-        ..Default::default()
-    };
-    for (&name, &f) in &functions {
-        let params_tainted = tainted_entry.contains(name);
-        let result = intra(f, params_tainted, &summaries);
-        for (sink, span, needed_params) in result.sink_hits {
-            report.flows.push(TaintFlow {
-                function: name.to_string(),
-                sink,
-                span,
-                via_parameters: needed_params && params_tainted,
-            });
-        }
-        visit::walk_exprs(&f.body, &mut |e| {
-            if let ExprKind::Call { callee, .. } = &e.kind {
-                if let Some(i) = Intrinsic::from_name(callee) {
-                    if i.is_taint_source() {
-                        report.source_calls += 1;
-                    }
-                    if i.is_dangerous_sink() {
-                        report.sink_calls += 1;
-                    }
-                }
-            }
-        });
-    }
-    report
-}
-
 /// Result of one intraprocedural pass. Public (with public fields) so the
 /// incremental engine can memoize it across extractions: the result is a
 /// pure function of the function's text, `params_tainted`, and the
@@ -177,195 +90,6 @@ pub struct IntraResult {
     /// User callees that received a tainted argument.
     pub tainted_arg_callees: Vec<String>,
 }
-
-/// Forward taint fixpoint over one function's CFG.
-fn intra(
-    f: &Function,
-    params_tainted: bool,
-    summaries: &BTreeMap<String, TaintSummary>,
-) -> IntraResult {
-    let cfg = Cfg::build(f);
-    let order = cfg.reverse_postorder();
-    let entry_set: BTreeSet<String> = if params_tainted {
-        f.params.iter().map(|p| p.name.clone()).collect()
-    } else {
-        BTreeSet::new()
-    };
-
-    let mut in_sets: Vec<BTreeSet<String>> = vec![BTreeSet::new(); cfg.node_count()];
-    let mut out_sets: Vec<BTreeSet<String>> = vec![BTreeSet::new(); cfg.node_count()];
-    in_sets[cfg.entry] = entry_set.clone();
-    out_sets[cfg.entry] = entry_set;
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &id in &order {
-            if id == cfg.entry {
-                continue;
-            }
-            let mut inset: BTreeSet<String> = BTreeSet::new();
-            for &p in &cfg.nodes[id].preds {
-                inset.extend(out_sets[p].iter().cloned());
-            }
-            let outset = transfer(&cfg.nodes[id].kind, &inset, summaries);
-            if outset != out_sets[id] {
-                out_sets[id] = outset;
-                changed = true;
-            }
-            in_sets[id] = inset;
-        }
-    }
-
-    // Collect results with the stabilized sets, comparing against a
-    // clean-parameter baseline to attribute parameter-dependence.
-    let mut result = IntraResult {
-        returns_taint: false,
-        hit_sink: false,
-        sink_hits: Vec::new(),
-        tainted_arg_callees: Vec::new(),
-    };
-    for (id, node) in cfg.nodes.iter().enumerate() {
-        let tainted = &in_sets[id];
-        let exprs: Vec<&Expr> = match &node.kind {
-            NodeKind::Stmt(stmt) => {
-                if let StmtKind::Return(Some(v)) = &stmt.kind {
-                    if expr_tainted(v, tainted, summaries) {
-                        result.returns_taint = true;
-                    }
-                }
-                visit::stmt_exprs(stmt)
-            }
-            NodeKind::Cond(c) => vec![c],
-            _ => vec![],
-        };
-        for root in exprs {
-            visit::walk_expr(root, &mut |e| {
-                if let ExprKind::Call { callee, args } = &e.kind {
-                    let any_arg_tainted = args.iter().any(|a| expr_tainted(a, tainted, summaries));
-                    if let Some(i) = Intrinsic::from_name(callee) {
-                        if i.is_dangerous_sink() && any_arg_tainted {
-                            result.hit_sink = true;
-                            // Parameter dependence: would this argument still
-                            // be tainted with no tainted vars at all? If the
-                            // arg contains a direct source call it would.
-                            let from_source_only = args
-                                .iter()
-                                .any(|a| expr_tainted(a, &BTreeSet::new(), summaries));
-                            result.sink_hits.push((i, e.span, !from_source_only));
-                        }
-                    } else if any_arg_tainted {
-                        result.tainted_arg_callees.push(callee.clone());
-                        // Callee-side sinks count as a hit for the summary.
-                        if summaries.get(callee).is_some_and(|s| s.param_reaches_sink) {
-                            result.hit_sink = true;
-                        }
-                    }
-                }
-            });
-        }
-    }
-    result
-}
-
-/// Transfer function: the tainted-variable set after executing `kind`.
-fn transfer(
-    kind: &NodeKind<'_>,
-    inset: &BTreeSet<String>,
-    summaries: &BTreeMap<String, TaintSummary>,
-) -> BTreeSet<String> {
-    let mut out = inset.clone();
-    if let NodeKind::Stmt(stmt) = kind {
-        match &stmt.kind {
-            StmtKind::Let { name, init, .. } => {
-                let t = init
-                    .as_ref()
-                    .is_some_and(|e| expr_tainted(e, inset, summaries));
-                if t {
-                    out.insert(name.clone());
-                } else {
-                    out.remove(name);
-                }
-            }
-            StmtKind::Assign { target, op, value } => {
-                let rhs_tainted = expr_tainted(value, inset, summaries);
-                match target {
-                    LValue::Var(name, _) => {
-                        let keeps = op.is_some() && inset.contains(name);
-                        if rhs_tainted || keeps {
-                            out.insert(name.clone());
-                        } else {
-                            out.remove(name);
-                        }
-                    }
-                    // Weak update: a tainted element taints the buffer and a
-                    // clean write never cleanses it.
-                    LValue::Index { base, .. } => {
-                        if rhs_tainted {
-                            out.insert(base.clone());
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Is the value of `e` attacker-controlled under `tainted`?
-fn expr_tainted(
-    e: &Expr,
-    tainted: &BTreeSet<String>,
-    summaries: &BTreeMap<String, TaintSummary>,
-) -> bool {
-    match &e.kind {
-        ExprKind::Int(_) | ExprKind::Float(_) | ExprKind::Str(_) | ExprKind::Bool(_) => false,
-        ExprKind::Var(name) => tainted.contains(name),
-        ExprKind::Index { base, index } => {
-            expr_tainted(base, tainted, summaries) || expr_tainted(index, tainted, summaries)
-        }
-        ExprKind::Unary { operand, .. } => expr_tainted(operand, tainted, summaries),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            expr_tainted(lhs, tainted, summaries) || expr_tainted(rhs, tainted, summaries)
-        }
-        ExprKind::Call { callee, args } => {
-            if let Some(i) = Intrinsic::from_name(callee) {
-                if i.is_taint_source() {
-                    return true;
-                }
-                if i.propagates_taint() {
-                    return args.iter().any(|a| expr_tainted(a, tainted, summaries));
-                }
-                false
-            } else if let Some(s) = summaries.get(callee) {
-                s.returns_taint_always
-                    || (s.returns_taint_if_param
-                        && args.iter().any(|a| expr_tainted(a, tainted, summaries)))
-            } else {
-                // Unresolved extern: assume it launders taint away. The
-                // bug-finding tools keep a separate eye on unresolved calls.
-                false
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Context-driven variant — the fused engine's entry point.
-//
-// `analyze` rebuilds every function's CFG on every `intra` call, and phase 1
-// alone calls `intra` twice per function per sweep; with the final pass the
-// legacy path can easily build the same CFG five or more times. The fused
-// engine passes prebuilt [`FunctionContext`]s instead and tracks tainted
-// variables in dense [`BitSet`]s over each function's local symbols. The
-// sweep structure, iteration order (name-sorted, in-place Gauss–Seidel
-// summary updates) and transfer functions are the same, so the report is
-// identical to `analyze`'s.
-// ---------------------------------------------------------------------------
-
-use crate::bitset::BitSet;
-use crate::context::{FnSymbols, FunctionContext};
 
 /// A cross-extraction memo for [`IntraResult`]s, implemented by the
 /// incremental engine. `idx` indexes into the `fcxs` slice handed to
@@ -427,9 +151,10 @@ pub fn summaries_digest(callees: &[String], summaries: &BTreeMap<String, TaintSu
     h
 }
 
-/// Run the analysis over prebuilt per-function contexts. `fcxs` must be in
-/// `program.functions()` order (duplicate names resolve last-wins, exactly
-/// like the legacy map construction).
+/// Run the analysis over prebuilt per-function contexts (an
+/// [`crate::context::AnalysisContext`] runs it once per program and keeps
+/// the report as its `taint` field). `fcxs` must be in
+/// `program.functions()` order; duplicate names resolve last-wins.
 pub fn analyze_contexts(program: &Program, fcxs: &[FunctionContext<'_>]) -> TaintReport {
     run_contexts(program, fcxs, None)
 }
@@ -565,8 +290,8 @@ fn run_contexts(
     report
 }
 
-/// Forward taint fixpoint over a prebuilt function context (no CFG build,
-/// no string sets).
+/// Forward taint fixpoint over a prebuilt function context, tracking
+/// tainted variables in dense bitsets over the function's local symbols.
 fn intra_ctx(
     fcx: &FunctionContext<'_>,
     params_tainted: bool,
@@ -655,7 +380,7 @@ fn intra_ctx(
     result
 }
 
-/// Transfer function over dense tainted-local sets; mirrors [`transfer`].
+/// Transfer function: the tainted-local set after executing `kind`.
 fn transfer_sym(
     kind: &NodeKind<'_>,
     inset: &BitSet,
@@ -701,8 +426,7 @@ fn transfer_sym(
     out
 }
 
-/// Is the value of `e` attacker-controlled? Mirrors [`expr_tainted`] over
-/// dense sets.
+/// Is the value of `e` attacker-controlled under `tainted`?
 fn expr_tainted_sym(
     e: &Expr,
     tainted: &BitSet,
@@ -754,7 +478,7 @@ mod tests {
 
     fn report(src: &str) -> TaintReport {
         let p = parse_program("app", Dialect::C, &[("m.c".into(), src.into())]).unwrap();
-        analyze(&p)
+        crate::context::AnalysisContext::build(&p).taint
     }
 
     #[test]
@@ -911,36 +635,5 @@ mod tests {
     fn strncpy_is_not_a_sink() {
         let r = report("fn f(buf: str[8]) { strncpy(buf, read_input(), 8); }");
         assert!(r.flows.is_empty());
-    }
-
-    #[test]
-    fn context_analysis_matches_legacy() {
-        let sources = [
-            "fn f() { let s: str = read_input(); system(s); }",
-            "@endpoint(network) fn handle(req: str) { helper(req); }
-             fn helper(s: str) { exec(s); }",
-            "fn id(s: str) -> str { return s; }
-             fn f() { let x: str = id(recv(0)); exec(x); }",
-            "@endpoint(network) fn a(req: str) { strcpy(req, req); }
-             fn b() { system(getenv(\"PATH\")); }",
-            "fn f(n: int) -> str {
-                if n == 0 { return read_input(); }
-                return f(n - 1);
-            }
-            fn g() { exec(f(3)); }",
-        ];
-        for src in sources {
-            let p = parse_program("app", Dialect::C, &[("m.c".into(), src.into())]).unwrap();
-            let legacy = analyze(&p);
-            let cx = crate::context::AnalysisContext::build(&p);
-            assert_eq!(cx.taint.flows, legacy.flows, "{src}");
-            assert_eq!(
-                cx.taint.tainted_entry_functions, legacy.tainted_entry_functions,
-                "{src}"
-            );
-            assert_eq!(cx.taint.summaries, legacy.summaries, "{src}");
-            assert_eq!(cx.taint.source_calls, legacy.source_calls, "{src}");
-            assert_eq!(cx.taint.sink_calls, legacy.sink_calls, "{src}");
-        }
     }
 }

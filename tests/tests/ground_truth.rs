@@ -3,6 +3,7 @@
 
 use corpus::{Corpus, CorpusConfig};
 use cvedb::Cwe;
+use static_analysis::AnalysisContext;
 use std::sync::OnceLock;
 
 fn corpus() -> &'static Corpus {
@@ -38,7 +39,7 @@ fn bufcheck_detects_most_seeded_stack_overflows() {
             continue;
         }
         seeded += 1;
-        let report = bugfind::MetaTool::new().run(&app.program);
+        let report = bugfind::MetaTool::new().run(&AnalysisContext::build(&app.program));
         if report.count_cwe(121) > 0 {
             detected += 1;
         }
@@ -69,7 +70,7 @@ fn taint_flows_track_exposed_injection_seeds() {
         if exposed_injections == 0 {
             continue;
         }
-        let taint = static_analysis::taint::analyze(&app.program);
+        let taint = AnalysisContext::build(&app.program).taint;
         assert!(
             !taint.flows.is_empty(),
             "{} has {exposed_injections} exposed injection seeds but no taint flow",

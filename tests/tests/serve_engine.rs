@@ -241,6 +241,36 @@ fn source_submissions_match_offline_extraction() {
     handle.shutdown();
 }
 
+#[test]
+fn deeply_nested_sources_get_typed_bad_requests_and_the_daemon_lives() {
+    let handle = start_server(ServeConfig::default());
+    let mut client = connect(handle.addr());
+    let depth = 20_000;
+    let parens = format!(
+        "fn main() {{ let x: int = {}1{}; }}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let ifs = format!(
+        "fn f(a: int) {{ {}{} }}",
+        "if a > 0 { ".repeat(depth),
+        "}".repeat(depth)
+    );
+    for (name, source) in [("deep-parens", parens), ("deep-ifs", ifs)] {
+        let response = client
+            .score_source(name, &source, "c")
+            .expect("round-trip survives");
+        assert_eq!(error_type(&response), Some("bad_request"), "{name}");
+        assert!(
+            response.to_string().contains("nesting deeper than"),
+            "{response}"
+        );
+        let health = client.health().expect("daemon still answers");
+        assert!(is_ok(&health), "{name}: {health}");
+    }
+    handle.shutdown();
+}
+
 /// Pull the named field of an ok response as serialized JSON.
 fn response_part(response: &Json, key: &str) -> String {
     assert!(is_ok(response), "request failed: {response}");
