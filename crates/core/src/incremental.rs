@@ -308,6 +308,10 @@ impl IntraMemo for SessionMemo<'_> {
         if memo.len() >= TAINT_MEMO_CAP {
             memo.remove(0);
         }
+        // Grow by exactly one entry: most functions keep two to four, and
+        // the store holds a memo for every resident function, so doubling
+        // would leave much of the store's memory as spare capacity.
+        memo.reserve_exact(1);
         memo.push(TaintMemoEntry {
             params_tainted,
             digest,

@@ -38,6 +38,17 @@ use crate::token::{Token, TokenKind};
 /// below it.
 pub const MAX_NESTING_DEPTH: usize = 64;
 
+/// Deepest expression tree the parser builds, counting every node on the
+/// longest root-to-leaf path (a literal is depth 1, `a + b` depth 2).
+/// [`MAX_NESTING_DEPTH`] bounds the parser's own recursion, but a long
+/// left-deep chain — `1 + 1 + … + 1` or `a[1][2]…` — is a loop in the
+/// parser that would still build a tree as deep as the chain is long, and
+/// dropping that tree or walking it recurses once per level. Chain steps
+/// therefore count here too: the parser refuses to build any node past
+/// this depth and reports a [`ParseError`] instead. Real programs stay far
+/// below it.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 /// Parse one source file into a [`Module`].
 pub fn parse_module(path: &str, source: &str, dialect: Dialect) -> Result<Module, ParseError> {
     let tokens = Lexer::new(source, dialect).tokenize()?;
@@ -109,11 +120,18 @@ impl Parser {
         &self.peek().kind
     }
 
+    /// Consume the current token. The parser never looks back, so the
+    /// token moves out of the stream instead of being cloned; the final
+    /// token (`Eof`) is never consumed, so peeking past the end keeps
+    /// seeing it.
     fn advance(&mut self) -> Token {
-        let tok = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
+        let span = self.tokens[self.pos].span;
+        let tok = std::mem::replace(&mut self.tokens[self.pos], Token::new(TokenKind::Eof, span));
+        self.pos += 1;
         tok
     }
 
@@ -146,15 +164,18 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), ParseError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.advance().span;
-                Ok((name, span))
-            }
-            other => Err(ParseError::new(
-                format!("expected identifier, found {}", other.describe()),
+        if !matches!(self.peek_kind(), TokenKind::Ident(_)) {
+            return Err(ParseError::new(
+                format!("expected identifier, found {}", self.peek_kind().describe()),
                 self.peek().span,
-            )),
+            ));
+        }
+        match self.advance() {
+            Token {
+                kind: TokenKind::Ident(name),
+                span,
+            } => Ok((name, span)),
+            _ => unreachable!("checked to be an identifier above"),
         }
     }
 
@@ -507,7 +528,7 @@ impl Parser {
         };
         if let Some(op) = compound {
             self.advance();
-            let target = Self::expr_to_lvalue(&expr)?;
+            let target = Self::expr_to_lvalue(expr)?;
             let value = self.expr()?;
             let span = start.to(value.span);
             Ok(Stmt::new(StmtKind::Assign { target, op, value }, span))
@@ -517,27 +538,45 @@ impl Parser {
         }
     }
 
-    fn expr_to_lvalue(expr: &Expr) -> Result<LValue, ParseError> {
-        match &expr.kind {
-            ExprKind::Var(name) => Ok(LValue::Var(name.clone(), expr.span)),
-            ExprKind::Index { base, index } => match &base.kind {
+    fn expr_to_lvalue(expr: Expr) -> Result<LValue, ParseError> {
+        let span = expr.span;
+        match expr.kind {
+            ExprKind::Var(name) => Ok(LValue::Var(name, span)),
+            ExprKind::Index { base, index } => match base.kind {
                 ExprKind::Var(name) => Ok(LValue::Index {
-                    base: name.clone(),
-                    index: (**index).clone(),
-                    span: expr.span,
+                    base: name,
+                    index: *index,
+                    span,
                 }),
                 _ => Err(ParseError::new(
                     "assignment target must be `name[index]`",
-                    expr.span,
+                    span,
                 )),
             },
-            _ => Err(ParseError::new("invalid assignment target", expr.span)),
+            _ => Err(ParseError::new("invalid assignment target", span)),
         }
     }
 
     /// Expression entry point (precedence climbing).
     pub fn expr(&mut self) -> Result<Expr, ParseError> {
+        Ok(self.expr_with_depth()?.0)
+    }
+
+    /// An expression plus the depth of its tree.
+    fn expr_with_depth(&mut self) -> Result<(Expr, usize), ParseError> {
         self.nested(|p| p.binary_expr(0))
+    }
+
+    /// The depth of a node whose deepest child has depth `child`, or an
+    /// error (at `at`) when that node would exceed [`MAX_EXPR_DEPTH`].
+    fn node_depth(&self, child: usize, at: Span) -> Result<usize, ParseError> {
+        if child >= MAX_EXPR_DEPTH {
+            return Err(ParseError::new(
+                format!("expression deeper than {MAX_EXPR_DEPTH} levels"),
+                at,
+            ));
+        }
+        Ok(child + 1)
     }
 
     /// Binding powers, loosest to tightest:
@@ -567,11 +606,12 @@ impl Parser {
         (bp >= min_bp).then_some((op, bp))
     }
 
-    fn binary_expr(&mut self, min_bp: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
+    fn binary_expr(&mut self, min_bp: u8) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut depth) = self.unary_expr()?;
         while let Some((op, bp)) = self.binop_at(min_bp) {
-            self.advance();
-            let rhs = self.binary_expr(bp + 1)?;
+            let at = self.advance().span;
+            let (rhs, rhs_depth) = self.binary_expr(bp + 1)?;
+            depth = self.node_depth(depth.max(rhs_depth), at)?;
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(
                 ExprKind::Binary {
@@ -582,10 +622,10 @@ impl Parser {
                 span,
             );
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
+    fn unary_expr(&mut self) -> Result<(Expr, usize), ParseError> {
         let start = self.peek().span;
         let op = match self.peek_kind() {
             TokenKind::Minus => Some(UnaryOp::Neg),
@@ -594,24 +634,30 @@ impl Parser {
         };
         if let Some(op) = op {
             self.advance();
-            let operand = self.nested(Self::unary_expr)?;
+            let (operand, operand_depth) = self.nested(Self::unary_expr)?;
+            let depth = self.node_depth(operand_depth, start)?;
             let span = start.to(operand.span);
-            return Ok(Expr::new(
-                ExprKind::Unary {
-                    op,
-                    operand: Box::new(operand),
-                },
-                span,
+            return Ok((
+                Expr::new(
+                    ExprKind::Unary {
+                        op,
+                        operand: Box::new(operand),
+                    },
+                    span,
+                ),
+                depth,
             ));
         }
         self.postfix_expr()
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.primary_expr()?;
-        while self.eat(&TokenKind::LBracket) {
-            let index = self.expr()?;
+    fn postfix_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (mut expr, mut depth) = self.primary_expr()?;
+        while self.check(&TokenKind::LBracket) {
+            let at = self.advance().span;
+            let (index, index_depth) = self.expr_with_depth()?;
             let end = self.expect(TokenKind::RBracket)?.span;
+            depth = self.node_depth(depth.max(index_depth), at)?;
             let span = expr.span.to(end);
             expr = Expr::new(
                 ExprKind::Index {
@@ -621,63 +667,63 @@ impl Parser {
                 span,
             );
         }
-        Ok(expr)
+        Ok((expr, depth))
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, ParseError> {
-        let tok = self.peek().clone();
-        match tok.kind {
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(Expr::new(ExprKind::Int(v), tok.span))
+    fn primary_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        let span = self.peek().span;
+        let leaf = |kind| Ok((Expr::new(kind, span), 1));
+        match self.peek_kind() {
+            TokenKind::Int(_)
+            | TokenKind::Float(_)
+            | TokenKind::Str(_)
+            | TokenKind::KwTrue
+            | TokenKind::KwFalse
+            | TokenKind::Ident(_)
+            | TokenKind::LParen => {}
+            other => {
+                return Err(ParseError::new(
+                    format!("expected expression, found {}", other.describe()),
+                    span,
+                ))
             }
-            TokenKind::Float(v) => {
-                self.advance();
-                Ok(Expr::new(ExprKind::Float(v), tok.span))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Expr::new(ExprKind::Str(s), tok.span))
-            }
-            TokenKind::KwTrue => {
-                self.advance();
-                Ok(Expr::new(ExprKind::Bool(true), tok.span))
-            }
-            TokenKind::KwFalse => {
-                self.advance();
-                Ok(Expr::new(ExprKind::Bool(false), tok.span))
-            }
+        }
+        match self.advance().kind {
+            TokenKind::Int(v) => leaf(ExprKind::Int(v)),
+            TokenKind::Float(v) => leaf(ExprKind::Float(v)),
+            TokenKind::Str(s) => leaf(ExprKind::Str(s)),
+            TokenKind::KwTrue => leaf(ExprKind::Bool(true)),
+            TokenKind::KwFalse => leaf(ExprKind::Bool(false)),
             TokenKind::Ident(name) => {
-                self.advance();
                 if self.eat(&TokenKind::LParen) {
                     let mut args = Vec::new();
+                    let mut deepest = 0;
                     if !self.check(&TokenKind::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, arg_depth) = self.expr_with_depth()?;
+                            args.push(arg);
+                            deepest = deepest.max(arg_depth);
                             if !self.eat(&TokenKind::Comma) {
                                 break;
                             }
                         }
                     }
                     let end = self.expect(TokenKind::RParen)?.span;
-                    Ok(Expr::new(
-                        ExprKind::Call { callee: name, args },
-                        tok.span.to(end),
+                    let depth = self.node_depth(deepest, span)?;
+                    Ok((
+                        Expr::new(ExprKind::Call { callee: name, args }, span.to(end)),
+                        depth,
                     ))
                 } else {
-                    Ok(Expr::new(ExprKind::Var(name), tok.span))
+                    leaf(ExprKind::Var(name))
                 }
             }
             TokenKind::LParen => {
-                self.advance();
-                let inner = self.expr()?;
+                let (inner, depth) = self.expr_with_depth()?;
                 let end = self.expect(TokenKind::RParen)?.span;
-                Ok(Expr::new(inner.kind, tok.span.to(end)))
+                Ok((Expr::new(inner.kind, span.to(end)), depth))
             }
-            other => Err(ParseError::new(
-                format!("expected expression, found {}", other.describe()),
-                tok.span,
-            )),
+            _ => unreachable!("checked to start an expression above"),
         }
     }
 }
@@ -964,6 +1010,81 @@ mod tests {
             " else if a > 1 { }".repeat(20_000)
         );
         nesting_error(&src);
+    }
+
+    fn depth_error(src: &str) -> ParseError {
+        let err = parse_module("t.c", src, Dialect::C).unwrap_err();
+        assert!(err.message.contains("expression deeper than"), "{err}");
+        err
+    }
+
+    /// The depth of an expression tree, walked without recursion.
+    fn tree_depth(e: &Expr) -> usize {
+        let mut deepest = 0;
+        let mut stack = vec![(e, 1)];
+        while let Some((e, d)) = stack.pop() {
+            deepest = deepest.max(d);
+            match &e.kind {
+                ExprKind::Binary { lhs, rhs, .. } => {
+                    stack.push((lhs, d + 1));
+                    stack.push((rhs, d + 1));
+                }
+                ExprKind::Index { base, index } => {
+                    stack.push((base, d + 1));
+                    stack.push((index, d + 1));
+                }
+                ExprKind::Unary { operand, .. } => stack.push((operand, d + 1)),
+                ExprKind::Call { args, .. } => stack.extend(args.iter().map(|a| (a, d + 1))),
+                _ => {}
+            }
+        }
+        deepest
+    }
+
+    fn let_init(m: &Module) -> &Expr {
+        let StmtKind::Let { init: Some(e), .. } = &m.functions[0].body.stmts[0].kind else {
+            panic!("expected an initialized let")
+        };
+        e
+    }
+
+    #[test]
+    fn long_sum_chain_is_a_typed_error() {
+        let terms = vec!["1"; 20_000].join(" + ");
+        depth_error(&format!("fn main() {{ let x: int = {terms}; }}"));
+    }
+
+    #[test]
+    fn long_index_chain_is_a_typed_error() {
+        let steps: String = (1..=20_000).map(|i| format!("[{i}]")).collect();
+        depth_error(&format!("fn main() {{ let x: int = a{steps}; }}"));
+    }
+
+    #[test]
+    fn chains_up_to_the_depth_limit_parse() {
+        // A chain of n terms is n levels deep: n - 1 operators plus a leaf.
+        let terms = vec!["1"; MAX_EXPR_DEPTH].join(" + ");
+        let m = parse(&format!("fn main() {{ let x: int = {terms}; }}"));
+        assert_eq!(tree_depth(let_init(&m)), MAX_EXPR_DEPTH);
+        let steps = "[0]".repeat(MAX_EXPR_DEPTH - 1);
+        let m = parse(&format!("fn main() {{ let x: int = a{steps}; }}"));
+        assert_eq!(tree_depth(let_init(&m)), MAX_EXPR_DEPTH);
+        // One more level fails.
+        let terms = vec!["1"; MAX_EXPR_DEPTH + 1].join(" + ");
+        depth_error(&format!("fn main() {{ let x: int = {terms}; }}"));
+        depth_error(&format!("fn main() {{ let x: int = a{steps}[0]; }}"));
+    }
+
+    #[test]
+    fn depth_counts_across_parentheses_and_calls() {
+        // Each parenthesized group is a chain of 100 terms nested inside
+        // the next group's first term: 3 groups nest 300 levels deep.
+        let chain = |inner: &str| format!("({inner}{})", " + 1".repeat(99));
+        let src = chain(&chain(&chain("1")));
+        depth_error(&format!("fn main() {{ let x: int = {src}; }}"));
+        let call = format!("f({})", vec!["1"; 200].join(" * "));
+        let m = parse(&format!("fn main() {{ let x: int = {call} - 1; }}"));
+        assert_eq!(tree_depth(let_init(&m)), 202);
     }
 
     #[test]

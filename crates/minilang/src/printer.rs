@@ -2,8 +2,13 @@
 //!
 //! Emits canonical MiniLang source from an AST. The corpus generator builds
 //! ASTs and prints them (interleaving dialect-styled comments) to produce the
-//! module source text; the property tests round-trip `parse ∘ print` to pin
+//! module source text; the round-trip suite checks `parse ∘ print` to pin
 //! the grammar.
+//!
+//! Every construct is written straight into one output buffer: no
+//! intermediate string per expression or per line. Callers that print many
+//! small pieces (the duplicate-code digests) hand in a reused buffer via
+//! [`print_stmt_into`].
 
 use crate::ast::*;
 use std::fmt::Write;
@@ -13,89 +18,99 @@ use std::fmt::Write;
 /// Note: this prints the AST, not `module.source` — comments are not
 /// preserved (the corpus generator adds its own when synthesizing files).
 pub fn print_module(module: &Module) -> String {
-    let mut p = Printer::new();
+    let mut out = String::new();
+    let mut p = Printer::new(&mut out, 0);
     for g in &module.globals {
         p.global(g);
     }
     for f in &module.functions {
         p.function(f);
     }
-    p.out
+    out
 }
 
 /// Render a single function.
 pub fn print_function(f: &Function) -> String {
-    let mut p = Printer::new();
-    p.function(f);
-    p.out
+    let mut out = String::new();
+    Printer::new(&mut out, 0).function(f);
+    out
 }
 
 /// Render a single expression (used in diagnostics).
 pub fn print_expr(e: &Expr) -> String {
-    let mut p = Printer::new();
-    p.expr(e);
-    p.out
+    let mut out = String::new();
+    Printer::new(&mut out, 0).expr(e);
+    out
 }
 
-struct Printer {
-    out: String,
+/// Append one statement, printed `indent` levels deep exactly as it
+/// appears inside a printed function body, to `out`.
+pub fn print_stmt_into(out: &mut String, stmt: &Stmt, indent: usize) {
+    Printer::new(out, indent).stmt(stmt);
+}
+
+struct Printer<'o> {
+    out: &'o mut String,
     indent: usize,
 }
 
-impl Printer {
-    fn new() -> Self {
-        Printer {
-            out: String::new(),
-            indent: 0,
-        }
+impl<'o> Printer<'o> {
+    fn new(out: &'o mut String, indent: usize) -> Self {
+        Printer { out, indent }
     }
 
-    fn line(&mut self, text: &str) {
+    /// Write the current indentation.
+    fn pad(&mut self) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
         }
-        self.out.push_str(text);
-        self.out.push('\n');
     }
 
     fn global(&mut self, g: &Global) {
-        let mut s = format!("global {}: {}", g.name, g.ty);
+        self.pad();
+        let _ = write!(self.out, "global {}: {}", g.name, g.ty);
         if let Some(init) = &g.init {
-            let mut p = Printer::new();
-            p.expr(init);
-            let _ = write!(s, " = {}", p.out);
+            self.out.push_str(" = ");
+            self.expr(init);
         }
-        s.push(';');
-        self.line(&s);
+        self.out.push_str(";\n");
     }
 
     fn function(&mut self, f: &Function) {
         for ann in &f.annotations {
-            let text = match ann {
-                Annotation::Endpoint(k) => format!("@endpoint({})", k.name()),
-                Annotation::Priv(p) => format!("@priv({})", p.name()),
-                Annotation::Untrusted => "@untrusted".to_string(),
-                Annotation::Deprecated => "@deprecated".to_string(),
-            };
-            self.line(&text);
+            self.pad();
+            match ann {
+                Annotation::Endpoint(k) => {
+                    let _ = write!(self.out, "@endpoint({})", k.name());
+                }
+                Annotation::Priv(p) => {
+                    let _ = write!(self.out, "@priv({})", p.name());
+                }
+                Annotation::Untrusted => self.out.push_str("@untrusted"),
+                Annotation::Deprecated => self.out.push_str("@deprecated"),
+            }
+            self.out.push('\n');
         }
-        let params: Vec<String> = f
-            .params
-            .iter()
-            .map(|p| format!("{}: {}", p.name, p.ty))
-            .collect();
-        let header = if f.ret == Type::Void {
-            format!("fn {}({}) {{", f.name, params.join(", "))
-        } else {
-            format!("fn {}({}) -> {} {{", f.name, params.join(", "), f.ret)
-        };
-        self.line(&header);
+        self.pad();
+        let _ = write!(self.out, "fn {}(", f.name);
+        for (i, p) in f.params.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let _ = write!(self.out, "{}: {}", p.name, p.ty);
+        }
+        self.out.push(')');
+        if f.ret != Type::Void {
+            let _ = write!(self.out, " -> {}", f.ret);
+        }
+        self.out.push_str(" {\n");
         self.indent += 1;
         for s in &f.body.stmts {
             self.stmt(s);
         }
         self.indent -= 1;
-        self.line("}");
+        self.pad();
+        self.out.push_str("}\n");
     }
 
     fn block_inline(&mut self, b: &Block) {
@@ -105,54 +120,48 @@ impl Printer {
             self.stmt(s);
         }
         self.indent -= 1;
-        for _ in 0..self.indent {
-            self.out.push_str("    ");
-        }
+        self.pad();
         self.out.push('}');
     }
 
     fn stmt(&mut self, s: &Stmt) {
+        self.pad();
         match &s.kind {
             StmtKind::Let { name, ty, init } => {
-                let mut text = format!("let {name}: {ty}");
+                let _ = write!(self.out, "let {name}: {ty}");
                 if let Some(e) = init {
-                    let mut p = Printer::new();
-                    p.expr(e);
-                    let _ = write!(text, " = {}", p.out);
+                    self.out.push_str(" = ");
+                    self.expr(e);
                 }
-                text.push(';');
-                self.line(&text);
+                self.out.push_str(";\n");
             }
             StmtKind::Assign { target, op, value } => {
-                let mut text = String::new();
                 match target {
-                    LValue::Var(name, _) => text.push_str(name),
+                    LValue::Var(name, _) => self.out.push_str(name),
                     LValue::Index { base, index, .. } => {
-                        let mut p = Printer::new();
-                        p.expr(index);
-                        let _ = write!(text, "{base}[{}]", p.out);
+                        self.out.push_str(base);
+                        self.out.push('[');
+                        self.expr(index);
+                        self.out.push(']');
                     }
                 }
                 match op {
-                    None => text.push_str(" = "),
+                    None => self.out.push_str(" = "),
                     Some(o) => {
-                        let _ = write!(text, " {}= ", o.symbol());
+                        let _ = write!(self.out, " {}= ", o.symbol());
                     }
                 }
-                let mut p = Printer::new();
-                p.expr(value);
-                text.push_str(&p.out);
-                text.push(';');
-                self.line(&text);
+                self.expr(value);
+                self.out.push_str(";\n");
             }
             StmtKind::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                let mut p = Printer::new();
-                p.expr(cond);
-                self.start_line(&format!("if {} ", p.out));
+                self.out.push_str("if ");
+                self.expr(cond);
+                self.out.push(' ');
                 self.block_inline(then_branch);
                 if let Some(eb) = else_branch {
                     self.out.push_str(" else ");
@@ -161,9 +170,9 @@ impl Printer {
                 self.out.push('\n');
             }
             StmtKind::While { cond, body } => {
-                let mut p = Printer::new();
-                p.expr(cond);
-                self.start_line(&format!("while {} ", p.out));
+                self.out.push_str("while ");
+                self.expr(cond);
+                self.out.push(' ');
                 self.block_inline(body);
                 self.out.push('\n');
             }
@@ -173,30 +182,15 @@ impl Printer {
                 step,
                 body,
             } => {
-                let part = |stmt: &Option<Box<Stmt>>| -> String {
-                    stmt.as_ref()
-                        .map(|s| {
-                            let mut p = Printer::new();
-                            p.stmt(s);
-                            // Strip trailing ";\n" and leading indent.
-                            p.out.trim().trim_end_matches(';').to_string()
-                        })
-                        .unwrap_or_default()
-                };
-                let cond_text = cond
-                    .as_ref()
-                    .map(|c| {
-                        let mut p = Printer::new();
-                        p.expr(c);
-                        p.out
-                    })
-                    .unwrap_or_default();
-                self.start_line(&format!(
-                    "for {}; {}; {} ",
-                    part(init),
-                    cond_text,
-                    part(step)
-                ));
+                self.out.push_str("for ");
+                self.for_part(init);
+                self.out.push_str("; ");
+                if let Some(c) = cond {
+                    self.expr(c);
+                }
+                self.out.push_str("; ");
+                self.for_part(step);
+                self.out.push(' ');
                 self.block_inline(body);
                 self.out.push('\n');
             }
@@ -205,52 +199,63 @@ impl Printer {
                 cases,
                 default,
             } => {
-                let mut p = Printer::new();
-                p.expr(scrutinee);
-                self.start_line(&format!("switch {} {{\n", p.out));
+                self.out.push_str("switch ");
+                self.expr(scrutinee);
+                self.out.push_str(" {\n");
                 self.indent += 1;
                 for case in cases {
-                    self.start_line(&format!("case {}: ", case.value));
+                    self.pad();
+                    let _ = write!(self.out, "case {}: ", case.value);
                     self.block_inline(&case.body);
                     self.out.push('\n');
                 }
                 if let Some(d) = default {
-                    self.start_line("default: ");
+                    self.pad();
+                    self.out.push_str("default: ");
                     self.block_inline(d);
                     self.out.push('\n');
                 }
                 self.indent -= 1;
-                self.line("}");
+                self.pad();
+                self.out.push_str("}\n");
             }
-            StmtKind::Break => self.line("break;"),
-            StmtKind::Continue => self.line("continue;"),
-            StmtKind::Return(value) => match value {
-                None => self.line("return;"),
-                Some(e) => {
-                    let mut p = Printer::new();
-                    p.expr(e);
-                    self.line(&format!("return {};", p.out));
+            StmtKind::Break => self.out.push_str("break;\n"),
+            StmtKind::Continue => self.out.push_str("continue;\n"),
+            StmtKind::Return(value) => {
+                self.out.push_str("return");
+                if let Some(e) = value {
+                    self.out.push(' ');
+                    self.expr(e);
                 }
-            },
+                self.out.push_str(";\n");
+            }
             StmtKind::Expr(e) => {
-                let mut p = Printer::new();
-                p.expr(e);
-                self.line(&format!("{};", p.out));
+                self.expr(e);
+                self.out.push_str(";\n");
             }
             StmtKind::Block(b) => {
-                self.start_line("");
                 self.block_inline(b);
                 self.out.push('\n');
             }
         }
     }
 
-    /// Write the indent and `text` without a trailing newline.
-    fn start_line(&mut self, text: &str) {
-        for _ in 0..self.indent {
-            self.out.push_str("    ");
-        }
-        self.out.push_str(text);
+    /// A `for` header's init or step slot: the statement printed
+    /// unindented, then cut back in place to its text without surrounding
+    /// whitespace or the trailing `;`.
+    fn for_part(&mut self, part: &Option<Box<Stmt>>) {
+        let Some(s) = part else {
+            return;
+        };
+        let start = self.out.len();
+        let indent = std::mem::replace(&mut self.indent, 0);
+        self.stmt(s);
+        self.indent = indent;
+        let printed = &self.out[start..];
+        let lead = printed.len() - printed.trim_start().len();
+        let kept = printed.trim().trim_end_matches(';').len();
+        self.out.truncate(start + lead + kept);
+        self.out.drain(start..start + lead);
     }
 
     fn expr(&mut self, e: &Expr) {

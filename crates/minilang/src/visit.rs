@@ -69,26 +69,23 @@ pub fn walk_exprs<'a>(block: &'a Block, f: &mut dyn FnMut(&'a Expr)) {
 }
 
 /// The expressions appearing *directly* in a statement (not recursing into
-/// nested statements — `walk_stmts` handles those).
-pub fn stmt_exprs(stmt: &Stmt) -> Vec<&Expr> {
-    match &stmt.kind {
-        StmtKind::Let { init, .. } => init.iter().collect(),
-        StmtKind::Assign { target, value, .. } => {
-            let mut v = Vec::new();
-            if let LValue::Index { index, .. } = target {
-                v.push(index);
-            }
-            v.push(value);
-            v
-        }
-        StmtKind::If { cond, .. } => vec![cond],
-        StmtKind::While { cond, .. } => vec![cond],
-        StmtKind::For { cond, .. } => cond.iter().collect(),
-        StmtKind::Switch { scrutinee, .. } => vec![scrutinee],
-        StmtKind::Return(value) => value.iter().collect(),
-        StmtKind::Expr(e) => vec![e],
-        StmtKind::Break | StmtKind::Continue | StmtKind::Block(_) => vec![],
-    }
+/// nested statements — `walk_stmts` handles those): at most two, so the
+/// iterator borrows them without collecting.
+pub fn stmt_exprs(stmt: &Stmt) -> impl Iterator<Item = &Expr> {
+    let (first, second) = match &stmt.kind {
+        StmtKind::Let { init, .. } => (init.as_ref(), None),
+        StmtKind::Assign { target, value, .. } => match target {
+            LValue::Index { index, .. } => (Some(index), Some(value)),
+            LValue::Var(..) => (Some(value), None),
+        },
+        StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => (Some(cond), None),
+        StmtKind::For { cond, .. } => (cond.as_ref(), None),
+        StmtKind::Switch { scrutinee, .. } => (Some(scrutinee), None),
+        StmtKind::Return(value) => (value.as_ref(), None),
+        StmtKind::Expr(e) => (Some(e), None),
+        StmtKind::Break | StmtKind::Continue | StmtKind::Block(_) => (None, None),
+    };
+    first.into_iter().chain(second)
 }
 
 /// Call `f` on `expr` and all sub-expressions (pre-order).

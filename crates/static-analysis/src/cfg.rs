@@ -97,13 +97,12 @@ impl<'a> Cfg<'a> {
 
     /// The labels of every edge `from → to` (usually one; a condition whose
     /// branches converge immediately yields both `True` and `False`).
-    pub fn edge_labels(&self, from: NodeId, to: NodeId) -> Vec<EdgeLabel> {
+    pub fn edge_labels(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = EdgeLabel> + '_ {
         self.nodes[from]
             .succs
             .iter()
             .zip(&self.nodes[from].labels)
-            .filter_map(|(&s, &l)| (s == to).then_some(l))
-            .collect()
+            .filter_map(move |(&s, &l)| (s == to).then_some(l))
     }
 
     /// Node ids in reverse post-order from the entry (a good iteration order
@@ -211,20 +210,26 @@ impl<'a> Builder<'a> {
         preds
     }
 
-    fn lower_stmt(&mut self, stmt: &'a Stmt, preds: Preds, ctx: &mut Ctx) -> Preds {
+    /// Simple statements hand back the `preds` buffer they were given,
+    /// refilled with their own fall-through edge, so a straight-line run
+    /// lowers without allocating a pending-edge list per statement.
+    fn lower_stmt(&mut self, stmt: &'a Stmt, mut preds: Preds, ctx: &mut Ctx) -> Preds {
         use EdgeLabel::*;
         match &stmt.kind {
             StmtKind::Let { .. } | StmtKind::Assign { .. } | StmtKind::Expr(_) => {
                 let n = self.node(NodeKind::Stmt(stmt));
                 self.connect(&preds, n);
-                vec![(n, Jump)]
+                preds.clear();
+                preds.push((n, Jump));
+                preds
             }
             StmtKind::Return(_) => {
                 let n = self.node(NodeKind::Stmt(stmt));
                 self.connect(&preds, n);
                 let exit = ctx.exit;
                 self.edge(n, exit, Jump);
-                vec![]
+                preds.clear();
+                preds
             }
             StmtKind::Break => {
                 let n = self.node(NodeKind::Stmt(stmt));
@@ -232,7 +237,8 @@ impl<'a> Builder<'a> {
                 if let Some(target) = ctx.break_to {
                     self.edge(n, target, Jump);
                 }
-                vec![]
+                preds.clear();
+                preds
             }
             StmtKind::Continue => {
                 let n = self.node(NodeKind::Stmt(stmt));
@@ -240,7 +246,8 @@ impl<'a> Builder<'a> {
                 if let Some(target) = ctx.continue_to {
                     self.edge(n, target, Jump);
                 }
-                vec![]
+                preds.clear();
+                preds
             }
             StmtKind::If {
                 cond,
@@ -386,7 +393,7 @@ mod tests {
             .position(|n| matches!(n.kind, NodeKind::Cond(_)))
             .unwrap();
         let tail = cfg.nodes[cond].succs[0];
-        let labels = cfg.edge_labels(cond, tail);
+        let labels: Vec<EdgeLabel> = cfg.edge_labels(cond, tail).collect();
         assert_eq!(labels, vec![EdgeLabel::True, EdgeLabel::False]);
         // E − N + 2 still reports complexity 2.
         assert_eq!(cfg.edge_count() as isize - cfg.node_count() as isize + 2, 2);

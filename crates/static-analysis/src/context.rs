@@ -23,7 +23,7 @@
 use crate::bitset::BitSet;
 use crate::cfg::{Cfg, NodeId};
 use crate::cyclomatic;
-use crate::dataflow::{self, DataflowStats};
+use crate::dataflow::{self, DataflowStats, NodeUses};
 use crate::interval::{self, BoundsReport, Interval};
 use crate::paths::{self, PathConfig, PathReport};
 use crate::symbols::{SymbolId, SymbolTable};
@@ -116,7 +116,7 @@ pub struct FunctionContext<'p> {
     /// Per-node used locals in visit order, duplicates preserved
     /// (mirroring [`dataflow::node_uses`] — du-pair counts are per use
     /// occurrence).
-    pub uses: Vec<Vec<LocalId>>,
+    pub uses: NodeUses,
     pub dataflow: DataflowStats,
     pub bounds: BoundsReport,
     pub paths: PathReport,
@@ -173,7 +173,7 @@ pub struct FnStructure<'p> {
     pub symbols: FnSymbols<'p>,
     pub param_locals: Vec<LocalId>,
     pub defs: Vec<Option<(LocalId, bool)>>,
-    pub uses: Vec<Vec<LocalId>>,
+    pub uses: NodeUses,
     let_locals: BitSet,
     param_set: BitSet,
     global_set: BitSet,
@@ -195,20 +195,19 @@ impl<'p> FnStructure<'p> {
             .map(|p| symbols.local(&p.name).expect("param interned"))
             .collect();
 
-        // Per-node def/use sets as dense locals.
+        // Per-node def/use sets as dense locals, resolved from names
+        // borrowed out of the AST.
         let mut defs = Vec::with_capacity(cfg.node_count());
-        let mut uses = Vec::with_capacity(cfg.node_count());
+        let mut uses = NodeUses::with_capacity(cfg.node_count());
         for node in &cfg.nodes {
             defs.push(
                 dataflow::node_def(&node.kind)
-                    .map(|(name, strong)| (symbols.local(&name).expect("def interned"), strong)),
+                    .map(|(name, strong)| (symbols.local(name).expect("def interned"), strong)),
             );
-            uses.push(
-                dataflow::node_uses(&node.kind)
-                    .into_iter()
-                    .map(|name| symbols.local(&name).expect("use interned"))
-                    .collect::<Vec<_>>(),
-            );
+            dataflow::node_uses(&node.kind, &mut |name| {
+                uses.push(symbols.local(name).expect("use interned"))
+            });
+            uses.end_node();
         }
 
         // Membership sets for the dataflow statistics.
@@ -270,7 +269,7 @@ impl<'p> FnStructure<'p> {
                 interval::analyze_cfg_sym(&self.cfg, self.function, &self.symbols, &self.rpo);
             interval::check_bounds_sym(&self.cfg, self.function, &self.symbols, &intervals)
         };
-        let paths = paths::explore_cfg(&self.cfg, self.function, path_config);
+        let paths = paths::explore_cfg(&self.cfg, self.function, &self.symbols, path_config);
         let has_dead_code = !self.cfg.unreachable_nodes().is_empty();
         let decision_complexity = cyclomatic::decision_complexity(self.function);
         let stmt_hashes = crate::smells::stmt_print_hashes(self.function);

@@ -16,24 +16,26 @@
 //! symbols; sets are bit-vectors for predictable performance on the
 //! synthesized corpus.
 
+use crate::bitset::{row_insert, row_remove, BitMatrix};
 use crate::cfg::{Cfg, NodeId, NodeKind};
-use minilang::ast::{Expr, ExprKind, LValue, StmtKind};
+use minilang::ast::{ExprKind, LValue, StmtKind};
 use minilang::visit;
+use std::ops::Index;
 
 pub use crate::bitset::BitSet;
 
-/// The variable a node defines, if any.
-pub fn node_def(kind: &NodeKind<'_>) -> Option<(String, bool)> {
+/// The variable a node defines, if any, borrowed from the AST.
+pub fn node_def<'a>(kind: &NodeKind<'a>) -> Option<(&'a str, bool)> {
     match kind {
         NodeKind::Stmt(stmt) => match &stmt.kind {
             // A bare `let x: int;` declares storage without writing it, so it
             // is not a definition — this is what lets the analysis flag
             // reads of uninitialized locals.
             StmtKind::Let { init: None, .. } => None,
-            StmtKind::Let { name, .. } => Some((name.clone(), true)),
+            StmtKind::Let { name, .. } => Some((name, true)),
             StmtKind::Assign { target, .. } => match target {
-                LValue::Var(name, _) => Some((name.clone(), true)),
-                LValue::Index { base, .. } => Some((base.clone(), false)),
+                LValue::Var(name, _) => Some((name, true)),
+                LValue::Index { base, .. } => Some((base, false)),
             },
             _ => None,
         },
@@ -41,17 +43,17 @@ pub fn node_def(kind: &NodeKind<'_>) -> Option<(String, bool)> {
     }
 }
 
-/// The variables a node reads.
-pub fn node_uses(kind: &NodeKind<'_>) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut add_expr = |e: &Expr| {
+/// Call `used` on every variable a node reads, in visit order with
+/// duplicates preserved, borrowed from the AST.
+pub fn node_uses<'a>(kind: &NodeKind<'a>, used: &mut dyn FnMut(&'a str)) {
+    let mut add_expr = |e: &'a minilang::ast::Expr| {
         visit::walk_expr(e, &mut |e| {
             if let ExprKind::Var(name) = &e.kind {
-                out.push(name.clone());
+                used(name);
             }
         });
     };
-    match kind {
+    match *kind {
         NodeKind::Stmt(stmt) => {
             for e in visit::stmt_exprs(stmt) {
                 add_expr(e);
@@ -60,14 +62,54 @@ pub fn node_uses(kind: &NodeKind<'_>) -> Vec<String> {
             // write (`buf[i] = e`) reads the buffer it partially updates.
             if let StmtKind::Assign { target, op, .. } = &stmt.kind {
                 if op.is_some() || matches!(target, LValue::Index { .. }) {
-                    out.push(target.base_name().to_string());
+                    used(target.base_name());
                 }
             }
         }
         NodeKind::Cond(cond) => add_expr(cond),
         NodeKind::Entry | NodeKind::Exit | NodeKind::Join => {}
     }
-    out
+}
+
+/// Per-node used locals in one flat table: node `n` reads
+/// `locals[starts[n]..starts[n + 1]]`. Indexing by node id yields that
+/// slice, so the table reads like a `Vec<Vec<u32>>` without one
+/// allocation per node.
+#[derive(Debug, Clone)]
+pub struct NodeUses {
+    starts: Vec<u32>,
+    locals: Vec<u32>,
+}
+
+impl NodeUses {
+    /// An empty table with room for `node_count` nodes. Fill it node by
+    /// node: [`NodeUses::push`] each use, then [`NodeUses::end_node`].
+    pub fn with_capacity(node_count: usize) -> Self {
+        let mut starts = Vec::with_capacity(node_count + 1);
+        starts.push(0);
+        NodeUses {
+            starts,
+            locals: Vec::new(),
+        }
+    }
+
+    /// Append a use to the node being filled.
+    pub fn push(&mut self, local: u32) {
+        self.locals.push(local);
+    }
+
+    /// Close the node being filled; the next push starts the next node.
+    pub fn end_node(&mut self) {
+        self.starts.push(self.locals.len() as u32);
+    }
+}
+
+impl Index<NodeId> for NodeUses {
+    type Output = [u32];
+
+    fn index(&self, node: NodeId) -> &[u32] {
+        &self.locals[self.starts[node] as usize..self.starts[node + 1] as usize]
+    }
 }
 
 /// Aggregate data-flow statistics used as features.
@@ -90,8 +132,10 @@ pub struct DataflowStats {
 /// `deadstore` bug checker reports. The caller (a
 /// [`crate::context::FnStructure`]) has already built the CFG, its reverse
 /// postorder and the per-node def/use sets as dense function-local symbol
-/// indices, so both fixpoints run without allocating a string. du-pairs
-/// are counted per use *occurrence*.
+/// indices, so both fixpoints run without allocating a string. Each
+/// fixpoint keeps its per-node sets in one [`BitMatrix`] and computes
+/// every node's new set in one reused scratch row. du-pairs are counted
+/// per use *occurrence*.
 ///
 /// Sites are `(defining node, local)` for every strong def of a
 /// non-parameter, non-global variable that is not live out of its node
@@ -105,104 +149,96 @@ pub fn dataflow_stats_sym_sites(
     cfg: &Cfg<'_>,
     order: &[NodeId],
     node_defs: &[Option<(u32, bool)>],
-    node_uses: &[Vec<u32>],
+    node_uses: &NodeUses,
     universe: usize,
     let_locals: &BitSet,
     params: &BitSet,
     globals: &BitSet,
 ) -> (DataflowStats, Vec<(NodeId, u32)>) {
-    // Enumerate def sites in node order.
-    struct SymDef {
-        var: u32,
-        node: NodeId,
-        strong: bool,
-    }
-    let mut defs: Vec<SymDef> = Vec::new();
-    let mut defs_at: Vec<Option<usize>> = vec![None; cfg.node_count()];
-    let mut defs_of_var: Vec<Vec<usize>> = vec![Vec::new(); universe];
+    let n = cfg.node_count();
+    // Def sites in node order: `def_nodes[d]` is the node of def id `d`,
+    // and `defs_at[node]` its def id.
+    let mut def_nodes: Vec<NodeId> = Vec::new();
+    let mut defs_at: Vec<u32> = vec![u32::MAX; n];
+    // The def ids of each variable, ascending, as one flat table:
+    // variable `v` owns `var_defs[var_starts[v]..var_starts[v + 1]]`.
+    let mut var_starts = vec![0u32; universe + 1];
     for (id, slot) in node_defs.iter().enumerate() {
-        if let Some((var, strong)) = *slot {
-            let def_id = defs.len();
-            defs_of_var[var as usize].push(def_id);
-            defs.push(SymDef {
-                var,
-                node: id,
-                strong,
-            });
-            defs_at[id] = Some(def_id);
+        if let Some((var, _)) = *slot {
+            defs_at[id] = def_nodes.len() as u32;
+            def_nodes.push(id);
+            var_starts[var as usize + 1] += 1;
         }
     }
+    for v in 0..universe {
+        var_starts[v + 1] += var_starts[v];
+    }
+    let mut var_defs = vec![0u32; def_nodes.len()];
+    let mut fill = var_starts.clone();
+    for (d, &node) in def_nodes.iter().enumerate() {
+        let (var, _) = node_defs[node].expect("def node");
+        var_defs[fill[var as usize] as usize] = d as u32;
+        fill[var as usize] += 1;
+    }
+    let defs_of = |var: u32| {
+        &var_defs[var_starts[var as usize] as usize..var_starts[var as usize + 1] as usize]
+    };
 
     // Reaching definitions: forward may-analysis over def ids.
-    let def_universe = defs.len();
-    let mut reach_in = vec![BitSet::new(def_universe); cfg.node_count()];
-    let mut reach_out = vec![BitSet::new(def_universe); cfg.node_count()];
+    let mut reach_in = BitMatrix::new(n, def_nodes.len());
+    let mut reach_out = BitMatrix::new(n, def_nodes.len());
+    let mut scratch = vec![0u64; reach_out.stride()];
     let mut changed = true;
     while changed {
         changed = false;
         for &id in order {
-            let mut inset = BitSet::new(def_universe);
-            for &p in &cfg.nodes[id].preds {
-                inset.union_with(&reach_out[p]);
-            }
-            let mut outset = inset.clone();
-            if let Some(def_id) = defs_at[id] {
-                if defs[def_id].strong {
-                    for &other in &defs_of_var[defs[def_id].var as usize] {
-                        if other != def_id {
-                            outset.remove(other);
-                        }
+            reach_out.union_rows_into(&cfg.nodes[id].preds, &mut scratch);
+            reach_in.row_mut(id).copy_from_slice(&scratch);
+            if defs_at[id] != u32::MAX {
+                let def_id = defs_at[id];
+                let (var, strong) = node_defs[id].expect("def node");
+                if strong {
+                    for &other in defs_of(var) {
+                        row_remove(&mut scratch, other as usize);
                     }
                 }
-                outset.insert(def_id);
+                row_insert(&mut scratch, def_id as usize);
             }
-            if outset != reach_out[id] {
-                reach_out[id] = outset;
-                changed = true;
-            }
-            reach_in[id] = inset;
+            changed |= reach_out.store_if_changed(id, &scratch);
         }
     }
 
     // Liveness: backward may-analysis over the local-symbol universe.
-    let mut live_in = vec![BitSet::new(universe); cfg.node_count()];
-    let mut live_out = vec![BitSet::new(universe); cfg.node_count()];
+    let mut live_in = BitMatrix::new(n, universe);
+    let mut live_out = BitMatrix::new(n, universe);
+    let mut scratch = vec![0u64; live_in.stride()];
     changed = true;
     while changed {
         changed = false;
         for &id in order.iter().rev() {
-            let mut out = BitSet::new(universe);
-            for &s in &cfg.nodes[id].succs {
-                out.union_with(&live_in[s]);
-            }
-            let mut inset = out.clone();
-            if let Some((d, strong)) = node_defs[id] {
-                if strong {
-                    inset.remove(d as usize);
-                }
+            live_in.union_rows_into(&cfg.nodes[id].succs, &mut scratch);
+            live_out.row_mut(id).copy_from_slice(&scratch);
+            if let Some((d, true)) = node_defs[id] {
+                row_remove(&mut scratch, d as usize);
             }
             for &u in &node_uses[id] {
-                inset.insert(u as usize);
+                row_insert(&mut scratch, u as usize);
             }
-            if inset != live_in[id] {
-                live_in[id] = inset;
-                changed = true;
-            }
-            live_out[id] = out;
+            changed |= live_in.store_if_changed(id, &scratch);
         }
     }
 
     let mut stats = DataflowStats {
-        defs: defs.len(),
+        defs: def_nodes.len(),
         ..Default::default()
     };
 
     // du pairs + uninitialized uses, per use occurrence.
-    for (id, uses) in node_uses.iter().enumerate() {
-        for &used in uses {
-            let reaching = defs_of_var[used as usize]
+    for id in 0..n {
+        for &used in &node_uses[id] {
+            let reaching = defs_of(used)
                 .iter()
-                .filter(|&&d| reach_in[id].contains(d))
+                .filter(|&&d| reach_in.contains(id, d as usize))
                 .count();
             stats.du_pairs += reaching;
             let is_tracked_local = let_locals.contains(used as usize)
@@ -218,15 +254,18 @@ pub fn dataflow_stats_sym_sites(
     // node. Sites use the deadstore checker's predicate (any non-param,
     // non-global variable) so its diagnostics can be replayed from cache.
     let mut sites = Vec::new();
-    for def in &defs {
-        if !def.strong || live_out[def.node].contains(def.var as usize) {
+    for &node in &def_nodes {
+        let Some((var, true)) = node_defs[node] else {
+            continue;
+        };
+        if live_out.contains(node, var as usize) {
             continue;
         }
-        if let_locals.contains(def.var as usize) {
+        if let_locals.contains(var as usize) {
             stats.dead_stores += 1;
         }
-        if !params.contains(def.var as usize) && !globals.contains(def.var as usize) {
-            sites.push((def.node, def.var));
+        if !params.contains(var as usize) && !globals.contains(var as usize) {
+            sites.push((node, var));
         }
     }
     (stats, sites)

@@ -6,6 +6,7 @@
 //! it; the `secml` dataset builder aligns vectors by name across
 //! applications.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// An ordered collection of named numeric features.
@@ -17,11 +18,14 @@ use std::fmt;
 /// Internally a name-sorted `Vec` rather than a tree: lookups are binary
 /// searches, in-order insertion (how collectors and the wire protocol
 /// mostly build vectors) is an append, and the batch-scoring dense fill
-/// is a cache-friendly linear merge over a contiguous slice.
+/// is a cache-friendly linear merge over a contiguous slice. Names are
+/// `Cow<'static, str>`: the collectors' literal names are stored as
+/// borrowed statics, so an extraction allocates no string per feature;
+/// names built at run time or decoded off the wire are owned.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FeatureVector {
     /// `(name, value)` pairs, sorted by name, names unique.
-    values: Vec<(String, f64)>,
+    values: Vec<(Cow<'static, str>, f64)>,
 }
 
 impl FeatureVector {
@@ -32,7 +36,7 @@ impl FeatureVector {
 
     /// Set feature `name` to `value`. Non-finite values are clamped to 0 so
     /// a degenerate analysis result cannot poison the training matrix.
-    pub fn set(&mut self, name: impl Into<String>, value: f64) {
+    pub fn set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
         let v = if value.is_finite() { value } else { 0.0 };
         let name = name.into();
         // In-order appends (the common build pattern) skip the search.
@@ -40,7 +44,7 @@ impl FeatureVector {
             self.values.push((name, v));
             return;
         }
-        match self.values.binary_search_by(|(k, _)| k.as_str().cmp(&name)) {
+        match self.values.binary_search_by(|(k, _)| k.cmp(&name)) {
             Ok(i) => self.values[i].1 = v,
             Err(i) => self.values.insert(i, (name, v)),
         }
@@ -49,7 +53,7 @@ impl FeatureVector {
     /// Fetch a feature by name.
     pub fn get(&self, name: &str) -> Option<f64> {
         self.values
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .binary_search_by(|(k, _)| (**k).cmp(name))
             .ok()
             .map(|i| self.values[i].1)
     }
@@ -81,11 +85,11 @@ impl FeatureVector {
                 i = 0;
             }
             prev = Some(name.as_str());
-            while i < values.len() && values[i].0.as_str() < name.as_str() {
+            while i < values.len() && *values[i].0 < *name.as_str() {
                 i += 1;
             }
             match values.get(i) {
-                Some((k, v)) if k.as_str() == name.as_str() => out.push(*v),
+                Some((k, v)) if **k == *name.as_str() => out.push(*v),
                 _ => out.push(0.0),
             }
         }
@@ -104,18 +108,18 @@ impl FeatureVector {
     /// Iterate `(name, value)` in name order (stable across runs — feature
     /// matrices must align column-wise between training and prediction).
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
+        self.values.iter().map(|(k, v)| (&**k, *v))
     }
 
     /// The feature names, in order.
     pub fn names(&self) -> Vec<&str> {
-        self.values.iter().map(|(k, _)| k.as_str()).collect()
+        self.values.iter().map(|(k, _)| &**k).collect()
     }
 
     /// Merge `other` into `self` (other's values win on collision).
     pub fn merge(&mut self, other: &FeatureVector) {
-        for (k, v) in other.iter() {
-            self.set(k, v);
+        for (k, v) in &other.values {
+            self.set(k.clone(), *v);
         }
     }
 

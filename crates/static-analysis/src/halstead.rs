@@ -14,9 +14,10 @@
 //! Operators here are: binary/unary operators, assignment forms, control
 //! keywords (`if`, `while`, `for`, `switch`, `case`, `return`, `break`,
 //! `continue`, `let`), indexing, and each called function name. Operands
-//! are: literals and variable references.
+//! are: literals and variable references. Tallies key by values borrowed
+//! from the AST, so counting a token never allocates a string.
 
-use minilang::ast::{ExprKind, Function, LValue, Module, Program, StmtKind};
+use minilang::ast::{BinaryOp, ExprKind, Function, LValue, Module, Program, StmtKind};
 use minilang::visit;
 use std::collections::HashMap;
 
@@ -83,67 +84,122 @@ impl HalsteadMeasures {
     }
 }
 
-#[derive(Default)]
-struct Tally {
-    operators: HashMap<String, usize>,
-    operands: HashMap<String, usize>,
+/// An operator's identity: its spelling, except that calls are keyed by
+/// callee so `call:f` never needs formatting. Compound assignments spell
+/// as `op=`, which can coincide with a comparison (`<` + `=` is `<=`);
+/// the static spelling keeps such pairs one operator, as the text does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Operator<'a> {
+    Sym(&'static str),
+    Call(&'a str),
 }
 
-impl Tally {
-    fn operator(&mut self, name: &str) {
-        *self.operators.entry(name.to_string()).or_insert(0) += 1;
+/// An operand's identity: literals by kind and value, variables by name.
+/// Floats key by bit pattern (every NaN as one), matching their distinct
+/// decimal spellings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Operand<'a> {
+    Int(i64),
+    Float(u64),
+    Str(&'a str),
+    Bool(bool),
+    Var(&'a str),
+}
+
+/// The `op=` spelling of a compound assignment.
+fn compound_symbol(op: BinaryOp) -> &'static str {
+    match op {
+        BinaryOp::Add => "+=",
+        BinaryOp::Sub => "-=",
+        BinaryOp::Mul => "*=",
+        BinaryOp::Div => "/=",
+        BinaryOp::Rem => "%=",
+        BinaryOp::And => "&&=",
+        BinaryOp::Or => "||=",
+        BinaryOp::BitAnd => "&=",
+        BinaryOp::BitOr => "|=",
+        BinaryOp::BitXor => "^=",
+        BinaryOp::Shl => "<<=",
+        BinaryOp::Shr => ">>=",
+        BinaryOp::Eq => "===",
+        BinaryOp::Ne => "!==",
+        BinaryOp::Lt => "<=",
+        BinaryOp::Le => "<==",
+        BinaryOp::Gt => ">=",
+        BinaryOp::Ge => ">==",
+    }
+}
+
+/// Operator and operand tallies, keyed by values borrowed from the AST.
+#[derive(Default)]
+struct Tally<'a> {
+    operators: HashMap<Operator<'a>, usize>,
+    operands: HashMap<Operand<'a>, usize>,
+}
+
+impl<'a> Tally<'a> {
+    fn operator(&mut self, op: Operator<'a>) {
+        *self.operators.entry(op).or_insert(0) += 1;
     }
 
-    fn operand(&mut self, name: String) {
-        *self.operands.entry(name).or_insert(0) += 1;
+    fn sym(&mut self, symbol: &'static str) {
+        self.operator(Operator::Sym(symbol));
     }
 
-    fn expr(&mut self, e: &minilang::Expr) {
+    fn operand(&mut self, operand: Operand<'a>) {
+        *self.operands.entry(operand).or_insert(0) += 1;
+    }
+
+    fn expr(&mut self, e: &'a minilang::Expr) {
         visit::walk_expr(e, &mut |e| match &e.kind {
-            ExprKind::Int(v) => self.operand(format!("int:{v}")),
-            ExprKind::Float(v) => self.operand(format!("float:{v}")),
-            ExprKind::Str(s) => self.operand(format!("str:{s}")),
-            ExprKind::Bool(b) => self.operand(format!("bool:{b}")),
-            ExprKind::Var(name) => self.operand(format!("var:{name}")),
-            ExprKind::Index { .. } => self.operator("[]"),
-            ExprKind::Unary { op, .. } => self.operator(op.symbol()),
-            ExprKind::Binary { op, .. } => self.operator(op.symbol()),
-            ExprKind::Call { callee, .. } => self.operator(&format!("call:{callee}")),
+            ExprKind::Int(v) => self.operand(Operand::Int(*v)),
+            ExprKind::Float(v) => self.operand(Operand::Float(if v.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                v.to_bits()
+            })),
+            ExprKind::Str(s) => self.operand(Operand::Str(s)),
+            ExprKind::Bool(b) => self.operand(Operand::Bool(*b)),
+            ExprKind::Var(name) => self.operand(Operand::Var(name)),
+            ExprKind::Index { .. } => self.sym("[]"),
+            ExprKind::Unary { op, .. } => self.sym(op.symbol()),
+            ExprKind::Binary { op, .. } => self.sym(op.symbol()),
+            ExprKind::Call { callee, .. } => self.operator(Operator::Call(callee)),
         });
     }
 
-    fn function(&mut self, f: &Function) {
+    fn function(&mut self, f: &'a Function) {
         for p in &f.params {
-            self.operand(format!("var:{}", p.name));
+            self.operand(Operand::Var(&p.name));
         }
         visit::walk_stmts(&f.body, &mut |stmt| {
             match &stmt.kind {
                 StmtKind::Let { name, .. } => {
-                    self.operator("let");
-                    self.operand(format!("var:{name}"));
+                    self.sym("let");
+                    self.operand(Operand::Var(name));
                 }
                 StmtKind::Assign { target, op, .. } => {
                     match op {
-                        None => self.operator("="),
-                        Some(o) => self.operator(&format!("{}=", o.symbol())),
+                        None => self.sym("="),
+                        Some(o) => self.sym(compound_symbol(*o)),
                     }
-                    self.operand(format!("var:{}", target.base_name()));
+                    self.operand(Operand::Var(target.base_name()));
                     if matches!(target, LValue::Index { .. }) {
-                        self.operator("[]");
+                        self.sym("[]");
                     }
                 }
-                StmtKind::If { .. } => self.operator("if"),
-                StmtKind::While { .. } => self.operator("while"),
-                StmtKind::For { .. } => self.operator("for"),
+                StmtKind::If { .. } => self.sym("if"),
+                StmtKind::While { .. } => self.sym("while"),
+                StmtKind::For { .. } => self.sym("for"),
                 StmtKind::Switch { cases, .. } => {
-                    self.operator("switch");
+                    self.sym("switch");
                     for _ in cases {
-                        self.operator("case");
+                        self.sym("case");
                     }
                 }
-                StmtKind::Break => self.operator("break"),
-                StmtKind::Continue => self.operator("continue"),
-                StmtKind::Return(_) => self.operator("return"),
+                StmtKind::Break => self.sym("break"),
+                StmtKind::Continue => self.sym("continue"),
+                StmtKind::Return(_) => self.sym("return"),
                 StmtKind::Expr(_) | StmtKind::Block(_) => {}
             }
             for e in visit::stmt_exprs(stmt) {

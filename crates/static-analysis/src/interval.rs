@@ -192,60 +192,6 @@ impl fmt::Display for Interval {
     }
 }
 
-/// Abstract environment: integer variables to intervals. Missing = Top.
-pub type Env = BTreeMap<String, Interval>;
-
-/// Evaluate an integer expression to an interval under `env`.
-pub fn eval(expr: &Expr, env: &Env) -> Interval {
-    match &expr.kind {
-        ExprKind::Int(v) => Interval::constant(*v),
-        ExprKind::Bool(b) => Interval::constant(*b as i64),
-        ExprKind::Var(name) => env.get(name).copied().unwrap_or(Interval::TOP),
-        ExprKind::Unary {
-            op: UnaryOp::Neg,
-            operand,
-        } => Interval::constant(0).sub(&eval(operand, env)),
-        ExprKind::Unary {
-            op: UnaryOp::Not,
-            operand,
-        } => {
-            let v = eval(operand, env);
-            if v == Interval::constant(0) {
-                Interval::constant(1)
-            } else if !v.contains(0) {
-                Interval::constant(0)
-            } else {
-                Interval::new(0, 1)
-            }
-        }
-        ExprKind::Binary { op, lhs, rhs } => {
-            let (a, b) = (eval(lhs, env), eval(rhs, env));
-            match op {
-                BinaryOp::Add => a.add(&b),
-                BinaryOp::Sub => a.sub(&b),
-                BinaryOp::Mul => a.mul(&b),
-                BinaryOp::Rem => a.rem(&b),
-                BinaryOp::Div => Interval::TOP,
-                BinaryOp::Eq
-                | BinaryOp::Ne
-                | BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge => match compare(*op, &a, &b) {
-                    Some(true) => Interval::constant(1),
-                    Some(false) => Interval::constant(0),
-                    None => Interval::new(0, 1),
-                },
-                BinaryOp::And | BinaryOp::Or => Interval::new(0, 1),
-                BinaryOp::BitAnd | BinaryOp::BitOr | BinaryOp::BitXor => Interval::TOP,
-                BinaryOp::Shl | BinaryOp::Shr => Interval::TOP,
-            }
-        }
-        // Calls, strings, floats, indexing: unknown.
-        _ => Interval::TOP,
-    }
-}
-
 /// Decide a comparison when the intervals are conclusive.
 fn compare(op: BinaryOp, a: &Interval, b: &Interval) -> Option<bool> {
     if a.is_bottom() || b.is_bottom() {
@@ -283,73 +229,6 @@ fn compare(op: BinaryOp, a: &Interval, b: &Interval) -> Option<bool> {
         }
         BinaryOp::Ne => compare(BinaryOp::Eq, a, b).map(|r| !r),
         _ => None,
-    }
-}
-
-/// Refine `env` assuming `cond` evaluates to `truth`. Only simple
-/// `var ⋈ expr` / `expr ⋈ var` shapes (and `&&` on the true side /
-/// `||` on the false side) refine; anything else returns `env` unchanged.
-/// Returns `None` when the assumption is contradictory (⊥ branch).
-pub fn assume(cond: &Expr, truth: bool, env: &Env) -> Option<Env> {
-    match &cond.kind {
-        ExprKind::Binary { op, lhs, rhs } if op.is_comparison() => {
-            let op = if truth { *op } else { negate(*op) };
-            let mut out = env.clone();
-            // var ⋈ e
-            if let ExprKind::Var(name) = &lhs.kind {
-                let bound = eval(rhs, env);
-                let cur = env.get(name).copied().unwrap_or(Interval::TOP);
-                let refined = refine_left(op, cur, bound);
-                if refined.is_bottom() {
-                    return None;
-                }
-                out.insert(name.clone(), refined);
-            }
-            // e ⋈ var  (mirror the operator)
-            if let ExprKind::Var(name) = &rhs.kind {
-                let bound = eval(lhs, env);
-                let cur = out.get(name).copied().unwrap_or(Interval::TOP);
-                let refined = refine_left(mirror(op), cur, bound);
-                if refined.is_bottom() {
-                    return None;
-                }
-                out.insert(name.clone(), refined);
-            }
-            // Contradiction between two constants.
-            let (a, b) = (eval(lhs, env), eval(rhs, env));
-            if compare(op, &a, &b) == Some(false) {
-                return None;
-            }
-            Some(out)
-        }
-        ExprKind::Binary {
-            op: BinaryOp::And,
-            lhs,
-            rhs,
-        } if truth => {
-            let e1 = assume(lhs, true, env)?;
-            assume(rhs, true, &e1)
-        }
-        ExprKind::Binary {
-            op: BinaryOp::Or,
-            lhs,
-            rhs,
-        } if !truth => {
-            let e1 = assume(lhs, false, env)?;
-            assume(rhs, false, &e1)
-        }
-        ExprKind::Unary {
-            op: UnaryOp::Not,
-            operand,
-        } => assume(operand, !truth, env),
-        ExprKind::Bool(b) => {
-            if *b == truth {
-                Some(env.clone())
-            } else {
-                None
-            }
-        }
-        _ => Some(env.clone()),
     }
 }
 
@@ -399,51 +278,6 @@ fn refine_left(op: BinaryOp, cur: Interval, bound: Interval) -> Interval {
         }
         _ => cur,
     }
-}
-
-/// Public adapter for [`apply_node`], used by the path explorer.
-pub fn apply_node_public(kind: &NodeKind<'_>, env: Env) -> Env {
-    apply_node(kind, env)
-}
-
-/// Apply a node's state change to the environment *after* the node.
-fn apply_node(kind: &NodeKind<'_>, mut env: Env) -> Env {
-    if let NodeKind::Stmt(stmt) = kind {
-        match &stmt.kind {
-            StmtKind::Let { name, ty, init } if *ty == Type::Int => {
-                let v = init
-                    .as_ref()
-                    .map(|e| eval(e, &env))
-                    .unwrap_or(Interval::TOP);
-                env.insert(name.clone(), v);
-            }
-            // Assignments track every scalar variable, including
-            // `for`-loop counters that were never declared with `let`.
-            // Non-integer values evaluate to Top, which is sound.
-            StmtKind::Assign {
-                target: LValue::Var(name, _),
-                op,
-                value,
-            } => {
-                let rhs = eval(value, &env);
-                let new = match op {
-                    None => rhs,
-                    Some(o) => {
-                        let cur = env.get(name).copied().unwrap_or(Interval::TOP);
-                        match o {
-                            BinaryOp::Add => cur.add(&rhs),
-                            BinaryOp::Sub => cur.sub(&rhs),
-                            BinaryOp::Mul => cur.mul(&rhs),
-                            _ => Interval::TOP,
-                        }
-                    }
-                };
-                env.insert(name.clone(), new);
-            }
-            _ => {}
-        }
-    }
-    env
 }
 
 /// Verdict for one buffer access.
@@ -505,7 +339,7 @@ pub fn buffer_capacities(f: &Function) -> BTreeMap<&str, usize> {
 /// enumerate sites here, so their orders cannot drift apart.
 pub fn for_each_index_site<'a>(cfg: &Cfg<'a>, f: &mut dyn FnMut(NodeId, &'a str, &'a Expr, Span)) {
     for (id, node) in cfg.nodes.iter().enumerate() {
-        let roots: Vec<&'a Expr> = match node.kind {
+        let (stmt, cond) = match node.kind {
             NodeKind::Stmt(stmt) => {
                 if let StmtKind::Assign {
                     target: LValue::Index { base, index, span },
@@ -514,12 +348,12 @@ pub fn for_each_index_site<'a>(cfg: &Cfg<'a>, f: &mut dyn FnMut(NodeId, &'a str,
                 {
                     f(id, base, index, *span);
                 }
-                visit::stmt_exprs(stmt)
+                (Some(stmt), None)
             }
-            NodeKind::Cond(c) => vec![c],
-            _ => vec![],
+            NodeKind::Cond(c) => (None, Some(c)),
+            _ => (None, None),
         };
-        for root in roots {
+        for root in stmt.into_iter().flat_map(visit::stmt_exprs).chain(cond) {
             visit::walk_expr(root, &mut |e| {
                 if let ExprKind::Index { base, index } = &e.kind {
                     if let ExprKind::Var(name) = &base.kind {
@@ -532,34 +366,51 @@ pub fn for_each_index_site<'a>(cfg: &Cfg<'a>, f: &mut dyn FnMut(NodeId, &'a str,
 }
 
 // ---------------------------------------------------------------------------
-// Symbol-indexed environments — the analysis fixpoint's dense lattice.
+// Symbol-indexed environments — the dense lattice of the per-function
+// fixpoint and of the path explorer.
 //
-// The name-keyed [`Env`] above serves the path explorer, which forks one
-// environment per path. The per-function fixpoint instead keeps a bitset of
-// present function-local symbols plus a flat `Vec<Interval>`, with the
-// invariant that absent slots always hold `TOP`. Since no interval transfer
-// function ever *removes* a variable (joins intersect key sets, widening
-// keeps the new env's keys), the derived `PartialEq` on the flat
-// representation is exactly map equality over the present variables.
+// An environment is a bit row of present function-local symbols plus a
+// flat `Vec<Interval>`, with the invariant that absent slots always hold
+// `TOP`. Since no interval transfer function ever *removes* a variable
+// (joins intersect key sets, widening keeps the new env's keys), equality
+// of the flat representation is exactly map equality over the present
+// variables. Every operation below works in place on a caller-owned
+// environment, so a fixpoint sweep allocates nothing.
 // ---------------------------------------------------------------------------
 
-use crate::bitset::BitSet;
+use crate::bitset::{row_contains, row_insert, row_remove, BitMatrix};
 use crate::context::FnSymbols;
 
 /// Dense abstract environment over one function's local symbols.
 /// Absent locals read as [`Interval::TOP`]; the `vals` slot of an absent
-/// local also *holds* `TOP` so derived equality mirrors map equality.
-#[derive(Debug, Clone, PartialEq)]
+/// local also *holds* `TOP` so equality mirrors map equality.
+#[derive(Debug, PartialEq)]
 pub struct SymEnv {
-    present: BitSet,
+    present: Vec<u64>,
     vals: Vec<Interval>,
+}
+
+impl Clone for SymEnv {
+    fn clone(&self) -> Self {
+        SymEnv {
+            present: self.present.clone(),
+            vals: self.vals.clone(),
+        }
+    }
+
+    /// Reuses both buffers: the fixpoint and the path explorer overwrite
+    /// recycled environments instead of allocating fresh ones.
+    fn clone_from(&mut self, source: &Self) {
+        self.present.clone_from(&source.present);
+        self.vals.clone_from(&source.vals);
+    }
 }
 
 impl SymEnv {
     /// The empty environment (every local absent ⇒ Top).
     pub fn new(universe: usize) -> SymEnv {
         SymEnv {
-            present: BitSet::new(universe),
+            present: vec![0; universe.div_ceil(64)],
             vals: vec![Interval::TOP; universe],
         }
     }
@@ -569,34 +420,51 @@ impl SymEnv {
     }
 
     pub fn contains(&self, local: u32) -> bool {
-        self.present.contains(local as usize)
+        row_contains(&self.present, local as usize)
     }
 
     pub fn insert(&mut self, local: u32, v: Interval) {
-        self.present.insert(local as usize);
+        row_insert(&mut self.present, local as usize);
         self.vals[local as usize] = v;
+    }
+
+    /// Every local's interval, absent ones as Top — what [`eval_sym`] reads.
+    pub fn vals(&self) -> &[Interval] {
+        &self.vals
+    }
+
+    /// Overwrite with a stored environment's rows.
+    fn load(&mut self, present: &[u64], vals: &[Interval]) {
+        self.present.copy_from_slice(present);
+        self.vals.copy_from_slice(vals);
+    }
+
+    /// Does this environment equal the stored rows?
+    fn matches(&self, present: &[u64], vals: &[Interval]) -> bool {
+        self.present == present && self.vals == vals
     }
 }
 
-/// Evaluate an integer expression under a symbol-indexed environment.
-/// Mirrors [`eval`]; unresolvable names read as Top.
-pub fn eval_sym(expr: &Expr, env: &SymEnv, syms: &FnSymbols<'_>) -> Interval {
+/// Evaluate an integer expression under a symbol-indexed environment's
+/// values (absent locals hold Top, so the values alone decide every
+/// read; unresolvable names read as Top too).
+pub fn eval_sym(expr: &Expr, vals: &[Interval], syms: &FnSymbols<'_>) -> Interval {
     match &expr.kind {
         ExprKind::Int(v) => Interval::constant(*v),
         ExprKind::Bool(b) => Interval::constant(*b as i64),
         ExprKind::Var(name) => syms
             .local(name)
-            .map(|l| env.get(l))
+            .map(|l| vals[l as usize])
             .unwrap_or(Interval::TOP),
         ExprKind::Unary {
             op: UnaryOp::Neg,
             operand,
-        } => Interval::constant(0).sub(&eval_sym(operand, env, syms)),
+        } => Interval::constant(0).sub(&eval_sym(operand, vals, syms)),
         ExprKind::Unary {
             op: UnaryOp::Not,
             operand,
         } => {
-            let v = eval_sym(operand, env, syms);
+            let v = eval_sym(operand, vals, syms);
             if v == Interval::constant(0) {
                 Interval::constant(1)
             } else if !v.contains(0) {
@@ -606,7 +474,7 @@ pub fn eval_sym(expr: &Expr, env: &SymEnv, syms: &FnSymbols<'_>) -> Interval {
             }
         }
         ExprKind::Binary { op, lhs, rhs } => {
-            let (a, b) = (eval_sym(lhs, env, syms), eval_sym(rhs, env, syms));
+            let (a, b) = (eval_sym(lhs, vals, syms), eval_sym(rhs, vals, syms));
             match op {
                 BinaryOp::Add => a.add(&b),
                 BinaryOp::Sub => a.sub(&b),
@@ -628,194 +496,228 @@ pub fn eval_sym(expr: &Expr, env: &SymEnv, syms: &FnSymbols<'_>) -> Interval {
                 BinaryOp::Shl | BinaryOp::Shr => Interval::TOP,
             }
         }
+        // Calls, strings, floats, indexing: unknown.
         _ => Interval::TOP,
     }
 }
 
-/// Branch refinement under a symbol-indexed environment; mirrors
-/// [`assume`], including its quirk that the right-hand refinement reads the
-/// partially-refined environment while bounds still evaluate under the
-/// original.
-pub fn assume_sym(cond: &Expr, truth: bool, env: &SymEnv, syms: &FnSymbols<'_>) -> Option<SymEnv> {
+/// Refine `env` in place assuming `cond` evaluates to `truth`. Only
+/// simple `var ⋈ expr` / `expr ⋈ var` shapes (and `&&` on the true side /
+/// `||` on the false side) refine; anything else leaves `env` unchanged.
+/// Returns `false` when the assumption is contradictory (⊥ branch), in
+/// which case `env` is left partly refined and must be discarded.
+///
+/// Both bounds of a comparison are evaluated under the incoming
+/// environment before either side is refined; the right-hand refinement
+/// starts from the left-hand one when both sides name the same variable.
+pub fn assume_sym(cond: &Expr, truth: bool, env: &mut SymEnv, syms: &FnSymbols<'_>) -> bool {
     match &cond.kind {
         ExprKind::Binary { op, lhs, rhs } if op.is_comparison() => {
             let op = if truth { *op } else { negate(*op) };
-            let mut out = env.clone();
+            let (a, b) = (
+                eval_sym(lhs, &env.vals, syms),
+                eval_sym(rhs, &env.vals, syms),
+            );
+            // var ⋈ e
             if let ExprKind::Var(name) = &lhs.kind {
                 let local = syms.local(name).expect("var interned");
-                let bound = eval_sym(rhs, env, syms);
-                let cur = if env.contains(local) {
-                    env.get(local)
-                } else {
-                    Interval::TOP
-                };
-                let refined = refine_left(op, cur, bound);
+                let refined = refine_left(op, env.get(local), b);
                 if refined.is_bottom() {
-                    return None;
+                    return false;
                 }
-                out.insert(local, refined);
+                env.insert(local, refined);
             }
+            // e ⋈ var  (mirror the operator)
             if let ExprKind::Var(name) = &rhs.kind {
                 let local = syms.local(name).expect("var interned");
-                let bound = eval_sym(lhs, env, syms);
-                let cur = if out.contains(local) {
-                    out.get(local)
-                } else {
-                    Interval::TOP
-                };
-                let refined = refine_left(mirror(op), cur, bound);
+                let refined = refine_left(mirror(op), env.get(local), a);
                 if refined.is_bottom() {
-                    return None;
+                    return false;
                 }
-                out.insert(local, refined);
+                env.insert(local, refined);
             }
-            let (a, b) = (eval_sym(lhs, env, syms), eval_sym(rhs, env, syms));
-            if compare(op, &a, &b) == Some(false) {
-                return None;
-            }
-            Some(out)
+            // Contradiction between two constants.
+            compare(op, &a, &b) != Some(false)
         }
         ExprKind::Binary {
             op: BinaryOp::And,
             lhs,
             rhs,
-        } if truth => {
-            let e1 = assume_sym(lhs, true, env, syms)?;
-            assume_sym(rhs, true, &e1, syms)
-        }
+        } if truth => assume_sym(lhs, true, env, syms) && assume_sym(rhs, true, env, syms),
         ExprKind::Binary {
             op: BinaryOp::Or,
             lhs,
             rhs,
-        } if !truth => {
-            let e1 = assume_sym(lhs, false, env, syms)?;
-            assume_sym(rhs, false, &e1, syms)
-        }
+        } if !truth => assume_sym(lhs, false, env, syms) && assume_sym(rhs, false, env, syms),
         ExprKind::Unary {
             op: UnaryOp::Not,
             operand,
         } => assume_sym(operand, !truth, env, syms),
-        ExprKind::Bool(b) => {
-            if *b == truth {
-                Some(env.clone())
-            } else {
-                None
-            }
-        }
-        _ => Some(env.clone()),
+        ExprKind::Bool(b) => *b == truth,
+        _ => true,
     }
 }
 
-/// Apply a node's transfer function; mirrors [`apply_node_public`].
-pub fn apply_node_sym(kind: &NodeKind<'_>, mut env: SymEnv, syms: &FnSymbols<'_>) -> SymEnv {
-    if let NodeKind::Stmt(stmt) = kind {
-        match &stmt.kind {
-            StmtKind::Let { name, ty, init } if *ty == Type::Int => {
-                let v = init
-                    .as_ref()
-                    .map(|e| eval_sym(e, &env, syms))
-                    .unwrap_or(Interval::TOP);
-                env.insert(syms.local(name).expect("let interned"), v);
-            }
-            StmtKind::Assign {
-                target: LValue::Var(name, _),
-                op,
-                value,
-            } => {
-                let local = syms.local(name).expect("assign interned");
-                let rhs = eval_sym(value, &env, syms);
-                let new = match op {
-                    None => rhs,
-                    Some(o) => {
-                        let cur = if env.contains(local) {
-                            env.get(local)
-                        } else {
-                            Interval::TOP
-                        };
-                        match o {
-                            BinaryOp::Add => cur.add(&rhs),
-                            BinaryOp::Sub => cur.sub(&rhs),
-                            BinaryOp::Mul => cur.mul(&rhs),
-                            _ => Interval::TOP,
-                        }
+/// Apply a node's state change to the environment *after* the node, in
+/// place.
+pub fn apply_node_sym(kind: &NodeKind<'_>, env: &mut SymEnv, syms: &FnSymbols<'_>) {
+    let NodeKind::Stmt(stmt) = kind else {
+        return;
+    };
+    match &stmt.kind {
+        StmtKind::Let { name, ty, init } if *ty == Type::Int => {
+            let v = init
+                .as_ref()
+                .map(|e| eval_sym(e, &env.vals, syms))
+                .unwrap_or(Interval::TOP);
+            env.insert(syms.local(name).expect("let interned"), v);
+        }
+        // Assignments track every scalar variable, including `for`-loop
+        // counters that were never declared with `let`. Non-integer
+        // values evaluate to Top, which is sound.
+        StmtKind::Assign {
+            target: LValue::Var(name, _),
+            op,
+            value,
+        } => {
+            let local = syms.local(name).expect("assign interned");
+            let rhs = eval_sym(value, &env.vals, syms);
+            let new = match op {
+                None => rhs,
+                Some(o) => {
+                    let cur = env.get(local);
+                    match o {
+                        BinaryOp::Add => cur.add(&rhs),
+                        BinaryOp::Sub => cur.sub(&rhs),
+                        BinaryOp::Mul => cur.mul(&rhs),
+                        _ => Interval::TOP,
                     }
-                };
-                env.insert(local, new);
-            }
-            _ => {}
+                }
+            };
+            env.insert(local, new);
+        }
+        _ => {}
+    }
+}
+
+/// `acc := acc ⊔ other`, in place. A variable absent from one side is Top
+/// there, and Top joined with anything is Top, so only variables present
+/// in both sides stay bounded.
+fn join_env_sym(acc: &mut SymEnv, other: &SymEnv) {
+    for i in 0..acc.vals.len() {
+        if !row_contains(&acc.present, i) {
+            continue;
+        }
+        if row_contains(&other.present, i) {
+            acc.vals[i] = acc.vals[i].join(&other.vals[i]);
+        } else {
+            row_remove(&mut acc.present, i);
+            acc.vals[i] = Interval::TOP;
         }
     }
-    env
 }
 
-fn join_env_sym(a: &SymEnv, b: &SymEnv) -> SymEnv {
-    // A variable absent from one side is Top there; Top join x = Top, so
-    // only variables present in both sides stay bounded.
-    let mut out = SymEnv::new(a.vals.len());
-    let mut present = a.present.clone();
-    present.intersect_with(&b.present);
-    for i in present.iter_ones() {
-        out.vals[i] = a.vals[i].join(&b.vals[i]);
+/// `new := old ∇ new`, in place: every variable of `new` widens against
+/// its old interval when `old` bounds it too.
+fn widen_env_sym(old_present: &[u64], old_vals: &[Interval], new: &mut SymEnv) {
+    for (i, (val, old)) in new.vals.iter_mut().zip(old_vals).enumerate() {
+        if row_contains(&new.present, i) && row_contains(old_present, i) {
+            *val = old.widen(val);
+        }
     }
-    out.present = present;
-    out
 }
 
-fn widen_env_sym(old: &SymEnv, new: &SymEnv) -> SymEnv {
-    let mut out = SymEnv::new(new.vals.len());
-    for i in new.present.iter_ones() {
-        let v = if old.present.contains(i) {
-            old.vals[i].widen(&new.vals[i])
-        } else {
-            new.vals[i]
-        };
-        out.insert(i as u32, v);
-    }
-    out
-}
-
+/// The environment the edge `from → to` contributes, written into `out`
+/// (with `tmp` as scratch when a condition reaches `to` on two labels);
+/// `false` when every label's assumption is contradictory.
 fn edge_env_sym(
     cfg: &Cfg<'_>,
-    from: NodeId,
-    to: NodeId,
-    env: &SymEnv,
+    (from, to): (NodeId, NodeId),
+    envs: &SymIntervalAnalysis,
     syms: &FnSymbols<'_>,
-) -> Option<SymEnv> {
-    if let NodeKind::Cond(cond) = &cfg.nodes[from].kind {
-        let mut joined: Option<SymEnv> = None;
-        for label in cfg.edge_labels(from, to) {
-            let refined = match label {
-                crate::cfg::EdgeLabel::True => assume_sym(cond, true, env, syms),
-                crate::cfg::EdgeLabel::False => assume_sym(cond, false, env, syms),
-                _ => Some(env.clone()),
-            };
-            if let Some(r) = refined {
-                joined = Some(match joined {
-                    None => r,
-                    Some(j) => join_env_sym(&j, &r),
-                });
+    out: &mut SymEnv,
+    tmp: &mut SymEnv,
+) -> bool {
+    let (present, vals) = (envs.present.row(from), envs.vals(from));
+    let NodeKind::Cond(cond) = &cfg.nodes[from].kind else {
+        out.load(present, vals);
+        return true;
+    };
+    let mut any = false;
+    for label in cfg.edge_labels(from, to) {
+        let dst = if any { &mut *tmp } else { &mut *out };
+        dst.load(present, vals);
+        let feasible = match label {
+            crate::cfg::EdgeLabel::True => assume_sym(cond, true, dst, syms),
+            crate::cfg::EdgeLabel::False => assume_sym(cond, false, dst, syms),
+            _ => true,
+        };
+        if feasible {
+            if any {
+                join_env_sym(out, tmp);
             }
+            any = true;
         }
-        return joined;
     }
-    Some(env.clone())
+    any
 }
 
 /// Number of fixpoint sweeps before widening kicks in.
 const WIDEN_AFTER: usize = 3;
 
-/// Per-node symbol-indexed environments (at node entry) for one function.
+/// Per-node symbol-indexed environments (at node entry) for one function,
+/// stored as flat rows: node `n`'s present locals are row `n` of a
+/// [`BitMatrix`] and its values `vals[n * universe ..]`. A node the
+/// fixpoint never reached reads as the empty (all-Top) environment.
 /// Transient: context construction reduces them to per-site index
 /// intervals ([`check_bounds_sym`]) and drops them.
 #[derive(Debug)]
 pub struct SymIntervalAnalysis {
-    pub envs: Vec<SymEnv>,
+    universe: usize,
+    present: BitMatrix,
+    vals: Vec<Interval>,
+    reached: Vec<bool>,
+}
+
+impl SymIntervalAnalysis {
+    fn new(nodes: usize, universe: usize) -> Self {
+        SymIntervalAnalysis {
+            universe,
+            present: BitMatrix::new(nodes, universe),
+            vals: vec![Interval::TOP; nodes * universe],
+            reached: vec![false; nodes],
+        }
+    }
+
+    /// Node `node`'s interval per local at entry (absent locals as Top).
+    pub fn vals(&self, node: NodeId) -> &[Interval] {
+        &self.vals[node * self.universe..(node + 1) * self.universe]
+    }
+
+    /// Is `local` bounded (present) at `node`'s entry?
+    pub fn contains(&self, node: NodeId, local: u32) -> bool {
+        self.present.contains(node, local as usize)
+    }
+
+    /// Store `env` as `node`'s environment; true if it changed.
+    fn store(&mut self, node: NodeId, env: &SymEnv) -> bool {
+        let range = node * self.universe..(node + 1) * self.universe;
+        if self.reached[node] && env.matches(self.present.row(node), &self.vals[range.clone()]) {
+            return false;
+        }
+        self.reached[node] = true;
+        self.present.row_mut(node).copy_from_slice(&env.present);
+        self.vals[range].copy_from_slice(&env.vals);
+        true
+    }
 }
 
 /// The forward interval fixpoint over one function's CFG, visiting nodes
 /// in `order` (reverse postorder). Widening applies at loop heads (targets
 /// of back edges) after [`WIDEN_AFTER`] sweeps; widening anywhere else
-/// would wipe out branch refinements computed after the loop.
+/// would wipe out branch refinements computed after the loop. The join of
+/// a node's in-edges is built in one reused environment and compared
+/// against the stored row, so a sweep allocates nothing.
 pub fn analyze_cfg_sym(
     cfg: &Cfg<'_>,
     f: &Function,
@@ -835,15 +737,17 @@ pub fn analyze_cfg_sym(
             }
         }
     }
-    let mut envs: Vec<Option<SymEnv>> = vec![None; cfg.node_count()];
-    let mut entry_env = SymEnv::new(universe);
+    let mut envs = SymIntervalAnalysis::new(cfg.node_count(), universe);
+    let mut joined = SymEnv::new(universe);
     for p in &f.params {
         if p.ty == Type::Int {
-            entry_env.insert(syms.local(&p.name).expect("param interned"), Interval::TOP);
+            joined.insert(syms.local(&p.name).expect("param interned"), Interval::TOP);
         }
     }
-    envs[cfg.entry] = Some(entry_env);
+    envs.store(cfg.entry, &joined);
 
+    let mut edge = SymEnv::new(universe);
+    let mut tmp = SymEnv::new(universe);
     let mut sweeps = 0usize;
     loop {
         sweeps += 1;
@@ -852,29 +756,28 @@ pub fn analyze_cfg_sym(
             if id == cfg.entry {
                 continue;
             }
-            let mut joined: Option<SymEnv> = None;
+            let mut any = false;
             for &p in &cfg.nodes[id].preds {
-                let Some(pred_env) = envs[p].as_ref() else {
+                if !envs.reached[p] {
                     continue;
-                };
-                let Some(contributed) = edge_env_sym(cfg, p, id, pred_env, syms) else {
+                }
+                let dst = if any { &mut edge } else { &mut joined };
+                if !edge_env_sym(cfg, (p, id), &envs, syms, dst, &mut tmp) {
                     continue;
-                };
-                joined = Some(match joined {
-                    None => contributed,
-                    Some(j) => join_env_sym(&j, &contributed),
-                });
+                }
+                if any {
+                    join_env_sym(&mut joined, &edge);
+                }
+                any = true;
             }
-            let Some(inset) = joined else { continue };
-            let outset = apply_node_sym(&cfg.nodes[id].kind, inset, syms);
-            let new = match (&envs[id], sweeps > WIDEN_AFTER && widen_at[id]) {
-                (Some(old), true) => widen_env_sym(old, &outset),
-                _ => outset,
-            };
-            if envs[id].as_ref() != Some(&new) {
-                envs[id] = Some(new);
-                changed = true;
+            if !any {
+                continue;
             }
+            apply_node_sym(&cfg.nodes[id].kind, &mut joined, syms);
+            if sweeps > WIDEN_AFTER && widen_at[id] && envs.reached[id] {
+                widen_env_sym(envs.present.row(id), envs.vals(id), &mut joined);
+            }
+            changed |= envs.store(id, &joined);
         }
         if !changed {
             break;
@@ -885,12 +788,7 @@ pub fn analyze_cfg_sym(
             break;
         }
     }
-    SymIntervalAnalysis {
-        envs: envs
-            .into_iter()
-            .map(|e| e.unwrap_or_else(|| SymEnv::new(universe)))
-            .collect(),
-    }
+    envs
 }
 
 /// Check every indexed access of a locally-declared buffer against
@@ -907,7 +805,7 @@ pub fn check_bounds_sym(
     let mut report = BoundsReport::default();
     let mut sites = Vec::new();
     for_each_index_site(cfg, &mut |id, base, index, _| {
-        let idx = eval_sym(index, &analysis.envs[id], syms);
+        let idx = eval_sym(index, analysis.vals(id), syms);
         report.record(caps.get(base).copied(), idx);
         sites.push(idx);
     });
@@ -990,9 +888,8 @@ mod tests {
         name: &str,
     ) -> Option<Interval> {
         let local = fcx.symbols.local(name)?;
-        a.envs[node]
-            .contains(local)
-            .then(|| a.envs[node].get(local))
+        a.contains(node, local)
+            .then(|| a.vals(node)[local as usize])
     }
 
     /// The node of the `let <name>` statement.
@@ -1069,16 +966,28 @@ mod tests {
         );
     }
 
+    /// `f`'s symbols plus an environment binding `x` to `x`.
+    fn env_with_x(f: &minilang::ast::Function, x: Interval) -> (FnSymbols<'_>, SymEnv) {
+        let mut table = crate::symbols::SymbolTable::new();
+        table.intern_function(f);
+        let syms = FnSymbols::build(f, &table);
+        let mut env = SymEnv::new(syms.len());
+        env.insert(syms.local("x").unwrap(), x);
+        (syms, env)
+    }
+
     #[test]
     fn contradictory_assumption_is_none() {
-        let mut env = Env::new();
-        env.insert("x".into(), Interval::new(5, 5));
         let m = func("fn f(x: int) { if x < 3 { } }");
-        let StmtKind::If { cond, .. } = &m.functions[0].body.stmts[0].kind else {
+        let f = &m.functions[0];
+        let StmtKind::If { cond, .. } = &f.body.stmts[0].kind else {
             panic!()
         };
-        assert!(assume(cond, true, &env).is_none());
-        assert!(assume(cond, false, &env).is_some());
+        let (syms, env) = env_with_x(f, Interval::new(5, 5));
+        assert!(!assume_sym(cond, true, &mut env.clone(), &syms));
+        let mut refined = env.clone();
+        assert!(assume_sym(cond, false, &mut refined, &syms));
+        assert_eq!(refined, env);
     }
 
     #[test]
@@ -1135,12 +1044,12 @@ mod tests {
 
     #[test]
     fn eval_comparison_decides() {
-        let mut env = Env::new();
-        env.insert("x".into(), Interval::new(0, 5));
         let m = func("fn f(x: int) -> bool { return x < 10; }");
-        let StmtKind::Return(Some(e)) = &m.functions[0].body.stmts[0].kind else {
+        let f = &m.functions[0];
+        let StmtKind::Return(Some(e)) = &f.body.stmts[0].kind else {
             panic!()
         };
-        assert_eq!(eval(e, &env), Interval::constant(1));
+        let (syms, env) = env_with_x(f, Interval::new(0, 5));
+        assert_eq!(eval_sym(e, env.vals(), &syms), Interval::constant(1));
     }
 }

@@ -13,7 +13,9 @@
 //! * a global work cap so pathological functions cannot blow up the testbed.
 
 use crate::cfg::{Cfg, EdgeLabel, NodeId, NodeKind};
-use crate::interval::{assume, Env, Interval};
+use crate::context::FnSymbols;
+use crate::interval::{apply_node_sym, assume_sym, Interval, SymEnv};
+use crate::symbols::SymbolTable;
 use minilang::ast::{Function, Type};
 
 /// Exploration limits.
@@ -60,22 +62,48 @@ pub struct PathReport {
 /// Explore the paths of one function.
 pub fn explore(f: &Function, config: &PathConfig) -> PathReport {
     let cfg = Cfg::build(f);
-    explore_cfg(&cfg, f, config)
+    let mut table = SymbolTable::new();
+    table.intern_function(f);
+    explore_cfg(&cfg, f, &FnSymbols::build(f, &table), config)
 }
 
-/// Explore over an existing CFG — the fused engine's entry point (the CFG
-/// comes from the shared [`crate::context::FunctionContext`]).
-pub fn explore_cfg(cfg: &Cfg<'_>, f: &Function, config: &PathConfig) -> PathReport {
-    let mut env = Env::new();
+/// Explore over an existing CFG and symbol map — the fused engine's entry
+/// point (both come from the shared [`crate::context::FunctionContext`]).
+///
+/// The search is depth-first with an explicit stack. Each state carries a
+/// symbol-indexed environment; environments of finished states go to a
+/// free list and are overwritten in place for later states. Back-edge
+/// counts are path-local, but rather than copying them into every state,
+/// one table holds the counts of the path to the state being expanded:
+/// a popped state's parent is always on that path, so popping rewinds the
+/// path to the parent's depth and steps along the state's own edge.
+pub fn explore_cfg(
+    cfg: &Cfg<'_>,
+    f: &Function,
+    syms: &FnSymbols<'_>,
+    config: &PathConfig,
+) -> PathReport {
+    let mut env = SymEnv::new(syms.len());
     for p in &f.params {
         if p.ty == Type::Int {
             let iv = match config.input_range {
                 Some((lo, hi)) => Interval::new(lo, hi),
                 None => Interval::TOP,
             };
-            env.insert(p.name.clone(), iv);
+            env.insert(syms.local(&p.name).expect("param interned"), iv);
         }
     }
+    // Edge `i` of node `n` has id `edge_base[n] + i`; the CFG holds at
+    // most one edge per (from, to, label), so ids name edges exactly.
+    let mut edge_base = Vec::with_capacity(cfg.node_count());
+    let mut edges = 0;
+    for node in &cfg.nodes {
+        edge_base.push(edges);
+        edges += node.succs.len();
+    }
+    let mut taken = vec![0usize; edges];
+    let mut path: Vec<usize> = Vec::new();
+    let mut free: Vec<SymEnv> = Vec::new();
 
     let mut report = PathReport {
         paths: 0,
@@ -84,87 +112,82 @@ pub fn explore_cfg(cfg: &Cfg<'_>, f: &Function, config: &PathConfig) -> PathRepo
         capped: false,
         states: 0,
     };
-    // Depth-first over (node, env, per-edge traversal counts). Edge counts
-    // are path-local, so they ride along on the stack.
     let mut stack: Vec<State> = vec![State {
         node: cfg.entry,
         env,
-        edge_counts: Vec::new(),
+        depth: 0,
+        via: None,
     }];
     while let Some(state) = stack.pop() {
+        // Make `path` the edges from the entry to this state.
+        let parent_depth = state.depth.saturating_sub(1);
+        for e in path.drain(parent_depth..) {
+            taken[e] -= 1;
+        }
+        if let Some(e) = state.via {
+            path.push(e);
+            taken[e] += 1;
+        }
         report.states += 1;
         if report.states >= config.max_states {
             report.capped = true;
             break;
         }
-        if state.node == cfg.exit {
-            report.paths += 1;
-            continue;
-        }
         let node = &cfg.nodes[state.node];
-        if node.succs.is_empty() {
-            // Dangling node (break with no target etc.) — treat as path end.
+        if state.node == cfg.exit || node.succs.is_empty() {
+            // The exit, or a dangling node (break with no target etc.)
+            // treated as a path end.
             report.paths += 1;
+            free.push(state.env);
             continue;
         }
         for (i, &succ) in node.succs.iter().enumerate() {
             let label = node.labels[i];
             // Loop bound on repeated edges.
-            let key = (state.node, succ, label_key(label));
-            let taken = state
-                .edge_counts
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, c)| *c)
-                .unwrap_or(0);
-            if taken >= config.loop_bound {
+            let edge = edge_base[state.node] + i;
+            if taken[edge] >= config.loop_bound {
                 report.loop_bounded += 1;
                 continue;
             }
+            let mut env = free.pop().unwrap_or_else(|| SymEnv::new(syms.len()));
+            env.clone_from(&state.env);
             // Feasibility via branch refinement.
-            let new_env = if config.prune_infeasible {
-                match (&node.kind, label) {
-                    (NodeKind::Cond(cond), EdgeLabel::True) => assume(cond, true, &state.env),
-                    (NodeKind::Cond(cond), EdgeLabel::False) => assume(cond, false, &state.env),
-                    _ => Some(state.env.clone()),
-                }
-            } else {
-                Some(state.env.clone())
-            };
-            let Some(mut env) = new_env else {
+            let feasible = !config.prune_infeasible
+                || match (&node.kind, label) {
+                    (NodeKind::Cond(cond), EdgeLabel::True) => {
+                        assume_sym(cond, true, &mut env, syms)
+                    }
+                    (NodeKind::Cond(cond), EdgeLabel::False) => {
+                        assume_sym(cond, false, &mut env, syms)
+                    }
+                    _ => true,
+                };
+            if !feasible {
+                free.push(env);
                 report.infeasible += 1;
                 continue;
-            };
-            // Apply the *successor's* state change so its out-edges see it.
-            env = crate::interval::apply_node_public(&cfg.nodes[succ].kind, env);
-            let mut edge_counts = state.edge_counts.clone();
-            match edge_counts.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, c)) => *c += 1,
-                None => edge_counts.push((key, 1)),
             }
+            // Apply the *successor's* state change so its out-edges see it.
+            apply_node_sym(&cfg.nodes[succ].kind, &mut env, syms);
             stack.push(State {
                 node: succ,
                 env,
-                edge_counts,
+                depth: state.depth + 1,
+                via: Some(edge),
             });
         }
+        free.push(state.env);
     }
     report
 }
 
-fn label_key(label: EdgeLabel) -> u64 {
-    match label {
-        EdgeLabel::Jump => 0,
-        EdgeLabel::True => 1,
-        EdgeLabel::False => 2,
-        EdgeLabel::Arm(i) => 3 + i as u64,
-    }
-}
-
 struct State {
     node: NodeId,
-    env: Env,
-    edge_counts: Vec<((NodeId, NodeId, u64), usize)>,
+    env: SymEnv,
+    /// Edges on the path from the entry to this state.
+    depth: usize,
+    /// The edge this state was reached by (`None` for the entry).
+    via: Option<usize>,
 }
 
 #[cfg(test)]

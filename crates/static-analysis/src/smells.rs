@@ -73,21 +73,22 @@ impl Default for Thresholds {
 /// function of the statement list, so the fused engine caches it in the
 /// function payload and repeat detections skip the pretty-printer (which
 /// dominates this detector's cost) entirely.
+///
+/// The digested text is the statement wrapped in a one-statement function
+/// `fn x() { … }`, exactly as [`minilang::printer::print_function`] would
+/// render it; each statement is printed into one reused buffer.
 pub fn stmt_print_hashes(function: &Function) -> Vec<u64> {
+    const OPEN: &str = "fn x() {\n";
+    let mut text = String::from(OPEN);
     function
         .body
         .stmts
         .iter()
         .map(|s| {
-            let one = minilang::ast::Function {
-                name: "x".into(),
-                params: vec![],
-                ret: minilang::ast::Type::Void,
-                body: minilang::ast::Block::new(vec![s.clone()], Span::dummy()),
-                annotations: vec![],
-                span: Span::dummy(),
-            };
-            fnv(minilang::printer::print_function(&one).as_bytes())
+            text.truncate(OPEN.len());
+            minilang::printer::print_stmt_into(&mut text, s, 1);
+            text.push_str("}\n");
+            fnv(text.as_bytes())
         })
         .collect()
 }
@@ -256,6 +257,43 @@ mod tests {
 
     fn has(smells: &[Smell], kind: SmellKind) -> bool {
         smells.iter().any(|s| s.kind == kind)
+    }
+
+    #[test]
+    fn stmt_digests_hash_the_one_statement_function_print() {
+        let p = parse_program(
+            "app",
+            Dialect::C,
+            &[(
+                "m.c".into(),
+                "fn f(n: int) {
+                     let b: int[4];
+                     for i = 0; i < n; i += 1 { if i > 2 { b[i % 4] = -i; } }
+                     switch n { case 1: { log_msg(\"a\"); } default: { } }
+                     return;
+                 }"
+                .into(),
+            )],
+        )
+        .unwrap();
+        let f = p.functions().next().unwrap();
+        let expected: Vec<u64> = f
+            .body
+            .stmts
+            .iter()
+            .map(|s| {
+                let one = Function {
+                    name: "x".into(),
+                    params: vec![],
+                    ret: minilang::ast::Type::Void,
+                    body: minilang::ast::Block::new(vec![s.clone()], Span::dummy()),
+                    annotations: vec![],
+                    span: Span::dummy(),
+                };
+                fnv(minilang::printer::print_function(&one).as_bytes())
+            })
+            .collect();
+        assert_eq!(stmt_print_hashes(f), expected);
     }
 
     #[test]

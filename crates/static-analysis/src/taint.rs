@@ -19,7 +19,7 @@
 //!    parameters, to fixpoint; a final intraprocedural pass per function
 //!    records every sink call receiving tainted data.
 
-use crate::bitset::BitSet;
+use crate::bitset::{row_contains, row_insert, row_remove, BitMatrix};
 use crate::cfg::NodeKind;
 use crate::context::{FnSymbols, FunctionContext};
 use minilang::ast::{Expr, ExprKind, Function, LValue, Program, StmtKind};
@@ -291,7 +291,8 @@ fn run_contexts(
 }
 
 /// Forward taint fixpoint over a prebuilt function context, tracking
-/// tainted variables in dense bitsets over the function's local symbols.
+/// tainted variables as rows of one [`BitMatrix`] over the function's
+/// local symbols; each node's transfer runs in place on one scratch row.
 fn intra_ctx(
     fcx: &FunctionContext<'_>,
     params_tainted: bool,
@@ -299,19 +300,16 @@ fn intra_ctx(
 ) -> IntraResult {
     let cfg = &fcx.cfg;
     let syms = &fcx.symbols;
-    let universe = syms.len();
-    let mut entry_set = BitSet::new(universe);
+    let mut in_sets = BitMatrix::new(cfg.node_count(), syms.len());
+    let mut out_sets = BitMatrix::new(cfg.node_count(), syms.len());
     if params_tainted {
         for &p in &fcx.param_locals {
-            entry_set.insert(p as usize);
+            in_sets.insert(cfg.entry, p as usize);
+            out_sets.insert(cfg.entry, p as usize);
         }
     }
 
-    let mut in_sets: Vec<BitSet> = vec![BitSet::new(universe); cfg.node_count()];
-    let mut out_sets: Vec<BitSet> = vec![BitSet::new(universe); cfg.node_count()];
-    in_sets[cfg.entry] = entry_set.clone();
-    out_sets[cfg.entry] = entry_set;
-
+    let mut scratch = vec![0u64; in_sets.stride()];
     let mut changed = true;
     while changed {
         changed = false;
@@ -319,20 +317,16 @@ fn intra_ctx(
             if id == cfg.entry {
                 continue;
             }
-            let mut inset = BitSet::new(universe);
-            for &p in &cfg.nodes[id].preds {
-                inset.union_with(&out_sets[p]);
-            }
-            let outset = transfer_sym(&cfg.nodes[id].kind, &inset, syms, summaries);
-            if outset != out_sets[id] {
-                out_sets[id] = outset;
-                changed = true;
-            }
-            in_sets[id] = inset;
+            out_sets.union_rows_into(&cfg.nodes[id].preds, &mut scratch);
+            in_sets.row_mut(id).copy_from_slice(&scratch);
+            transfer_sym(&cfg.nodes[id].kind, &mut scratch, syms, summaries);
+            changed |= out_sets.store_if_changed(id, &scratch);
         }
     }
 
-    let empty = BitSet::new(universe);
+    // The scratch row doubles as the empty set for the source-only check.
+    scratch.fill(0);
+    let empty = &scratch[..];
     let mut result = IntraResult {
         returns_taint: false,
         hit_sink: false,
@@ -340,20 +334,20 @@ fn intra_ctx(
         tainted_arg_callees: Vec::new(),
     };
     for (id, node) in cfg.nodes.iter().enumerate() {
-        let tainted = &in_sets[id];
-        let exprs: Vec<&Expr> = match &node.kind {
+        let tainted = in_sets.row(id);
+        let (stmt, cond) = match node.kind {
             NodeKind::Stmt(stmt) => {
                 if let StmtKind::Return(Some(v)) = &stmt.kind {
                     if expr_tainted_sym(v, tainted, syms, summaries) {
                         result.returns_taint = true;
                     }
                 }
-                visit::stmt_exprs(stmt)
+                (Some(stmt), None)
             }
-            NodeKind::Cond(c) => vec![c],
-            _ => vec![],
+            NodeKind::Cond(c) => (None, Some(c)),
+            _ => (None, None),
         };
-        for root in exprs {
+        for root in stmt.into_iter().flat_map(visit::stmt_exprs).chain(cond) {
             visit::walk_expr(root, &mut |e| {
                 if let ExprKind::Call { callee, args } = &e.kind {
                     let any_arg_tainted = args
@@ -364,7 +358,7 @@ fn intra_ctx(
                             result.hit_sink = true;
                             let from_source_only = args
                                 .iter()
-                                .any(|a| expr_tainted_sym(a, &empty, syms, summaries));
+                                .any(|a| expr_tainted_sym(a, empty, syms, summaries));
                             result.sink_hits.push((i, e.span, !from_source_only));
                         }
                     } else if any_arg_tainted {
@@ -380,56 +374,57 @@ fn intra_ctx(
     result
 }
 
-/// Transfer function: the tainted-local set after executing `kind`.
+/// Transfer function, in place: `set` holds the tainted locals before
+/// `kind` on entry and after it on return. Every read of the incoming set
+/// happens before the one write, so no copy of it is needed.
 fn transfer_sym(
     kind: &NodeKind<'_>,
-    inset: &BitSet,
+    set: &mut [u64],
     syms: &FnSymbols<'_>,
     summaries: &BTreeMap<String, TaintSummary>,
-) -> BitSet {
-    let mut out = inset.clone();
-    if let NodeKind::Stmt(stmt) = kind {
-        match &stmt.kind {
-            StmtKind::Let { name, init, .. } => {
-                let local = syms.local(name).expect("let interned") as usize;
-                let t = init
-                    .as_ref()
-                    .is_some_and(|e| expr_tainted_sym(e, inset, syms, summaries));
-                if t {
-                    out.insert(local);
-                } else {
-                    out.remove(local);
-                }
+) {
+    let NodeKind::Stmt(stmt) = kind else {
+        return;
+    };
+    match &stmt.kind {
+        StmtKind::Let { name, init, .. } => {
+            let local = syms.local(name).expect("let interned") as usize;
+            let t = init
+                .as_ref()
+                .is_some_and(|e| expr_tainted_sym(e, set, syms, summaries));
+            if t {
+                row_insert(set, local);
+            } else {
+                row_remove(set, local);
             }
-            StmtKind::Assign { target, op, value } => {
-                let rhs_tainted = expr_tainted_sym(value, inset, syms, summaries);
-                match target {
-                    LValue::Var(name, _) => {
-                        let local = syms.local(name).expect("assign interned") as usize;
-                        let keeps = op.is_some() && inset.contains(local);
-                        if rhs_tainted || keeps {
-                            out.insert(local);
-                        } else {
-                            out.remove(local);
-                        }
-                    }
-                    LValue::Index { base, .. } => {
-                        if rhs_tainted {
-                            out.insert(syms.local(base).expect("base interned") as usize);
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
+        StmtKind::Assign { target, op, value } => {
+            let rhs_tainted = expr_tainted_sym(value, set, syms, summaries);
+            match target {
+                LValue::Var(name, _) => {
+                    let local = syms.local(name).expect("assign interned") as usize;
+                    let keeps = op.is_some() && row_contains(set, local);
+                    if rhs_tainted || keeps {
+                        row_insert(set, local);
+                    } else {
+                        row_remove(set, local);
+                    }
+                }
+                LValue::Index { base, .. } => {
+                    if rhs_tainted {
+                        row_insert(set, syms.local(base).expect("base interned") as usize);
+                    }
+                }
+            }
+        }
+        _ => {}
     }
-    out
 }
 
 /// Is the value of `e` attacker-controlled under `tainted`?
 fn expr_tainted_sym(
     e: &Expr,
-    tainted: &BitSet,
+    tainted: &[u64],
     syms: &FnSymbols<'_>,
     summaries: &BTreeMap<String, TaintSummary>,
 ) -> bool {
@@ -437,7 +432,7 @@ fn expr_tainted_sym(
         ExprKind::Int(_) | ExprKind::Float(_) | ExprKind::Str(_) | ExprKind::Bool(_) => false,
         ExprKind::Var(name) => syms
             .local(name)
-            .is_some_and(|l| tainted.contains(l as usize)),
+            .is_some_and(|l| row_contains(tainted, l as usize)),
         ExprKind::Index { base, index } => {
             expr_tainted_sym(base, tainted, syms, summaries)
                 || expr_tainted_sym(index, tainted, syms, summaries)

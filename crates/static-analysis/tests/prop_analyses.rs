@@ -108,10 +108,12 @@ fn def_use_tables_mirror_the_cfg() {
         for fcx in &cx.functions {
             let name = |local: u32| cx.symbols.table.name(fcx.symbols.syms[local as usize]);
             for (id, node) in fcx.cfg.nodes.iter().enumerate() {
-                let def = fcx.defs[id].map(|(l, strong)| (name(l).to_string(), strong));
+                let def = fcx.defs[id].map(|(l, strong)| (name(l), strong));
                 assert_eq!(def, dataflow::node_def(&node.kind), "seed {seed}");
                 let uses: Vec<&str> = fcx.uses[id].iter().map(|&l| name(l)).collect();
-                assert_eq!(uses, dataflow::node_uses(&node.kind), "seed {seed}");
+                let mut read = Vec::new();
+                dataflow::node_uses(&node.kind, &mut |n| read.push(n));
+                assert_eq!(uses, read, "seed {seed}");
             }
             let defining = fcx.defs.iter().filter(|d| d.is_some()).count();
             assert_eq!(fcx.dataflow.defs, defining, "seed {seed}");

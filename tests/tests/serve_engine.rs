@@ -271,6 +271,34 @@ fn deeply_nested_sources_get_typed_bad_requests_and_the_daemon_lives() {
     handle.shutdown();
 }
 
+#[test]
+fn long_expression_chains_get_typed_bad_requests_and_the_daemon_lives() {
+    // Left-deep chains are loops in the parser, so the nesting limit never
+    // sees them; the expression-depth limit refuses them before a tree
+    // deep enough to overflow a shard thread exists.
+    let handle = start_server(ServeConfig::default());
+    let mut client = connect(handle.addr());
+    let sum = format!(
+        "fn main() {{ let x: int = {}; }}",
+        vec!["1"; 20_000].join(" + ")
+    );
+    let steps: String = (1..=20_000).map(|i| format!("[{i}]")).collect();
+    let index = format!("fn main() {{ let x: int = a{steps}; }}");
+    for (name, source) in [("long-sum", sum), ("long-index", index)] {
+        let response = client
+            .score_source(name, &source, "c")
+            .expect("round-trip survives");
+        assert_eq!(error_type(&response), Some("bad_request"), "{name}");
+        assert!(
+            response.to_string().contains("expression deeper than"),
+            "{response}"
+        );
+        let health = client.health().expect("daemon still answers");
+        assert!(is_ok(&health), "{name}: {health}");
+    }
+    handle.shutdown();
+}
+
 /// Pull the named field of an ok response as serialized JSON.
 fn response_part(response: &Json, key: &str) -> String {
     assert!(is_ok(response), "request failed: {response}");
