@@ -79,9 +79,10 @@ fn bench_longitudinal(_c: &mut Criterion) {
 
     // ---- Phase 1: streaming extraction into out-of-core training. ----
     //
-    // Pass A streams every app once for its CVE trajectory (ground
-    // truth must be complete before selection); pass B lazily
-    // regenerates and extracts only the selected apps, row by row,
+    // Pass A labels every app once — its CVE trajectory, derived from
+    // the synthesis plan without generating code (ground truth must be
+    // complete before selection); pass B lazily materializes and
+    // extracts only the selected apps, row by row,
     // inside `train_streaming` — at no point is more than one program
     // resident.
     let scfg = StreamConfig {
@@ -105,7 +106,7 @@ fn bench_longitudinal(_c: &mut Criterion) {
     assert!(!histories.is_empty(), "selection produced no training apps");
 
     let schema: Vec<String> = {
-        let fv = Testbed::new().extract(&stream.epoch_app(0, 0).app.program);
+        let fv = Testbed::new().extract(&stream.materialize(0, 0).0.program);
         let mut names: Vec<String> = fv.iter().map(|(k, _)| k.to_string()).collect();
         names.sort();
         names
@@ -160,9 +161,20 @@ fn bench_longitudinal(_c: &mut Criterion) {
 
     // ---- Phase 2: the in-RAM baseline the streaming path avoids. ----
     //
-    // Materialize the whole population (what `Corpus::generate` holds)
-    // plus the dense dataset, then train the identical model in RAM.
-    let resident: Vec<corpus::EpochApp> = stream.epoch(0).collect();
+    // Materialize the whole population (what `Corpus::generate` holds:
+    // every app's code and CVE trajectory) plus the dense dataset, then
+    // train the identical model in RAM.
+    let cutoff = stream.cutoff_year(0);
+    let resident: Vec<_> = (0..apps)
+        .map(|i| {
+            let (app, records) = stream.materialize(i, 0);
+            let revealed: Vec<_> = records
+                .into_iter()
+                .filter(|r| r.published.year <= cutoff)
+                .collect();
+            (app, revealed)
+        })
+        .collect();
     let rows: Vec<Vec<f64>> = {
         let bytes = std::fs::read(&rows_path).expect("read rows side file");
         assert_eq!(bytes.len(), histories.len() * schema.len() * 8);

@@ -26,7 +26,7 @@
 
 use crate::cve;
 use crate::spec::{AppSpec, Domain};
-use crate::synth::{self, SynthOutput};
+use crate::synth;
 use crate::vuln::SeededVuln;
 use cvedb::{CveDatabase, Cwe};
 use minilang::ast::Program;
@@ -165,21 +165,12 @@ impl Corpus {
     ) -> GeneratedApp {
         let target_vulns = cal.vuln_count(spec, rng);
         let seeds = sample_cwes(spec, target_vulns, rng);
-        let SynthOutput {
-            files,
-            program,
-            seeded,
-        } = synth::synthesize(spec, &seeds);
-        let records = cve::synthesize_history(spec, &seeded, next_cve, rng);
+        let plan = synth::plan(spec.clone(), &seeds);
+        let records = cve::synthesize_history(spec, &plan.seeded, next_cve, rng);
         for r in records {
             db.insert(r);
         }
-        GeneratedApp {
-            spec: spec.clone(),
-            program,
-            files,
-            seeded,
-        }
+        plan.build()
     }
 }
 

@@ -35,5 +35,5 @@ pub mod vuln;
 
 pub use generator::{Corpus, CorpusConfig, CorpusStream, GeneratedApp};
 pub use spec::{AppSpec, Domain};
-pub use stream::{EpochApp, LongitudinalStream, StreamConfig, TenantKnobs};
+pub use stream::{EpochApp, LongitudinalStream, PlannedApp, StreamConfig, TenantKnobs};
 pub use vuln::SeededVuln;

@@ -15,6 +15,11 @@
 //!   chunks of any size — 100k apps never need to be resident at once;
 //! * whether an app changed in epoch `e` is its own derived stream, so
 //!   the change schedule can be queried without synthesizing anything;
+//! * an app's CVE trajectory derives from its synthesis *plan* alone
+//!   ([`synth::plan`]), so labelling the population — the paper picks
+//!   its training apps from CVE tuples before measuring any code — never
+//!   generates code; [`LongitudinalStream::materialize`] builds it for the
+//!   apps that are actually measured;
 //! * an app's code is a function of the epoch it was *last changed* in —
 //!   untouched apps are byte-identical across epochs, which is what lets
 //!   the incremental engine skip them;
@@ -27,7 +32,8 @@
 use crate::cve;
 use crate::generator::{sample_cwes, Calibration, GeneratedApp};
 use crate::spec::{AppSpec, Domain};
-use crate::synth::{self, SynthOutput};
+use crate::synth;
+use crate::vuln::SeededVuln;
 use cvedb::CveRecord;
 use minilang::Dialect;
 use rand::rngs::StdRng;
@@ -127,10 +133,19 @@ impl Default for StreamConfig {
     }
 }
 
-/// One application materialized at a specific epoch.
+/// An application's identity and planted ground truth, without its code:
+/// everything the label pass reads. [`LongitudinalStream::materialize`]
+/// generates the code.
+#[derive(Debug, Clone)]
+pub struct PlannedApp {
+    pub spec: AppSpec,
+    pub seeded: Vec<SeededVuln>,
+}
+
+/// One application labelled at a specific epoch.
 #[derive(Debug, Clone)]
 pub struct EpochApp {
-    pub app: GeneratedApp,
+    pub app: PlannedApp,
     /// CVE records revealed by this epoch's ground-truth cutoff.
     pub records: Vec<CveRecord>,
     /// Whether the app was rewritten in this epoch (always true at 0).
@@ -140,7 +155,8 @@ pub struct EpochApp {
 }
 
 /// A seeded view of the evolving population. Holds only the config and
-/// calibration; every query synthesizes on demand.
+/// calibration; every query plans on demand, and only
+/// [`materialize`](Self::materialize) generates code.
 #[derive(Debug, Clone)]
 pub struct LongitudinalStream {
     config: StreamConfig,
@@ -182,15 +198,19 @@ impl LongitudinalStream {
             .unwrap_or(0)
     }
 
-    /// Materialize app `i` at epoch `e` — a pure function of the seed,
-    /// the owning tenant's knobs, and `(i, e)`.
+    /// Label app `i` at epoch `e` — a pure function of the seed, the
+    /// owning tenant's knobs, and `(i, e)`. Plans the app's code but
+    /// generates none of it.
     pub fn epoch_app(&self, index: usize, epoch: usize) -> EpochApp {
         let last_changed = self.last_changed(index, epoch);
         let changed = epoch == 0 || self.changed_in(index, epoch);
-        let (app, records) = self.materialize(index, last_changed);
+        let (plan, records) = self.label(index, last_changed);
         let cutoff = self.cutoff_year(epoch);
         EpochApp {
-            app,
+            app: PlannedApp {
+                spec: plan.spec,
+                seeded: plan.seeded,
+            },
             records: records
                 .into_iter()
                 .filter(|r| r.published.year <= cutoff)
@@ -206,6 +226,15 @@ impl LongitudinalStream {
     /// re-filter by cutoff each epoch, so untouched apps are synthesized
     /// once, not once per epoch.
     pub fn materialize(&self, index: usize, last_changed: usize) -> (GeneratedApp, Vec<CveRecord>) {
+        let (plan, records) = self.label(index, last_changed);
+        (plan.build(), records)
+    }
+
+    /// The shared first half of [`epoch_app`](Self::epoch_app) and
+    /// [`materialize`](Self::materialize): app `i`'s synthesis plan as of
+    /// epoch `last_changed`, and its entire CVE trajectory derived from
+    /// the plan's seeded vulnerabilities.
+    fn label(&self, index: usize, last_changed: usize) -> (synth::Plan, Vec<CveRecord>) {
         assert!(index < self.config.apps, "app {index} out of population");
         let app_seed = derive_seed(self.config.seed, index as u64);
         let tenant = &self.config.tenants[index % self.config.tenants.len()];
@@ -265,22 +294,10 @@ impl LongitudinalStream {
         let mut erng = StdRng::seed_from_u64(derive_seed(app_seed, 0x30000 + last_changed as u64));
         let target_vulns = self.cal.vuln_count(&spec, &mut erng);
         let seeds = sample_cwes(&spec, target_vulns, &mut erng);
-        let SynthOutput {
-            files,
-            program,
-            seeded,
-        } = synth::synthesize(&spec, &seeds);
+        let plan = synth::plan(spec, &seeds);
         let mut next_cve = (index as u32) * 4096 + 1;
-        let records = cve::synthesize_history(&spec, &seeded, &mut next_cve, &mut erng);
-        (
-            GeneratedApp {
-                spec,
-                program,
-                files,
-                seeded,
-            },
-            records,
-        )
+        let records = cve::synthesize_history(&plan.spec, &plan.seeded, &mut next_cve, &mut erng);
+        (plan, records)
     }
 
     /// Iterate the whole population at epoch `e`, one app at a time.
@@ -300,12 +317,19 @@ mod tests {
         }
     }
 
-    fn fingerprint(a: &EpochApp) -> String {
-        let files: Vec<&(String, String)> = a.app.files.iter().collect();
+    /// Everything observable about app `i` at one epoch: the labelled
+    /// app, and the code `materialize` builds for it.
+    fn fingerprint(s: &LongitudinalStream, i: usize, a: &EpochApp) -> String {
+        let (code, _) = s.materialize(i, a.last_changed);
+        assert_eq!(code.spec, a.app.spec, "app {i}: plan and build disagree");
+        assert_eq!(
+            code.seeded, a.app.seeded,
+            "app {i}: plan and build disagree"
+        );
         let recs: Vec<String> = a.records.iter().map(|r| format!("{r:?}")).collect();
         format!(
-            "{:?}|{files:?}|{recs:?}|{}|{}",
-            a.app.spec, a.changed, a.last_changed
+            "{:?}|{:?}|{:?}|{recs:?}|{}|{}",
+            a.app.spec, a.app.seeded, code.files, a.changed, a.last_changed
         )
     }
 
@@ -315,8 +339,8 @@ mod tests {
         for e in [0usize, 1, 3] {
             for i in 0..8 {
                 assert_eq!(
-                    fingerprint(&s.epoch_app(i, e)),
-                    fingerprint(&s.epoch_app(i, e)),
+                    fingerprint(&s, i, &s.epoch_app(i, e)),
+                    fingerprint(&s, i, &s.epoch_app(i, e)),
                     "app {i} epoch {e}"
                 );
             }
@@ -326,10 +350,14 @@ mod tests {
     #[test]
     fn consumption_order_is_irrelevant() {
         let s = LongitudinalStream::new(small());
-        let forward: Vec<String> = s.epoch(2).map(|a| fingerprint(&a)).collect();
+        let forward: Vec<String> = s
+            .epoch(2)
+            .enumerate()
+            .map(|(i, a)| fingerprint(&s, i, &a))
+            .collect();
         let backward: Vec<String> = (0..8)
             .rev()
-            .map(|i| fingerprint(&s.epoch_app(i, 2)))
+            .map(|i| fingerprint(&s, i, &s.epoch_app(i, 2)))
             .collect();
         assert_eq!(forward, backward.into_iter().rev().collect::<Vec<_>>());
     }
@@ -341,7 +369,9 @@ mod tests {
             let e3 = s.epoch_app(i, 3);
             let e4 = s.epoch_app(i, 4);
             if e4.last_changed == e3.last_changed {
-                assert_eq!(e3.app.files, e4.app.files, "app {i} untouched but differs");
+                let code3 = s.materialize(i, e3.last_changed).0;
+                let code4 = s.materialize(i, e4.last_changed).0;
+                assert_eq!(code3.files, code4.files, "app {i} untouched but differs");
                 assert_eq!(e3.app.spec, e4.app.spec);
             }
         }
@@ -371,6 +401,28 @@ mod tests {
                 assert_eq!(a.changed, s.changed_in(i, e));
                 assert_eq!(a.last_changed, s.last_changed(i, e));
                 assert!(a.last_changed <= e);
+            }
+        }
+    }
+
+    #[test]
+    fn labels_equal_the_materialized_trajectory_under_the_cutoff() {
+        let s = LongitudinalStream::new(StreamConfig {
+            apps: 40,
+            ..StreamConfig::default()
+        });
+        for e in [0usize, 2, 4] {
+            let cutoff = s.cutoff_year(e);
+            for i in 0..40 {
+                let a = s.epoch_app(i, e);
+                let (code, records) = s.materialize(i, a.last_changed);
+                let expected: Vec<CveRecord> = records
+                    .into_iter()
+                    .filter(|r| r.published.year <= cutoff)
+                    .collect();
+                assert_eq!(a.records, expected, "app {i} epoch {e}");
+                assert_eq!(a.app.spec, code.spec, "app {i} epoch {e}");
+                assert_eq!(a.app.seeded, code.seeded, "app {i} epoch {e}");
             }
         }
     }

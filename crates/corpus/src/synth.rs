@@ -12,7 +12,15 @@
 //! Every module is built as an AST, printed, decorated with comments, and
 //! **re-parsed** — the analyses see exactly the final source text, and a
 //! synthesis bug cannot produce unparseable code without failing loudly.
+//!
+//! Synthesis runs in two stages over one RNG stream. [`plan`] fixes the
+//! function plans, endpoints and seed carriers — every [`SeededVuln`] is
+//! final when it returns, and no body has been drawn. [`Plan::build`]
+//! continues the same stream to generate bodies, print, comment and
+//! re-parse. Ground truth (CVE histories, selection) needs only the plan;
+//! [`synthesize`] is `plan(..).build()`.
 
+use crate::generator::GeneratedApp;
 use crate::spec::{AppSpec, Domain};
 use crate::vuln::{self, SeededVuln};
 use cvedb::Cwe;
@@ -21,18 +29,21 @@ use minilang::{print_module, Dialect, Span};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A synthesized application.
-#[derive(Debug, Clone)]
-pub struct SynthOutput {
-    /// `(path, source)` pairs, in module order.
-    pub files: Vec<(String, String)>,
-    /// The parsed program (parsed back from `files`).
-    pub program: Program,
-    /// Ground truth: the vulnerabilities that were planted.
+/// An application whose layout and ground truth are fixed but whose code
+/// has not been generated yet. [`build`](Plan::build) turns it into the
+/// same application [`synthesize`] returns.
+#[derive(Debug)]
+pub struct Plan {
+    pub spec: AppSpec,
+    /// Ground truth: the vulnerabilities the build will plant.
     pub seeded: Vec<SeededVuln>,
+    fns: Vec<FnPlan>,
+    /// The synthesis stream, positioned where body generation starts.
+    rng: StdRng,
 }
 
 /// Plan for one function before body generation.
+#[derive(Debug)]
 struct FnPlan {
     name: String,
     module: usize,
@@ -46,10 +57,15 @@ struct FnPlan {
 /// Synthesize an application, planting one carrier function per CWE entry
 /// in `seeds` (`(cwe, exposed)` — exposed seeds are reachable from a
 /// network endpoint).
-pub fn synthesize(spec: &AppSpec, seeds: &[(Cwe, bool)]) -> SynthOutput {
+pub fn synthesize(spec: &AppSpec, seeds: &[(Cwe, bool)]) -> GeneratedApp {
+    plan(spec.clone(), seeds).build()
+}
+
+/// The first synthesis stage: function plans, endpoints and seed-carrier
+/// assignment for `spec`, with `seeds` as in [`synthesize`].
+pub fn plan(spec: AppSpec, seeds: &[(Cwe, bool)]) -> Plan {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let module_count = spec.module_count();
-    let q = spec.quality();
 
     // ---- Plan functions ----------------------------------------------
     let mut plans: Vec<FnPlan> = Vec::new();
@@ -189,78 +205,98 @@ pub fn synthesize(spec: &AppSpec, seeds: &[(Cwe, bool)]) -> SynthOutput {
         });
     }
 
-    // ---- Generate bodies and print modules -------------------------------
-    let mut files: Vec<(String, String)> = Vec::new();
-    for m in 0..module_count {
-        let path = format!("src/mod_{m}.{}", spec.dialect.extension());
-        let mut module = Module {
-            path: path.clone(),
-            dialect: spec.dialect,
-            source: String::new(),
-            globals: Vec::new(),
-            functions: Vec::new(),
-        };
-        // A couple of module globals.
-        for g in 0..rng.gen_range(0..3usize) {
-            module.globals.push(Global {
-                name: format!("g_{m}_{g}"),
-                ty: if rng.gen_bool(0.7) {
-                    Type::Int
-                } else {
-                    Type::Str
-                },
-                init: rng.gen_bool(0.6).then(|| Expr::int(rng.gen_range(0..100))),
-                span: Span::dummy(),
-            });
-        }
-        // Callees available to this module: functions in later modules
-        // (keeps the call graph acyclic and layered).
-        let callees: Vec<(String, usize, Type)> = plans
-            .iter()
-            .filter(|p| p.module > m)
-            .map(|p| (p.name.clone(), p.params.len(), p.ret.clone()))
-            .collect();
-
-        for plan in plans.iter().filter(|p| p.module == m) {
-            let body = BodyGen {
-                rng: &mut rng,
-                quality: q,
-                callees: &callees,
-                params: &plan.params,
-                ret: plan.ret.clone(),
-            }
-            .generate(plan.seed);
-            module.functions.push(Function {
-                name: plan.name.clone(),
-                params: plan
-                    .params
-                    .iter()
-                    .map(|(n, t)| Param {
-                        name: n.clone(),
-                        ty: t.clone(),
-                        span: Span::dummy(),
-                    })
-                    .collect(),
-                ret: plan.ret.clone(),
-                body,
-                annotations: plan.annotations.clone(),
-                span: Span::dummy(),
-            });
-        }
-
-        let printed = print_module(&module);
-        let commented = insert_comments(&printed, spec.dialect, q, &mut rng);
-        files.push((path, commented));
-    }
-
-    // ---- Re-parse: analyses must see the final text --------------------
-    let program = minilang::parse_program(&spec.name, spec.dialect, &files)
-        .unwrap_or_else(|e| panic!("synthesized program failed to parse: {e}"));
-
-    SynthOutput {
-        files,
-        program,
+    Plan {
+        spec,
         seeded,
+        fns: plans,
+        rng,
+    }
+}
+
+impl Plan {
+    /// The second synthesis stage: generate every body, print and
+    /// comment each module, and re-parse the final text.
+    pub fn build(self) -> GeneratedApp {
+        let Plan {
+            spec,
+            seeded,
+            fns: plans,
+            mut rng,
+        } = self;
+        let q = spec.quality();
+        let mut files: Vec<(String, String)> = Vec::new();
+        for m in 0..spec.module_count() {
+            let path = format!("src/mod_{m}.{}", spec.dialect.extension());
+            let mut module = Module {
+                path: path.clone(),
+                dialect: spec.dialect,
+                source: String::new(),
+                globals: Vec::new(),
+                functions: Vec::new(),
+            };
+            // A couple of module globals.
+            for g in 0..rng.gen_range(0..3usize) {
+                module.globals.push(Global {
+                    name: format!("g_{m}_{g}"),
+                    ty: if rng.gen_bool(0.7) {
+                        Type::Int
+                    } else {
+                        Type::Str
+                    },
+                    init: rng.gen_bool(0.6).then(|| Expr::int(rng.gen_range(0..100))),
+                    span: Span::dummy(),
+                });
+            }
+            // Callees available to this module: functions in later modules
+            // (keeps the call graph acyclic and layered).
+            let callees: Vec<(String, usize, Type)> = plans
+                .iter()
+                .filter(|p| p.module > m)
+                .map(|p| (p.name.clone(), p.params.len(), p.ret.clone()))
+                .collect();
+
+            for plan in plans.iter().filter(|p| p.module == m) {
+                let body = BodyGen {
+                    rng: &mut rng,
+                    quality: q,
+                    callees: &callees,
+                    params: &plan.params,
+                    ret: plan.ret.clone(),
+                }
+                .generate(plan.seed);
+                module.functions.push(Function {
+                    name: plan.name.clone(),
+                    params: plan
+                        .params
+                        .iter()
+                        .map(|(n, t)| Param {
+                            name: n.clone(),
+                            ty: t.clone(),
+                            span: Span::dummy(),
+                        })
+                        .collect(),
+                    ret: plan.ret.clone(),
+                    body,
+                    annotations: plan.annotations.clone(),
+                    span: Span::dummy(),
+                });
+            }
+
+            let printed = print_module(&module);
+            let commented = insert_comments(&printed, spec.dialect, q, &mut rng);
+            files.push((path, commented));
+        }
+
+        // ---- Re-parse: analyses must see the final text ----------------
+        let program = minilang::parse_program(&spec.name, spec.dialect, &files)
+            .unwrap_or_else(|e| panic!("synthesized program failed to parse: {e}"));
+
+        GeneratedApp {
+            spec,
+            program,
+            files,
+            seeded,
+        }
     }
 }
 
@@ -720,6 +756,33 @@ mod tests {
     }
 
     #[test]
+    fn the_plan_fixes_the_ground_truth_the_build_plants() {
+        let seeds = [
+            (Cwe::StackBufferOverflow, true),
+            (Cwe::FormatString, false),
+            (Cwe::SqlInjection, true),
+            (Cwe::Toctou, false),
+            (Cwe::StackBufferOverflow, false),
+        ];
+        for dialect in [Dialect::C, Dialect::Cpp, Dialect::Python, Dialect::Java] {
+            for (k, kloc) in [0.2, 0.8, 2.5].into_iter().enumerate() {
+                let mut s = spec(kloc, 31 + k as u64);
+                s.dialect = dialect;
+                for n in 0..=seeds.len() {
+                    let planned = plan(s.clone(), &seeds[..n]);
+                    let built = synthesize(&s, &seeds[..n]);
+                    assert_eq!(planned.spec, s);
+                    assert_eq!(
+                        planned.seeded, built.seeded,
+                        "{dialect:?} {kloc} kloc, {n} seeds"
+                    );
+                    assert_eq!(planned.build().files, built.files);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn exposed_seed_produces_taint_flow() {
         let seeds = vec![(Cwe::StackBufferOverflow, true)];
         let out = synthesize(&spec(0.8, 11), &seeds);
@@ -735,7 +798,7 @@ mod tests {
         let small = synthesize(&spec(0.4, 3), &[]);
         let big = synthesize(&spec(4.0, 3), &[]);
         let lines =
-            |o: &SynthOutput| -> usize { o.files.iter().map(|(_, s)| s.lines().count()).sum() };
+            |o: &GeneratedApp| -> usize { o.files.iter().map(|(_, s)| s.lines().count()).sum() };
         assert!(lines(&big) > 4 * lines(&small));
     }
 
@@ -761,7 +824,7 @@ mod tests {
         hi.review = 0.95;
         hi.expertise = 0.95;
         hi.maturity = 0.95;
-        let comment_lines = |o: &SynthOutput| -> usize {
+        let comment_lines = |o: &GeneratedApp| -> usize {
             o.files
                 .iter()
                 .map(|(_, s)| {

@@ -1,146 +1,226 @@
 //! Property tests: CVSS scoring invariants over the whole metric space.
-
-// Offline build: `proptest` is not vendored, so this whole suite is
-// compiled out unless the crate's `proptest` feature is enabled (which
-// additionally requires registry access and restoring the `proptest`
-// dev-dependency in Cargo.toml).
-#![cfg(feature = "proptest")]
+//!
+//! The v3 base space is small (2,592 vectors), so base-score properties
+//! check every vector; temporal metrics and the parser take seeded
+//! splitmix64 loops, so a failure reproduces from the case number in its
+//! message alone.
 
 use cvss::v3::*;
 use cvss::{Cvss2, Severity};
-use proptest::prelude::*;
 
-fn av() -> impl Strategy<Value = AttackVector> {
-    prop_oneof![
-        Just(AttackVector::Network),
-        Just(AttackVector::Adjacent),
-        Just(AttackVector::Local),
-        Just(AttackVector::Physical),
-    ]
-}
+const CASES: u64 = 512;
 
-fn ac() -> impl Strategy<Value = AttackComplexity> {
-    prop_oneof![Just(AttackComplexity::Low), Just(AttackComplexity::High)]
-}
+/// splitmix64: tiny, seeded, reproducible.
+struct Rng(u64);
 
-fn pr() -> impl Strategy<Value = PrivilegesRequired> {
-    prop_oneof![
-        Just(PrivilegesRequired::None),
-        Just(PrivilegesRequired::Low),
-        Just(PrivilegesRequired::High),
-    ]
-}
-
-fn ui() -> impl Strategy<Value = UserInteraction> {
-    prop_oneof![Just(UserInteraction::None), Just(UserInteraction::Required)]
-}
-
-fn scope() -> impl Strategy<Value = Scope> {
-    prop_oneof![Just(Scope::Unchanged), Just(Scope::Changed)]
-}
-
-fn impact() -> impl Strategy<Value = Impact> {
-    prop_oneof![Just(Impact::None), Just(Impact::Low), Just(Impact::High)]
-}
-
-fn base() -> impl Strategy<Value = Cvss3> {
-    (
-        av(),
-        ac(),
-        pr(),
-        ui(),
-        scope(),
-        impact(),
-        impact(),
-        impact(),
-    )
-        .prop_map(|(av, ac, pr, ui, s, c, i, a)| Cvss3::base(av, ac, pr, ui, s, c, i, a))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Scores are always in [0, 10] with one decimal digit.
-    #[test]
-    fn base_score_in_range_and_one_decimal(v in base()) {
-        let score = v.base_score();
-        prop_assert!((0.0..=10.0).contains(&score));
-        let tenths = score * 10.0;
-        prop_assert!((tenths - tenths.round()).abs() < 1e-9, "{score} not one-decimal");
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
-    /// Vector strings round-trip exactly.
-    #[test]
-    fn vector_round_trip(v in base()) {
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+        options[self.below(options.len())]
+    }
+}
+
+const AV: [AttackVector; 4] = [
+    AttackVector::Network,
+    AttackVector::Adjacent,
+    AttackVector::Local,
+    AttackVector::Physical,
+];
+const AC: [AttackComplexity; 2] = [AttackComplexity::Low, AttackComplexity::High];
+const PR: [PrivilegesRequired; 3] = [
+    PrivilegesRequired::None,
+    PrivilegesRequired::Low,
+    PrivilegesRequired::High,
+];
+const UI: [UserInteraction; 2] = [UserInteraction::None, UserInteraction::Required];
+const SCOPE: [Scope; 2] = [Scope::Unchanged, Scope::Changed];
+const IMPACT: [Impact; 3] = [Impact::None, Impact::Low, Impact::High];
+
+/// Every base vector, in a fixed order.
+fn all_base() -> impl Iterator<Item = Cvss3> {
+    AV.into_iter().flat_map(|av| {
+        AC.into_iter().flat_map(move |ac| {
+            PR.into_iter().flat_map(move |pr| {
+                UI.into_iter().flat_map(move |ui| {
+                    SCOPE.into_iter().flat_map(move |s| {
+                        IMPACT.into_iter().flat_map(move |c| {
+                            IMPACT.into_iter().flat_map(move |i| {
+                                IMPACT
+                                    .into_iter()
+                                    .map(move |a| Cvss3::base(av, ac, pr, ui, s, c, i, a))
+                            })
+                        })
+                    })
+                })
+            })
+        })
+    })
+}
+
+#[test]
+fn the_base_space_is_enumerated_once() {
+    let vectors: std::collections::BTreeSet<String> = all_base().map(|v| v.vector()).collect();
+    assert_eq!(vectors.len(), 4 * 2 * 3 * 2 * 2 * 3 * 3 * 3);
+}
+
+/// Scores are always in [0, 10] with one decimal digit.
+#[test]
+fn base_score_in_range_and_one_decimal() {
+    for v in all_base() {
+        let score = v.base_score();
+        assert!((0.0..=10.0).contains(&score), "{}", v.vector());
+        let tenths = score * 10.0;
+        assert!(
+            (tenths - tenths.round()).abs() < 1e-9,
+            "{score} not one-decimal"
+        );
+    }
+}
+
+/// Vector strings round-trip exactly.
+#[test]
+fn vector_round_trip() {
+    for v in all_base() {
         let text = v.vector();
         let parsed: Cvss3 = text.parse().unwrap();
-        prop_assert_eq!(parsed, v);
-        prop_assert_eq!(parsed.vector(), text);
+        assert_eq!(parsed, v);
+        assert_eq!(parsed.vector(), text);
     }
+}
 
-    /// Zero impact always scores zero; any impact scores above zero.
-    #[test]
-    fn zero_impact_iff_zero_score(v in base()) {
+/// Zero impact always scores zero; any impact scores above zero.
+#[test]
+fn zero_impact_iff_zero_score() {
+    for v in all_base() {
         let no_impact = v.c == Impact::None && v.i == Impact::None && v.a == Impact::None;
-        prop_assert_eq!(v.base_score() == 0.0, no_impact, "{}", v.vector());
+        assert_eq!(v.base_score() == 0.0, no_impact, "{}", v.vector());
     }
+}
 
-    /// Monotonicity: raising confidentiality impact never lowers the score.
-    #[test]
-    fn raising_impact_is_monotone(v in base()) {
-        let bump = |imp: Impact| match imp {
-            Impact::None => Impact::Low,
-            Impact::Low | Impact::High => Impact::High,
-        };
+/// Monotonicity: raising confidentiality impact never lowers the score.
+#[test]
+fn raising_impact_is_monotone() {
+    let bump = |imp: Impact| match imp {
+        Impact::None => Impact::Low,
+        Impact::Low | Impact::High => Impact::High,
+    };
+    for v in all_base() {
         let mut worse = v;
         worse.c = bump(v.c);
-        prop_assert!(worse.base_score() >= v.base_score());
+        assert!(worse.base_score() >= v.base_score(), "{}", v.vector());
     }
+}
 
-    /// Network attack vector is never easier to defend than physical.
-    #[test]
-    fn network_scores_at_least_physical(v in base()) {
+/// Network attack vector is never easier to defend than physical.
+#[test]
+fn network_scores_at_least_physical() {
+    for v in all_base() {
         let mut net = v;
         net.av = AttackVector::Network;
         let mut phys = v;
         phys.av = AttackVector::Physical;
-        prop_assert!(net.base_score() >= phys.base_score());
+        assert!(net.base_score() >= phys.base_score(), "{}", v.vector());
     }
+}
 
-    /// Temporal score never exceeds the base score.
-    #[test]
-    fn temporal_bounded_by_base(v in base(), e in 0usize..5, rl in 0usize..5, rc in 0usize..4) {
-        let mut t = v;
-        t.e = [ExploitMaturity::NotDefined, ExploitMaturity::Unproven,
-               ExploitMaturity::ProofOfConcept, ExploitMaturity::Functional,
-               ExploitMaturity::High][e];
-        t.rl = [RemediationLevel::NotDefined, RemediationLevel::OfficialFix,
-                RemediationLevel::TemporaryFix, RemediationLevel::Workaround,
-                RemediationLevel::Unavailable][rl];
-        t.rc = [ReportConfidence::NotDefined, ReportConfidence::Unknown,
-                ReportConfidence::Reasonable, ReportConfidence::Confirmed][rc];
-        prop_assert!(t.temporal_score() <= t.base_score() + 1e-9);
-        prop_assert!((0.0..=10.0).contains(&t.temporal_score()));
+/// Temporal score never exceeds the base score.
+#[test]
+fn temporal_bounded_by_base() {
+    let base: Vec<Cvss3> = all_base().collect();
+    let mut rng = Rng(0x7e4a);
+    for case in 0..CASES {
+        let mut t = rng.pick(&base);
+        t.e = rng.pick(&[
+            ExploitMaturity::NotDefined,
+            ExploitMaturity::Unproven,
+            ExploitMaturity::ProofOfConcept,
+            ExploitMaturity::Functional,
+            ExploitMaturity::High,
+        ]);
+        t.rl = rng.pick(&[
+            RemediationLevel::NotDefined,
+            RemediationLevel::OfficialFix,
+            RemediationLevel::TemporaryFix,
+            RemediationLevel::Workaround,
+            RemediationLevel::Unavailable,
+        ]);
+        t.rc = rng.pick(&[
+            ReportConfidence::NotDefined,
+            ReportConfidence::Unknown,
+            ReportConfidence::Reasonable,
+            ReportConfidence::Confirmed,
+        ]);
+        assert!(
+            t.temporal_score() <= t.base_score() + 1e-9,
+            "case {case}: {}",
+            t.vector()
+        );
+        assert!(
+            (0.0..=10.0).contains(&t.temporal_score()),
+            "case {case}: {}",
+            t.vector()
+        );
     }
+}
 
-    /// Severity bands are consistent with scores.
-    #[test]
-    fn severity_band_matches_score(v in base()) {
+/// Severity bands are consistent with scores.
+#[test]
+fn severity_band_matches_score() {
+    for v in all_base() {
         let score = v.base_score();
-        let sev = v.severity();
-        match sev {
-            Severity::None => prop_assert!(score == 0.0),
-            Severity::Low => prop_assert!((0.1..=3.9).contains(&score)),
-            Severity::Medium => prop_assert!((4.0..=6.9).contains(&score)),
-            Severity::High => prop_assert!((7.0..=8.9).contains(&score)),
-            Severity::Critical => prop_assert!(score >= 9.0),
-        }
+        let in_band = match v.severity() {
+            Severity::None => score == 0.0,
+            Severity::Low => (0.1..=3.9).contains(&score),
+            Severity::Medium => (4.0..=6.9).contains(&score),
+            Severity::High => (7.0..=8.9).contains(&score),
+            Severity::Critical => score >= 9.0,
+        };
+        assert!(in_band, "{} scored {score}", v.vector());
     }
+}
 
-    /// The parser never panics on arbitrary strings.
-    #[test]
-    fn parser_total(s in "\\PC{0,60}") {
-        let _ = s.parse::<Cvss3>();
-        let _ = s.parse::<Cvss2>();
+/// The parsers never panic: random printable strings, and mutations of
+/// real vectors (dropped, duplicated and swapped characters).
+#[test]
+fn parser_total() {
+    const ALPHABET: &[char] = &[
+        'C', 'V', 'S', 'A', 'N', 'L', 'H', 'P', 'R', 'U', 'I', 'E', 'X', ':', '/', '.', '3', '1',
+        '0', ' ', 'é', '\u{7f}',
+    ];
+    let base: Vec<Cvss3> = all_base().collect();
+    let mut rng = Rng(0x9a55);
+    for _ in 0..CASES {
+        let random: String = (0..rng.below(61)).map(|_| rng.pick(ALPHABET)).collect();
+        let mut mutated: Vec<char> = rng.pick(&base).vector().chars().collect();
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(mutated.len());
+            match rng.below(3) {
+                0 => {
+                    mutated.remove(at);
+                }
+                1 => mutated.insert(at, mutated[at]),
+                _ => mutated[at] = rng.pick(ALPHABET),
+            }
+            if mutated.is_empty() {
+                break;
+            }
+        }
+        let mutated: String = mutated.into_iter().collect();
+        for s in [random, mutated] {
+            let _ = s.parse::<Cvss3>();
+            let _ = s.parse::<Cvss2>();
+        }
     }
 }

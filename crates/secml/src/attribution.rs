@@ -399,7 +399,7 @@ fn forest_attribute_batch(forest: &FlatForest, x: &ColMatrix) -> Vec<RowAttribut
     }
     let at = forest.attr_tables();
     let (expected, credits) = (at.expected.as_slice(), &at.credits);
-    if width == 0 || forest.nodes.kernel_tables().max_feature as usize >= width {
+    if width == 0 || forest.nodes.max_feature() as usize >= width {
         let mut row = vec![0.0; width];
         return (0..n)
             .map(|i| {
@@ -483,8 +483,7 @@ fn tree_attribute_batch(tree: &FlatTree, x: &ColMatrix) -> Vec<RowAttribution> {
             .map(|_| tree_attribute_row(tree, &expected, &credits, &[], 0))
             .collect();
     }
-    let kt = tree.kernel_tables();
-    if kt.max_feature as usize >= width {
+    if tree.max_feature() as usize >= width {
         let mut row = vec![0.0; width];
         return (0..n)
             .map(|i| {
@@ -513,6 +512,7 @@ fn tree_attribute_batch(tree: &FlatTree, x: &ColMatrix) -> Vec<RowAttribution> {
             })
             .collect();
     }
+    let kt = tree.kernel_tables();
     let depth = tree.node_depths()[0];
     let mut out = Vec::with_capacity(n);
     let mut bins = vec![0.0f64; BLOCK_ROWS * width];

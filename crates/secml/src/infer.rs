@@ -82,14 +82,18 @@ pub struct FlatTree {
     /// arrays above, built once on first use instead of per scoring
     /// call.
     kt: std::sync::OnceLock<Box<KernelTables>>,
+    /// Largest split feature index (0 for a lone leaf), cached apart
+    /// from `kt`: every batch path checks it against the matrix width,
+    /// and a compiled program never needs the rest of `kt`.
+    max_feature: std::sync::OnceLock<u32>,
     /// The quantized program, compiled once by [`optimize`](Self::optimize);
     /// `None` inside means compilation was attempted and fell back.
     opt: std::sync::OnceLock<Option<Box<crate::kernel::ForestProgram>>>,
 }
 
-/// Derived caches (`kt`, `opt`) are excluded: they are functions of the
-/// node table, and the kernel's leaf thresholds are `NaN`, which would
-/// make any tree compare unequal to itself.
+/// Derived caches (`kt`, `max_feature`, `opt`) are excluded: they are
+/// functions of the node table, and the kernel's leaf thresholds are
+/// `NaN`, which would make any tree compare unequal to itself.
 impl PartialEq for FlatTree {
     fn eq(&self, other: &Self) -> bool {
         self.feature == other.feature
@@ -183,14 +187,12 @@ impl FlatTree {
     /// and cached — repeated scalar/explain calls stop rebuilding it.
     pub(crate) fn kernel_tables(&self) -> &KernelTables {
         self.kt.get_or_init(|| {
-            let mut max_feature = 0;
             let mut feature_right = Vec::with_capacity(self.feature.len());
             let mut threshold = Vec::with_capacity(self.threshold.len());
             for i in 0..self.feature.len() {
                 let (f, t) = if self.feature[i] == LEAF {
                     (0, f64::NAN)
                 } else {
-                    max_feature = max_feature.max(self.feature[i]);
                     (self.feature[i], self.threshold[i])
                 };
                 feature_right.push(u64::from(f) << 32 | u64::from(self.right[i]));
@@ -199,8 +201,20 @@ impl FlatTree {
             Box::new(KernelTables {
                 feature_right,
                 threshold,
-                max_feature,
             })
+        })
+    }
+
+    /// Largest feature index any split reads (0 when there is none) —
+    /// the batch paths' one-time `max_feature < width` guard.
+    pub(crate) fn max_feature(&self) -> u32 {
+        *self.max_feature.get_or_init(|| {
+            self.feature
+                .iter()
+                .filter(|&&f| f != LEAF)
+                .max()
+                .copied()
+                .unwrap_or(0)
         })
     }
 
@@ -281,8 +295,7 @@ impl FlatTree {
         if width == 0 {
             return (0..x.n_rows()).map(|_| self.score_from(0, &[])).collect();
         }
-        let kt = self.kernel_tables();
-        if kt.max_feature as usize >= width {
+        if self.max_feature() as usize >= width {
             let mut row = vec![0.0; width];
             return (0..x.n_rows())
                 .map(|i| {
@@ -298,6 +311,7 @@ impl FlatTree {
             prog.walk_batch(x, &mut |r, _leaf, v| out[r] = v);
             return out;
         }
+        let kt = self.kernel_tables();
         let depth = self.node_depths()[0];
         for_each_block(x, |start, rows, block| {
             let dst = &mut out[start..start + rows];
@@ -366,8 +380,6 @@ impl FlatTree {
 pub(crate) struct KernelTables {
     pub(crate) feature_right: Vec<u64>,
     pub(crate) threshold: Vec<f64>,
-    /// Largest real feature index — the caller's one-time width check.
-    pub(crate) max_feature: u32,
 }
 
 /// Flatten a boxed tree root (`None` = unfitted, which predicts
@@ -479,8 +491,7 @@ impl FlatForest {
         if width == 0 {
             return (0..n).map(|_| self.score_row(&[])).collect();
         }
-        let kt = self.nodes.kernel_tables();
-        if kt.max_feature as usize >= width {
+        if self.nodes.max_feature() as usize >= width {
             let mut row = vec![0.0; width];
             return (0..n)
                 .map(|i| {
@@ -505,6 +516,7 @@ impl FlatForest {
             out.iter_mut().for_each(|o| *o /= self.n_trees);
             return out;
         }
+        let kt = self.nodes.kernel_tables();
         for_each_block(x, |start, rows, block| {
             // Padded accumulator: pad-row sums land here too and are
             // simply never copied out, keeping the sink branch-free.

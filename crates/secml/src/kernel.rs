@@ -44,15 +44,20 @@
 //!   reaches (≈ one visit per node) instead of `rows × depth` lockstep
 //!   steps. Landed rows pop out of the leaf masks bit by bit, one
 //!   `(row, leaf, value)` sink call each.
-//! - **Depth-unrolled hot trees.** Short blocks — serve-style
-//!   single-row scoring, tiny batch tails below [`MASK_MIN_ROWS`] —
+//! - **Depth-unrolled hot trees.** Short batches — serve-style
+//!   single-row scoring, anything below [`MASK_MIN_ROWS`] rows (longer
+//!   batches never leave a shorter tail block, see `block_len`) —
 //!   can't amortize mask tables, so trees whose depth is at most
-//!   [`UNROLL_MAX_DEPTH`] also compile a perfect-binary ladder: slot
-//!   `j` steps to `2j + 1 + (bucket > qt)` with no child pointer load,
-//!   the step count a compile-time constant (monomorphized per depth),
+//!   [`UNROLL_MAX_DEPTH`] also get a perfect-binary ladder: slot `j`
+//!   steps to `2j + 1 + (bucket > qt)` with no child pointer load, the
+//!   step count a compile-time constant (monomorphized per depth),
 //!   early leaves padded down the always-right spine with `qt = 0`
 //!   sentinels. Deeper trees (wire-decoded, custom configs) run a
 //!   quantized lockstep loop over the shared node table on that path.
+//!   Ladders are built from the quantized node table on the first short
+//!   block, not at compile: a depth-8 ladder is 511 slots for a tree of a
+//!   few dozen nodes, and a model that only ever scores full blocks
+//!   (bulk scoring, retraining) never pays that memory.
 //!
 //! Every decision the program makes is provably the decision the
 //! interpreter makes, so leaf values — and therefore scores *and*
@@ -71,9 +76,9 @@ use crate::infer::{FlatTree, BLOCK_ROWS, LANES, LEAF};
 pub(crate) const UNROLL_MAX_DEPTH: u32 = 8;
 
 /// Blocks with at least this many rows run the mask-propagation walk;
-/// shorter blocks (single-row serve scoring, tail blocks of tiny
-/// batches) keep the ladder/lockstep descent, whose per-tree fixed
-/// cost is lower than building the per-block mask tables.
+/// shorter blocks (single-row serve scoring, batches under this size)
+/// keep the ladder/lockstep descent, whose per-tree fixed cost is lower
+/// than building the per-block mask tables.
 pub(crate) const MASK_MIN_ROWS: usize = 32;
 
 // The mask walk packs one block row per bit of a u64.
@@ -335,27 +340,32 @@ fn qt_of(cuts: &[f64], t: f64) -> u16 {
 /// mask-propagation walk from the tree's root.
 #[derive(Debug, Clone)]
 enum TreeProg {
-    /// Perfect-binary ladder of `2^depth - 1` packed nodes
-    /// (`feat_slot << 16 | qt`) and `2^depth` bottom slots. Slot
-    /// arithmetic replaces child pointers.
-    Unrolled {
-        depth: u32,
-        nodes: Vec<u32>,
-        /// Original node id for each bottom slot — attribution wants the
-        /// id, and values come from the shared `value` table, so the
-        /// ladder stays 2 KiB a tree instead of 4.
-        leaf: Vec<u32>,
-    },
+    /// Perfect-binary ladder at `ShortTrees::ladders[start..]`:
+    /// `2^depth - 1` packed nodes (`feat_slot << 16 | qt`), then the
+    /// original node id of each of the `2^depth` bottom slots —
+    /// attribution wants the id, and values come from the shared
+    /// `value` table, so the ladder stays 2 KiB a tree instead of 4.
+    /// Slot arithmetic replaces child pointers.
+    Unrolled { depth: u32, start: usize },
     /// Quantized lockstep over the shared table — the preorder
     /// invariant (`left == i + 1`) holds globally, so no per-tree node
     /// extraction is needed and DAG-shaped wire forests cost nothing.
     Lockstep { root: u32, depth: u32 },
 }
 
+/// A program's short-block form: one [`TreeProg`] per tree, and the
+/// ladders of the unrolled ones packed back to back.
+#[derive(Debug, Clone)]
+struct ShortTrees {
+    trees: Vec<TreeProg>,
+    ladders: Vec<u32>,
+}
+
 /// A [`FlatForest`](crate::infer::FlatForest) lowered to its vectorized
 /// form. Built once by [`compile`](ForestProgram::compile) (behind
-/// `optimize()`), immutable afterwards; scoring and attribution both
-/// drive [`walk_batch`](ForestProgram::walk_batch).
+/// `optimize()`), immutable afterwards apart from its lazily built
+/// short-block programs; scoring and attribution both drive
+/// [`walk_batch`](ForestProgram::walk_batch).
 #[derive(Debug, Clone)]
 pub(crate) struct ForestProgram {
     feats: Vec<FeatQuant>,
@@ -378,7 +388,13 @@ pub(crate) struct ForestProgram {
     /// the leaf lookup for every engine.
     value: Vec<f64>,
     roots: Vec<u32>,
-    trees: Vec<TreeProg>,
+    /// Per-root max depth: picks ladder or lockstep, and is the
+    /// lockstep step budget.
+    depths: Vec<u32>,
+    /// Per-tree short-block programs, built by
+    /// [`short_trees`](Self::short_trees) on the first block below
+    /// [`MASK_MIN_ROWS`] rows (like `FlatForest::attr`, on first use).
+    short: std::sync::OnceLock<ShortTrees>,
     /// Battery-level quantization, installed once by [`link_programs`]
     /// after every program in the battery has compiled; absent means
     /// this program buckets matrices against its own tables.
@@ -470,18 +486,6 @@ impl ForestProgram {
             }
         }
 
-        let trees: Vec<TreeProg> = roots
-            .iter()
-            .zip(depths)
-            .map(|(&root, &depth)| {
-                if depth <= UNROLL_MAX_DEPTH {
-                    build_ladder(nodes, &feats, slot_of, root, depth)
-                } else {
-                    TreeProg::Lockstep { root, depth }
-                }
-            })
-            .collect();
-
         Some(ForestProgram {
             feats,
             qnodes,
@@ -489,9 +493,79 @@ impl ForestProgram {
             feat_base,
             value: nodes.threshold.clone(),
             roots: roots.to_vec(),
-            trees,
+            depths: depths.to_vec(),
+            short: std::sync::OnceLock::new(),
             shared: std::sync::OnceLock::new(),
         })
+    }
+
+    /// The short-block program of every tree, in forest order: a ladder
+    /// for trees at most [`UNROLL_MAX_DEPTH`] deep, lockstep otherwise.
+    /// Built once, on first call, with every ladder in one allocation.
+    fn short_trees(&self) -> &ShortTrees {
+        self.short.get_or_init(|| {
+            let unrolled = |depth: u32| depth <= UNROLL_MAX_DEPTH;
+            let len = |depth: u32| (2usize << depth) - 1;
+            let total = self
+                .depths
+                .iter()
+                .filter(|&&d| unrolled(d))
+                .map(|&d| len(d));
+            let mut ladders = Vec::with_capacity(total.sum());
+            let trees = self
+                .roots
+                .iter()
+                .zip(&self.depths)
+                .map(|(&root, &depth)| {
+                    if !unrolled(depth) {
+                        return TreeProg::Lockstep { root, depth };
+                    }
+                    let start = ladders.len();
+                    ladders.resize(start + len(depth), 0);
+                    let (nodes, leaf) = ladders[start..].split_at_mut((1usize << depth) - 1);
+                    self.fill_ladder(root as usize, 0, depth, nodes, leaf);
+                    TreeProg::Unrolled { depth, start }
+                })
+                .collect();
+            ShortTrees { trees, ladders }
+        })
+    }
+
+    /// Expand a (depth ≤ [`UNROLL_MAX_DEPTH`]) tree rooted at `id` into
+    /// its perfect-binary ladder, reading the quantized node table:
+    /// split `i`'s `feat_slot`/`qt` come from `qnodes`, its left child
+    /// is `i + 1` (the preorder invariant) and its right child the low
+    /// half of `qnodes`. Early leaves become `qt = 0` spine nodes that
+    /// force every lane right until the bottom level, where the original
+    /// leaf's node id lands; slots no walk can reach stay zero.
+    fn fill_ladder(
+        &self,
+        id: usize,
+        slot: usize,
+        levels_left: u32,
+        ladder: &mut [u32],
+        leaf: &mut [u32],
+    ) {
+        let is_leaf = self.mnodes[id] >> 32 == u64::from(u32::MAX);
+        if levels_left == 0 {
+            // Bottom level: `node_depths` guarantees every path from the
+            // root has reached its leaf by now.
+            debug_assert!(is_leaf, "ladder bottom must be a leaf");
+            leaf[slot - ladder.len()] = id as u32;
+            return;
+        }
+        if is_leaf {
+            // Early leaf: pad with an always-right sentinel (`qt = 0`;
+            // every bucket is ≥ 1) and push the leaf down the right spine.
+            ladder[slot] = 0;
+            self.fill_ladder(id, 2 * slot + 2, levels_left - 1, ladder, leaf);
+            return;
+        }
+        let nd = self.qnodes[id];
+        ladder[slot] = ((nd >> 48) as u32) << 16 | u32::from((nd >> 32) as u16);
+        self.fill_ladder(id + 1, 2 * slot + 1, levels_left - 1, ladder, leaf);
+        let right = (nd & u64::from(u32::MAX)) as usize;
+        self.fill_ladder(right, 2 * slot + 2, levels_left - 1, ladder, leaf);
     }
 
     /// Walk every tree over every row of `x`, calling
@@ -553,7 +627,7 @@ impl ForestProgram {
         let mut tile: Vec<u16> = Vec::new();
         let mut start = 0;
         while start < n {
-            let len = BLOCK_ROWS.min(n - start);
+            let len = block_len(n - start);
             if len >= MASK_MIN_ROWS {
                 self.mask_block(&q, n, start, len, &mut masks, &mut stack, sink);
             } else {
@@ -676,12 +750,16 @@ impl ForestProgram {
             dst[..len].copy_from_slice(&q[slot * n + start..slot * n + start + len]);
             dst[len..].fill(1);
         }
-        for prog in &self.trees {
-            match prog {
-                TreeProg::Unrolled { depth, nodes, leaf } => {
+        let short = self.short_trees();
+        for prog in &short.trees {
+            match *prog {
+                TreeProg::Unrolled { depth, start: at } => {
+                    let inner = (1usize << depth) - 1;
+                    let nodes = &short.ladders[at..at + inner];
+                    let leaf = &short.ladders[at + inner..at + 2 * inner + 1];
                     for base in (0..padded).step_by(LANES) {
                         ladder_lanes(
-                            *depth,
+                            depth,
                             nodes,
                             tile,
                             base,
@@ -695,8 +773,8 @@ impl ForestProgram {
                 }
                 TreeProg::Lockstep { root, depth } => {
                     for base in (0..padded).step_by(LANES) {
-                        let mut idx = [*root as usize; LANES];
-                        for _ in 0..*depth {
+                        let mut idx = [root as usize; LANES];
+                        for _ in 0..depth {
                             for (l, i) in idx.iter_mut().enumerate() {
                                 let nd = self.qnodes[*i];
                                 let b = tile[(nd >> 48) as usize * BLOCK_ROWS + base + l];
@@ -719,95 +797,18 @@ impl ForestProgram {
     }
 }
 
-/// Expand a (depth ≤ [`UNROLL_MAX_DEPTH`]) tree into its perfect-binary
-/// ladder. Early leaves become `qt = 0` spine nodes that force every
-/// lane right until the bottom level, where the original leaf's node id
-/// lands; slots no walk can reach stay zero.
-fn build_ladder(
-    nodes: &FlatTree,
-    feats: &[FeatQuant],
-    slot_of: impl Fn(u32) -> usize + Copy,
-    root: u32,
-    depth: u32,
-) -> TreeProg {
-    let inner = (1usize << depth) - 1;
-    let mut ladder = vec![0u32; inner];
-    let mut leaf = vec![0u32; 1 << depth];
-    fill_ladder(
-        nodes,
-        feats,
-        slot_of,
-        root as usize,
-        0,
-        depth,
-        &mut ladder,
-        &mut leaf,
-    );
-    TreeProg::Unrolled {
-        depth,
-        nodes: ladder,
-        leaf,
+/// Rows in the next block when `left` rows remain: a full
+/// [`BLOCK_ROWS`] block, except that a remainder under
+/// [`MASK_MIN_ROWS`] is never left behind — the last two blocks share
+/// their rows instead. Every block of a batch of at least
+/// `MASK_MIN_ROWS` rows therefore runs the mask walk, and only batches
+/// shorter than that (serve micro-batches) build and run the ladders.
+fn block_len(left: usize) -> usize {
+    if left > BLOCK_ROWS && left < BLOCK_ROWS + MASK_MIN_ROWS {
+        left.div_ceil(2)
+    } else {
+        left.min(BLOCK_ROWS)
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fill_ladder(
-    nodes: &FlatTree,
-    feats: &[FeatQuant],
-    slot_of: impl Fn(u32) -> usize + Copy,
-    id: usize,
-    slot: usize,
-    levels_left: u32,
-    ladder: &mut [u32],
-    leaf: &mut [u32],
-) {
-    let f = nodes.feature[id];
-    if levels_left == 0 {
-        // Bottom level: `node_depths` guarantees every path from the
-        // root has reached its leaf by now.
-        debug_assert_eq!(f, LEAF, "ladder bottom must be a leaf");
-        leaf[slot - ladder.len()] = id as u32;
-        return;
-    }
-    if f == LEAF {
-        // Early leaf: pad with an always-right sentinel (`qt = 0`; every
-        // bucket is ≥ 1) and push the leaf down the right spine.
-        ladder[slot] = 0;
-        fill_ladder(
-            nodes,
-            feats,
-            slot_of,
-            id,
-            2 * slot + 2,
-            levels_left - 1,
-            ladder,
-            leaf,
-        );
-        return;
-    }
-    let fslot = slot_of(f);
-    let qt = qt_of(&feats[fslot].cuts, nodes.threshold[id]);
-    ladder[slot] = (fslot as u32) << 16 | u32::from(qt);
-    fill_ladder(
-        nodes,
-        feats,
-        slot_of,
-        nodes.left[id] as usize,
-        2 * slot + 1,
-        levels_left - 1,
-        ladder,
-        leaf,
-    );
-    fill_ladder(
-        nodes,
-        feats,
-        slot_of,
-        nodes.right[id] as usize,
-        2 * slot + 2,
-        levels_left - 1,
-        ladder,
-        leaf,
-    );
 }
 
 /// One [`LANES`]-wide sweep of an unrolled ladder, monomorphized per
@@ -956,8 +957,8 @@ mod tests {
     fn mask_and_lane_engines_agree_across_block_sizes() {
         // Batch sizes straddling MASK_MIN_ROWS and BLOCK_ROWS: tiny
         // batches take the ladder path, 64-row blocks the mask walk,
-        // and sizes in between exercise both (full blocks masked, the
-        // short tail laddered). All must equal the interpreter bitwise.
+        // and sizes in between split their last two blocks (65 rows run
+        // as 33 + 32). All must equal the interpreter bitwise.
         let rows = synth_rows(200, 6, 23);
         let y: Vec<usize> = rows.iter().map(|r| (r[2] > 0.5) as usize).collect();
         let mut f = RandomForest::new();
@@ -971,6 +972,67 @@ mod tests {
             let b = optimized.predict_batch(&x);
             for (i, (p, q)) in a.iter().zip(&b).enumerate() {
                 assert_eq!(p.to_bits(), q.to_bits(), "take={take} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn ladders_are_built_on_the_first_short_block_only() {
+        // Batches of at least MASK_MIN_ROWS rows (bulk scoring,
+        // attribution) never read a ladder, whatever their tail, so an
+        // optimized model holds none until a shorter batch arrives; from
+        // then on short blocks run the ladders and stay bitwise equal to
+        // the interpreter.
+        let rows = synth_rows(150, 6, 29);
+        let y: Vec<usize> = rows.iter().map(|r| (r[1] > 0.1) as usize).collect();
+        let mut f = RandomForest::new();
+        f.fit(&rows, &y);
+        let compiled = f.compile().unwrap();
+        let optimized = compiled.clone();
+        assert!(optimized.optimize());
+        let built = || optimized.program().expect("compiled").short.get().is_some();
+        assert!(!built(), "optimize() built ladders");
+        for take in [MASK_MIN_ROWS, 64, 65, 95, 96, 150] {
+            let x = ColMatrix::from_rows(&rows[..take]);
+            let (a, b) = (compiled.predict_batch(&x), optimized.predict_batch(&x));
+            assert!(a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()));
+            assert_eq!(compiled.attribute_batch(&x), optimized.attribute_batch(&x));
+            assert!(!built(), "a {take}-row batch built ladders");
+        }
+        for take in [1usize, MASK_MIN_ROWS - 1] {
+            let x = ColMatrix::from_rows(&rows[..take]);
+            let (a, b) = (compiled.predict_batch(&x), optimized.predict_batch(&x));
+            for (i, (p, q)) in a.iter().zip(&b).enumerate() {
+                assert_eq!(p.to_bits(), q.to_bits(), "take={take} row {i}");
+            }
+            assert_eq!(compiled.attribute_batch(&x), optimized.attribute_batch(&x));
+            assert!(built(), "a {take}-row batch ran without ladders");
+        }
+        let short = optimized.program().unwrap().short_trees();
+        assert!(short
+            .trees
+            .iter()
+            .all(|t| matches!(t, TreeProg::Unrolled { .. })));
+    }
+
+    #[test]
+    fn long_batches_leave_no_short_block() {
+        for n in 1..=4 * BLOCK_ROWS {
+            let mut blocks = Vec::new();
+            let mut left = n;
+            while left > 0 {
+                let len = block_len(left);
+                blocks.push(len);
+                left -= len;
+            }
+            assert!(blocks.iter().all(|&b| b <= BLOCK_ROWS), "{n}: {blocks:?}");
+            if n >= MASK_MIN_ROWS {
+                assert!(
+                    blocks.iter().all(|&b| b >= MASK_MIN_ROWS),
+                    "{n}: {blocks:?}"
+                );
+            } else {
+                assert_eq!(blocks, [n]);
             }
         }
     }

@@ -4,8 +4,7 @@
 #   scripts/check.sh            # build + test + formatting
 #
 # The workspace builds hermetically (no registry access needed): `rand`
-# is an in-tree shim crate and the proptest suites are behind the
-# off-by-default `proptest` feature.
+# is an in-tree shim crate and the property suites are seeded loops.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -345,11 +345,13 @@ fn out_of_core_matrices_match_ram_under_random_shapes() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Render everything observable about one materialized epoch app.
-fn epoch_app_key(ea: &corpus::EpochApp) -> String {
+/// Render everything observable about one labelled epoch app, its code
+/// included (built through `materialize`).
+fn epoch_app_key(stream: &LongitudinalStream, index: usize, ea: &corpus::EpochApp) -> String {
+    let (code, _) = stream.materialize(index, ea.last_changed);
     format!(
-        "{:?}|{:?}|{:?}|{}|{}",
-        ea.app.spec, ea.app.files, ea.records, ea.changed, ea.last_changed
+        "{:?}|{:?}|{:?}|{:?}|{}|{}",
+        ea.app.spec, ea.app.seeded, code.files, ea.records, ea.changed, ea.last_changed
     )
 }
 
@@ -366,13 +368,22 @@ fn longitudinal_stream_is_pure_under_order_and_chunking() {
     let scattered = LongitudinalStream::new(config.clone());
 
     for epoch in [0usize, 2] {
-        let in_order: Vec<String> = forward.epoch(epoch).map(|ea| epoch_app_key(&ea)).collect();
+        let in_order: Vec<String> = forward
+            .epoch(epoch)
+            .enumerate()
+            .map(|(i, ea)| epoch_app_key(&forward, i, &ea))
+            .collect();
         // Consume the same epoch from a fresh stream in a scrambled
         // order (and re-query one index twice): every draw must be
         // position-pure, not cursor-dependent.
         let mut scrambled: Vec<(usize, String)> = (0..config.apps)
             .map(|i| (i * 23 + 7) % config.apps)
-            .map(|i| (i, epoch_app_key(&scattered.epoch_app(i, epoch))))
+            .map(|i| {
+                (
+                    i,
+                    epoch_app_key(&scattered, i, &scattered.epoch_app(i, epoch)),
+                )
+            })
             .collect();
         scrambled.sort();
         scrambled.dedup();
@@ -388,7 +399,7 @@ fn longitudinal_stream_is_pure_under_order_and_chunking() {
             );
         }
         // Re-query is idempotent.
-        let again = epoch_app_key(&scattered.epoch_app(11, epoch));
+        let again = epoch_app_key(&scattered, 11, &scattered.epoch_app(11, epoch));
         assert_eq!(again, in_order[11], "repeat query diverged");
     }
 }
