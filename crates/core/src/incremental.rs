@@ -48,10 +48,10 @@ use std::sync::{Arc, Mutex};
 /// changes shape or meaning.
 pub const INCR_SCHEMA_VERSION: u64 = 2;
 
-/// Retained taint memo entries per function. Phase 1 of the fixpoint
-/// probes two (clean/dirty) per summary-digest generation and the later
-/// phases one or two more; stable programs settle on a handful of
-/// distinct keys, so a small cap bounds memory without hurting hit rate.
+/// Retained taint memo entries per function. The fixpoint probes at most
+/// two (clean/dirty) per summary-digest generation, and the later phases
+/// reuse those passes; stable programs settle on a handful of distinct
+/// keys, so a small cap bounds memory without hurting hit rate.
 const TAINT_MEMO_CAP: usize = 16;
 
 /// What one [`IncrementalTestbed::extract_stats`] call did.
@@ -151,6 +151,18 @@ impl IncrementalTestbed {
     /// [`extract`](IncrementalTestbed::extract) plus the hit/miss
     /// accounting for this call.
     pub fn extract_stats(&mut self, program: &Program) -> (FeatureVector, IncrReport) {
+        let (fv, report, ()) = self.extract_stats_with(program, |_| ());
+        (fv, report)
+    }
+
+    /// [`extract_stats`](IncrementalTestbed::extract_stats) plus
+    /// `inspect` run over the assembled analysis context — what hotspot
+    /// ranking reads, without building a second context.
+    pub fn extract_stats_with<R>(
+        &mut self,
+        program: &Program,
+        inspect: impl FnOnce(&AnalysisContext<'_>) -> R,
+    ) -> (FeatureVector, IncrReport, R) {
         let salt = self.salt(program);
         let symbols = ProgramSymbols::intern(program);
 
@@ -232,7 +244,7 @@ impl IncrementalTestbed {
             misses: counters.misses,
             rebuilt: counters.misses,
         };
-        (fv, report)
+        (fv, report, inspect(&cx))
     }
 
     /// The program-wide key salt: everything outside a function's own

@@ -63,7 +63,7 @@ pub use compare::{
     classify_delta, compare_programs, compare_programs_compiled, delta_from_reports, version_delta,
     version_delta_compiled, Comparison, FeatureDelta, RiskChange, VersionDelta,
 };
-pub use explain::{rank_hotspots, Explanation, Hotspot, ModelExplanation};
+pub use explain::{rank_hotspots, rank_hotspots_cx, Explanation, Hotspot, ModelExplanation};
 pub use extract::{extract_corpus, CorpusFeatures};
 pub use hypothesis::{standard_battery, Hypothesis};
 pub use incremental::{IncrReport, IncrementalTestbed};

@@ -22,7 +22,10 @@
 //!
 //! Panic isolation is preserved from the old batcher: a poisoned row
 //! answers every job in its batch with a typed `internal` error instead
-//! of wedging the shard, and `batch_panics` ticks for the alert.
+//! of wedging the shard, and `batch_panics` ticks for the alert. Input
+//! resolution (parse, extraction, hotspot ranking) is isolated per job:
+//! a panic there answers that one job with `internal` and replaces the
+//! shard's engine.
 //!
 //! Exit protocol: a shard parks until `shutting_down && inflight == 0`.
 //! The SeqCst handshake in [`crate::server::reserve_slot`] guarantees
@@ -33,7 +36,7 @@ use crate::protocol::{error_response, ok_response, Payload, ScoreInput};
 use crate::reactor::Completion;
 use crate::server::Shared;
 use clairvoyant::report::{comparison_value, explanation_value, write_security_report, Json};
-use clairvoyant::{rank_hotspots, Comparison, Explanation, Hotspot, IncrementalTestbed};
+use clairvoyant::{rank_hotspots_cx, Comparison, Explanation, Hotspot, IncrementalTestbed};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -138,31 +141,32 @@ enum Resolved {
 
 /// Resolve a scoring-family input on the shard thread: pre-extracted
 /// features pass through; source is parsed and run through the shard's
-/// resident incremental engine, returning the program too so `explain`
-/// can rank hotspots. The engine lives for the shard's whole lifetime
+/// resident incremental engine, and for `explain` (`hotspots` = top k)
+/// its functions are ranked over the very analysis context that
+/// extraction assembled. The engine lives for the shard's whole lifetime
 /// (the old code built a fresh `Testbed::new()` per request), so repeat
 /// or lightly-edited sources reuse resident per-function entries and
 /// only re-analyze what changed; the hit/miss/rebuild counts land in the
-/// service-wide `incr_*` counters.
+/// service-wide `incr_*` counters. Feature-vector submissions have no
+/// program and get no hotspots, matching `explain_features`.
 fn resolve_input(
     engine: &mut IncrementalTestbed,
     shared: &Shared,
     name: &str,
     input: ScoreInput,
-) -> Result<
-    (
-        static_analysis::FeatureVector,
-        Option<minilang::ast::Program>,
-    ),
-    Json,
-> {
+    hotspots: Option<usize>,
+) -> Result<(static_analysis::FeatureVector, Vec<Hotspot>), Json> {
     match input {
-        ScoreInput::Features(fv) => Ok((fv, None)),
+        ScoreInput::Features(fv) => Ok((fv, Vec::new())),
         ScoreInput::Source { text, dialect } => {
             let files = vec![(format!("{name}.src"), text)];
             match minilang::parse_program(name, dialect, &files) {
                 Ok(program) => {
-                    let (fv, report) = engine.extract_stats(&program);
+                    let (fv, report, ranked) = engine.extract_stats_with(&program, |cx| {
+                        hotspots
+                            .map(|top_k| rank_hotspots_cx(cx, top_k))
+                            .unwrap_or_default()
+                    });
                     shared
                         .stats
                         .incr_hits
@@ -175,12 +179,30 @@ fn resolve_input(
                         .stats
                         .incr_rebuilt_fns
                         .fetch_add(report.rebuilt, Ordering::Relaxed);
-                    Ok((fv, Some(program)))
+                    Ok((fv, ranked))
                 }
                 Err(e) => Err(error_response("bad_request", &format!("parse error: {e}"))),
             }
         }
     }
+}
+
+/// Run one job's resolution with panic isolation. A panic answers only
+/// this job, with a typed `internal` error, and replaces the engine: its
+/// entry store may have been left half-updated mid-extraction.
+fn isolated<T>(
+    engine: &mut IncrementalTestbed,
+    resolve: impl FnOnce(&mut IncrementalTestbed) -> Result<T, Json>,
+) -> Result<T, Json> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| resolve(&mut *engine))).unwrap_or_else(
+        |_| {
+            *engine = IncrementalTestbed::new();
+            Err(error_response(
+                "internal",
+                "input resolution failed on this request",
+            ))
+        },
+    )
 }
 
 fn model_field(fingerprint: u64) -> (&'static str, Json) {
@@ -230,42 +252,34 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard_id: usize) {
         let mut score_apps: Vec<(String, static_analysis::FeatureVector)> = Vec::new();
         let mut explain_apps: Vec<(String, static_analysis::FeatureVector)> = Vec::new();
         let mut items: Vec<(u64, u64, Resolved)> = Vec::with_capacity(batch.len());
+        let mut resolve = |name: &str, input: ScoreInput, hotspots: Option<usize>| {
+            isolated(&mut engine, |engine| {
+                resolve_input(engine, shared, name, input, hotspots)
+            })
+        };
         for job in batch {
             let resolved = match job.work {
-                Work::Score { name, input } => {
-                    match resolve_input(&mut engine, shared, &name, input) {
-                        Ok((features, _)) => {
-                            score_apps.push((name, features));
-                            Resolved::Score {
-                                row: score_apps.len() - 1,
-                            }
+                Work::Score { name, input } => match resolve(&name, input, None) {
+                    Ok((features, _)) => {
+                        score_apps.push((name, features));
+                        Resolved::Score {
+                            row: score_apps.len() - 1,
                         }
-                        Err(response) => Resolved::Error(response),
                     }
-                }
-                Work::Explain { name, input, top_k } => {
-                    match resolve_input(&mut engine, shared, &name, input) {
-                        Ok((features, program)) => {
-                            // Feature-vector submissions have no program and
-                            // get no hotspots, matching `explain_features`.
-                            let hotspots = program
-                                .as_ref()
-                                .map(|p| rank_hotspots(p, top_k))
-                                .unwrap_or_default();
-                            explain_apps.push((name, features));
-                            Resolved::Explain {
-                                row: explain_apps.len() - 1,
-                                hotspots,
-                            }
+                    Err(response) => Resolved::Error(response),
+                },
+                Work::Explain { name, input, top_k } => match resolve(&name, input, Some(top_k)) {
+                    Ok((features, hotspots)) => {
+                        explain_apps.push((name, features));
+                        Resolved::Explain {
+                            row: explain_apps.len() - 1,
+                            hotspots,
                         }
-                        Err(response) => Resolved::Error(response),
                     }
-                }
+                    Err(response) => Resolved::Error(response),
+                },
                 Work::Compare { a, b } => {
-                    match (
-                        resolve_input(&mut engine, shared, &a.0, a.1),
-                        resolve_input(&mut engine, shared, &b.0, b.1),
-                    ) {
+                    match (resolve(&a.0, a.1, None), resolve(&b.0, b.1, None)) {
                         (Ok((fa, _)), Ok((fb, _))) => {
                             explain_apps.push((a.0, fa));
                             explain_apps.push((b.0, fb));
@@ -428,5 +442,38 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard_id: usize) {
         // reactors: drain logic treats `inflight == 0` as "no responses
         // still owed anywhere".
         shared.inflight.fetch_sub(released, Ordering::SeqCst);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn program() -> minilang::ast::Program {
+        let src = "fn f(x: int) -> int { return x; }\nfn g() -> int { return f(1); }";
+        minilang::parse_program("app", minilang::Dialect::C, &[("m.c".into(), src.into())]).unwrap()
+    }
+
+    #[test]
+    fn a_panicking_resolution_answers_only_its_job_and_resets_the_engine() {
+        let program = program();
+        let mut engine = IncrementalTestbed::new();
+        let before = isolated(&mut engine, |e| Ok(e.extract(&program))).unwrap();
+        assert_eq!(engine.resident_entries(), 2);
+
+        let failed = isolated(&mut engine, |_| -> Result<(), Json> {
+            panic!("resolution bug")
+        });
+        assert_eq!(
+            failed.unwrap_err(),
+            error_response("internal", "input resolution failed on this request")
+        );
+        // The possibly half-updated store is gone with the old engine.
+        assert_eq!(engine.resident_entries(), 0);
+
+        // The next job is answered as if nothing had happened.
+        let after = isolated(&mut engine, |e| Ok(e.extract(&program))).unwrap();
+        assert_eq!(after, before);
+        assert_eq!(engine.resident_entries(), 2);
     }
 }

@@ -10,6 +10,98 @@ use minilang::visit;
 use minilang::Intrinsic;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+/// Strongly connected components of a graph over nodes `0..succs.len()`
+/// (Tarjan, iterative so call chains of any length are safe).
+#[derive(Debug, Clone)]
+pub struct Sccs {
+    /// Components in reverse topological order: every edge leaving a
+    /// component points into an earlier one (callees before callers).
+    /// Members are listed in ascending node order.
+    pub components: Vec<Vec<usize>>,
+    /// Node → index of its component.
+    pub component_of: Vec<usize>,
+    /// Work counter: nodes entered plus edges followed. Not part of the
+    /// result.
+    pub visits: usize,
+}
+
+impl Sccs {
+    /// Is component `c` a cycle — more than one member, or a self-loop?
+    pub fn is_cyclic(&self, c: usize, succs: &[Vec<usize>]) -> bool {
+        match self.components[c].as_slice() {
+            [only] => succs[*only].contains(only),
+            _ => true,
+        }
+    }
+}
+
+/// Tarjan's strongly connected components of the graph `succs`, each
+/// node and edge visited once.
+pub fn strongly_connected(succs: &[Vec<usize>]) -> Sccs {
+    const UNSEEN: usize = usize::MAX;
+    let n = succs.len();
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut sccs = Sccs {
+        components: Vec::new(),
+        component_of: vec![UNSEEN; n],
+        visits: 0,
+    };
+    let mut next_index = 0;
+    // Explicit DFS frames: (node, position of its next out-edge).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        let mut entering = Some(root);
+        loop {
+            if let Some(v) = entering.take() {
+                index[v] = next_index;
+                low[v] = next_index;
+                next_index += 1;
+                on_stack[v] = true;
+                stack.push(v);
+                frames.push((v, 0));
+                sccs.visits += 1;
+            }
+            let Some(frame) = frames.last_mut() else {
+                break;
+            };
+            let v = frame.0;
+            if let Some(&w) = succs[v].get(frame.1) {
+                frame.1 += 1;
+                sccs.visits += 1;
+                if index[w] == UNSEEN {
+                    entering = Some(w);
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                // `v` roots a component: it and everything above it on the
+                // stack.
+                let root_at = stack.iter().rposition(|&w| w == v).expect("root on stack");
+                let mut members = stack.split_off(root_at);
+                for &w in &members {
+                    on_stack[w] = false;
+                    sccs.component_of[w] = sccs.components.len();
+                }
+                members.sort_unstable();
+                sccs.components.push(members);
+            }
+        }
+    }
+    sccs
+}
+
 /// The program call graph over user-defined functions, with intrinsic calls
 /// recorded separately.
 #[derive(Debug, Clone, Default)]
@@ -81,6 +173,7 @@ impl CallGraph {
 
     /// Summary statistics used as features.
     pub fn stats(&self) -> CallGraphStats {
+        let (recursive_functions, scc_visits) = self.count_recursive();
         let call_edges: usize = self.calls.values().map(|s| s.len()).sum();
         let intrinsic_edges: usize = self.intrinsic_calls.values().map(|v| v.len()).sum();
         let unresolved_edges: usize = self.unresolved.values().map(|s| s.len()).sum();
@@ -114,34 +207,42 @@ impl CallGraph {
             max_in_degree: max_in,
             leaf_functions: leaves,
             root_functions: roots,
-            recursive_functions: self.count_recursive(),
+            recursive_functions,
+            scc_visits,
         }
     }
 
-    /// Functions that participate in a call cycle (including self-recursion).
-    fn count_recursive(&self) -> usize {
-        // A function is recursive iff it can reach itself.
-        self.functions
+    /// Functions that participate in a call cycle (including
+    /// self-recursion), read off the strongly connected components of the
+    /// name graph (duplicate definitions share one node, and each counts),
+    /// plus the component search's visit count.
+    fn count_recursive(&self) -> (usize, usize) {
+        let node: BTreeMap<&str, usize> = self
+            .calls
+            .keys()
+            .enumerate()
+            .map(|(i, name)| (name.as_str(), i))
+            .collect();
+        let succs: Vec<Vec<usize>> = self
+            .calls
+            .values()
+            .map(|callees| callees.iter().map(|c| node[c.as_str()]).collect())
+            .collect();
+        let sccs = strongly_connected(&succs);
+        let recursive = self
+            .functions
             .iter()
             .filter(|f| {
-                let mut seen = BTreeSet::new();
-                let mut queue: VecDeque<&str> = self.callees(f).collect::<Vec<_>>().into();
-                while let Some(c) = queue.pop_front() {
-                    if c == f.as_str() {
-                        return true;
-                    }
-                    if seen.insert(c.to_string()) {
-                        queue.extend(self.callees(c));
-                    }
-                }
-                false
+                let n = node[f.as_str()];
+                sccs.is_cyclic(sccs.component_of[n], &succs)
             })
-            .count()
+            .count();
+        (recursive, sccs.visits)
     }
 }
 
 /// Feature summary of the call graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CallGraphStats {
     pub functions: usize,
     pub call_edges: usize,
@@ -152,6 +253,9 @@ pub struct CallGraphStats {
     pub leaf_functions: usize,
     pub root_functions: usize,
     pub recursive_functions: usize,
+    /// Work counter: nodes and edges the recursion search visited. Not a
+    /// feature.
+    pub scc_visits: usize,
 }
 
 #[cfg(test)]
@@ -235,5 +339,36 @@ mod tests {
         let s = cg.stats();
         assert_eq!(s.max_out_degree, 3);
         assert_eq!(s.max_in_degree, 3);
+    }
+
+    #[test]
+    fn components_come_callees_first() {
+        // 0 → 1 ⇄ 2 → 3, 3 → 3, 4 isolated.
+        let succs = vec![vec![1], vec![2], vec![1, 3], vec![3], vec![]];
+        let sccs = strongly_connected(&succs);
+        let of = |n: usize| sccs.component_of[n];
+        assert_eq!(of(1), of(2));
+        assert_eq!(sccs.components[of(1)], vec![1, 2]);
+        // Every edge leaving a component points into an earlier one.
+        for (from, out) in succs.iter().enumerate() {
+            for &to in out {
+                assert!(of(to) <= of(from), "{from} -> {to}");
+            }
+        }
+        let cyclic: Vec<bool> = (0..5).map(|n| sccs.is_cyclic(of(n), &succs)).collect();
+        assert_eq!(cyclic, vec![false, true, true, true, false]);
+        // Five nodes entered, five edges followed.
+        assert_eq!(sccs.visits, 10);
+    }
+
+    #[test]
+    fn long_chains_do_not_recurse() {
+        let n = 200_000;
+        let succs: Vec<Vec<usize>> = (0..n)
+            .map(|i| if i + 1 < n { vec![i + 1] } else { vec![] })
+            .collect();
+        let sccs = strongly_connected(&succs);
+        assert_eq!(sccs.components.len(), n);
+        assert_eq!(sccs.components[0], vec![n - 1]);
     }
 }

@@ -9,11 +9,13 @@
 //! * a [`SymbolTable`] interning every identifier ([`SymbolId`]s assigned
 //!   in one deterministic sequential pass);
 //! * one [`FunctionContext`] per function — its [`Cfg`], reverse
-//!   postorder, immediate dominators, per-node def/use sets as dense
-//!   symbol indices, and the precomputed dataflow / bounds / path /
-//!   dead-code results and index-site intervals every collector needs;
+//!   postorder, per-node def/use sets as dense symbol indices, and the
+//!   precomputed dataflow / bounds / path / dead-code results and
+//!   index-site intervals every collector needs;
 //! * one shared interprocedural [`TaintReport`], read by the taint
-//!   features, the attack-graph features and the path-traversal checker.
+//!   features, the attack-graph features and the path-traversal checker;
+//! * one [`LocCounts`] per module, read by the `loc` features and the
+//!   sparse-comment smell.
 //!
 //! Function contexts are independent once interning is done, so
 //! [`AnalysisContext::build_with`] lets callers fan their construction out
@@ -25,6 +27,7 @@ use crate::cfg::{Cfg, NodeId};
 use crate::cyclomatic;
 use crate::dataflow::{self, DataflowStats, NodeUses};
 use crate::interval::{self, BoundsReport, Interval};
+use crate::loc::{self, LocCounts};
 use crate::paths::{self, PathConfig, PathReport};
 use crate::symbols::{SymbolId, SymbolTable};
 use crate::taint::{self, TaintReport};
@@ -94,6 +97,24 @@ impl<'p> FnSymbols<'p> {
     pub fn local(&self, name: &str) -> Option<LocalId> {
         self.by_name.get(name).copied()
     }
+
+    /// The sub-universe of the locals in `keep`, densely renumbered in
+    /// their original order; every other name reads as unmentioned.
+    pub fn restrict(&self, keep: &BitSet) -> FnSymbols<'p> {
+        let mut renumber = vec![LocalId::MAX; self.len()];
+        let mut syms = Vec::with_capacity(keep.count());
+        for l in keep.iter() {
+            renumber[l] = syms.len() as LocalId;
+            syms.push(self.syms[l]);
+        }
+        let by_name = self
+            .by_name
+            .iter()
+            .filter(|&(_, &l)| keep.contains(l as usize))
+            .map(|(&name, &l)| (name, renumber[l as usize]))
+            .collect();
+        FnSymbols { syms, by_name }
+    }
 }
 
 /// Everything the collectors need about one function, computed exactly
@@ -104,9 +125,6 @@ pub struct FunctionContext<'p> {
     pub cfg: Cfg<'p>,
     /// Reverse postorder over the CFG (unreachable nodes appended).
     pub rpo: Vec<NodeId>,
-    /// Immediate dominator per node (`None` for the entry and for
-    /// unreachable nodes).
-    pub idom: Vec<Option<NodeId>>,
     pub symbols: FnSymbols<'p>,
     /// Parameter locals, in signature order.
     pub param_locals: Vec<LocalId>,
@@ -159,8 +177,8 @@ pub struct FnPayload {
     pub index_sites: Vec<Interval>,
 }
 
-/// The cheap, borrow-carrying half of a [`FunctionContext`]: CFG, orders,
-/// dominators, dense symbols, and per-node def/use sets. Linear in the
+/// The cheap, borrow-carrying half of a [`FunctionContext`]: CFG, reverse
+/// postorder, dense symbols, and per-node def/use sets. Linear in the
 /// function size (no fixpoints), rebuilt on every extraction — cached
 /// payloads index into CFG nodes and local symbols, and both are
 /// deterministic functions of the function text, so a structure rebuilt
@@ -169,7 +187,6 @@ pub struct FnStructure<'p> {
     pub function: &'p Function,
     pub cfg: Cfg<'p>,
     pub rpo: Vec<NodeId>,
-    pub idom: Vec<Option<NodeId>>,
     pub symbols: FnSymbols<'p>,
     pub param_locals: Vec<LocalId>,
     pub defs: Vec<Option<(LocalId, bool)>>,
@@ -180,13 +197,12 @@ pub struct FnStructure<'p> {
 }
 
 impl<'p> FnStructure<'p> {
-    /// Build the structural half: CFG, reverse postorder, dominators,
-    /// dense locals, def/use sets, and the membership bitsets the
-    /// dataflow statistics need.
+    /// Build the structural half: CFG, reverse postorder, dense locals,
+    /// def/use sets, and the membership bitsets the dataflow statistics
+    /// need.
     pub fn build(function: &'p Function, program: &ProgramSymbols) -> FnStructure<'p> {
         let cfg = Cfg::build(function);
         let rpo = cfg.reverse_postorder();
-        let idom = immediate_dominators(&cfg, &rpo);
         let symbols = FnSymbols::build(function, &program.table);
         let universe = symbols.len();
         let param_locals: Vec<LocalId> = function
@@ -234,7 +250,6 @@ impl<'p> FnStructure<'p> {
             function,
             cfg,
             rpo,
-            idom,
             symbols,
             param_locals,
             defs,
@@ -263,12 +278,18 @@ impl<'p> FnStructure<'p> {
         );
         // The per-node interval environments are the largest thing this
         // builds; they reduce to the bounds verdicts plus one interval per
-        // index site and are dropped here rather than cached.
-        let (bounds, index_sites) = {
-            let intervals =
-                interval::analyze_cfg_sym(&self.cfg, self.function, &self.symbols, &self.rpo);
-            interval::check_bounds_sym(&self.cfg, self.function, &self.symbols, &intervals)
-        };
+        // index site and are dropped here rather than cached. They are
+        // computed only over the locals an index site or a branch can
+        // observe, and not at all without an index site.
+        let (bounds, index_sites) =
+            match interval::relevance_slice(&self.cfg, &self.symbols, &self.defs, &self.uses) {
+                Some(slice) => {
+                    let intervals =
+                        interval::analyze_cfg_sym(&self.cfg, self.function, &slice, &self.rpo);
+                    interval::check_bounds_sym(&self.cfg, self.function, &slice, &intervals)
+                }
+                None => (BoundsReport::default(), Vec::new()),
+            };
         let paths = paths::explore_cfg(&self.cfg, self.function, &self.symbols, path_config);
         let has_dead_code = !self.cfg.unreachable_nodes().is_empty();
         let decision_complexity = cyclomatic::decision_complexity(self.function);
@@ -292,7 +313,6 @@ impl<'p> FnStructure<'p> {
             function: self.function,
             cfg: self.cfg,
             rpo: self.rpo,
-            idom: self.idom,
             symbols: self.symbols,
             param_locals: self.param_locals,
             defs: self.defs,
@@ -347,6 +367,8 @@ pub struct AnalysisContext<'p> {
     pub functions: Vec<FunctionContext<'p>>,
     /// The shared interprocedural taint result.
     pub taint: TaintReport,
+    /// Line counts per module, in `program.modules` order.
+    pub module_loc: Vec<LocCounts>,
     path_config: PathConfig,
 }
 
@@ -376,13 +398,7 @@ impl<'p> AnalysisContext<'p> {
         let functions = run(&symbols, &funcs);
         debug_assert_eq!(functions.len(), funcs.len());
         let taint = taint::analyze_contexts(program, &functions);
-        AnalysisContext {
-            program,
-            symbols,
-            functions,
-            taint,
-            path_config: standard_path_config(),
-        }
+        Self::assemble(program, symbols, functions, taint)
     }
 
     /// Assemble a context from parts the caller built itself — the
@@ -404,8 +420,18 @@ impl<'p> AnalysisContext<'p> {
             symbols,
             functions,
             taint,
+            module_loc: program.modules.iter().map(loc::count_module).collect(),
             path_config: standard_path_config(),
         }
+    }
+
+    /// Line counts summed over every module.
+    pub fn program_loc(&self) -> LocCounts {
+        let mut total = LocCounts::default();
+        for &c in &self.module_loc {
+            total.add(c);
+        }
+        total
     }
 
     /// The path-exploration limits function contexts were built with.
@@ -421,58 +447,6 @@ pub fn standard_path_config() -> PathConfig {
         max_states: 4_000,
         ..Default::default()
     }
-}
-
-/// Immediate dominators by the Cooper–Harvey–Kennedy iteration over the
-/// reverse postorder. `idom[entry]` and unreachable nodes are `None`.
-pub fn immediate_dominators(cfg: &Cfg<'_>, order: &[NodeId]) -> Vec<Option<NodeId>> {
-    let n = cfg.node_count();
-    let mut pos = vec![usize::MAX; n];
-    for (i, &id) in order.iter().enumerate() {
-        pos[id] = i;
-    }
-    let mut idom: Vec<Option<NodeId>> = vec![None; n];
-    idom[cfg.entry] = Some(cfg.entry);
-
-    let intersect = |idom: &[Option<NodeId>], mut a: NodeId, mut b: NodeId| -> NodeId {
-        while a != b {
-            while pos[a] > pos[b] {
-                a = idom[a].expect("processed");
-            }
-            while pos[b] > pos[a] {
-                b = idom[b].expect("processed");
-            }
-        }
-        a
-    };
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &id in order {
-            if id == cfg.entry {
-                continue;
-            }
-            let mut new_idom: Option<NodeId> = None;
-            for &p in &cfg.nodes[id].preds {
-                if idom[p].is_none() {
-                    continue;
-                }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(&idom, cur, p),
-                });
-            }
-            if new_idom.is_some() && idom[id] != new_idom {
-                idom[id] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    // The entry dominates itself by convention above; report it as None so
-    // callers see a proper tree root.
-    idom[cfg.entry] = None;
-    idom
 }
 
 #[cfg(test)]
@@ -527,49 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn dominators_on_diamond() {
-        let p = program(
-            "fn f(x: int) {
-                 if x > 0 { x = 1; } else { x = 2; }
-                 x = 3;
-             }",
-        );
-        let cx = AnalysisContext::build(&p);
-        let fcx = &cx.functions[0];
-        let cfg = &fcx.cfg;
-        // Entry has no idom; every other reachable node is dominated.
-        assert!(fcx.idom[cfg.entry].is_none());
-        for &id in &fcx.rpo {
-            if id != cfg.entry {
-                assert!(
-                    fcx.idom[id].is_some(),
-                    "reachable node {id} missing an idom"
-                );
-            }
-        }
-        // The branches' idom is the condition; the join and the following
-        // statement are dominated by the condition, not by either branch.
-        let cond = cfg
-            .nodes
-            .iter()
-            .position(|n| matches!(n.kind, crate::cfg::NodeKind::Cond(_)))
-            .unwrap();
-        let after: Vec<NodeId> = (0..cfg.node_count())
-            .filter(|&id| fcx.idom[id] == Some(cond))
-            .collect();
-        assert!(after.len() >= 3, "cond should dominate both arms + join");
-    }
-
-    #[test]
-    fn dominators_skip_unreachable_nodes() {
+    fn unreachable_statements_flag_dead_code() {
         let p = program("fn f() -> int { return 1; let x: int = 2; }");
         let cx = AnalysisContext::build(&p);
         let fcx = &cx.functions[0];
-        let unreachable = fcx.cfg.unreachable_nodes();
-        assert!(!unreachable.is_empty());
-        for id in unreachable {
-            assert!(fcx.idom[id].is_none());
-        }
+        assert!(!fcx.cfg.unreachable_nodes().is_empty());
         assert!(fcx.has_dead_code);
     }
 

@@ -378,8 +378,9 @@ pub fn for_each_index_site<'a>(cfg: &Cfg<'a>, f: &mut dyn FnMut(NodeId, &'a str,
 // environment, so a fixpoint sweep allocates nothing.
 // ---------------------------------------------------------------------------
 
-use crate::bitset::{row_contains, row_insert, row_remove, BitMatrix};
-use crate::context::FnSymbols;
+use crate::bitset::{row_contains, row_insert, row_remove, BitMatrix, BitSet};
+use crate::context::{FnSymbols, LocalId};
+use crate::dataflow::NodeUses;
 
 /// Dense abstract environment over one function's local symbols.
 /// Absent locals read as [`Interval::TOP`]; the `vals` slot of an absent
@@ -564,13 +565,18 @@ pub fn apply_node_sym(kind: &NodeKind<'_>, env: &mut SymEnv, syms: &FnSymbols<'_
     let NodeKind::Stmt(stmt) = kind else {
         return;
     };
+    // A target outside `syms` is outside the interval slice: no tracked
+    // value reads it, so its update is skipped.
     match &stmt.kind {
         StmtKind::Let { name, ty, init } if *ty == Type::Int => {
+            let Some(local) = syms.local(name) else {
+                return;
+            };
             let v = init
                 .as_ref()
                 .map(|e| eval_sym(e, &env.vals, syms))
                 .unwrap_or(Interval::TOP);
-            env.insert(syms.local(name).expect("let interned"), v);
+            env.insert(local, v);
         }
         // Assignments track every scalar variable, including `for`-loop
         // counters that were never declared with `let`. Non-integer
@@ -580,7 +586,9 @@ pub fn apply_node_sym(kind: &NodeKind<'_>, env: &mut SymEnv, syms: &FnSymbols<'_
             op,
             value,
         } => {
-            let local = syms.local(name).expect("assign interned");
+            let Some(local) = syms.local(name) else {
+                return;
+            };
             let rhs = eval_sym(value, &env.vals, syms);
             let new = match op {
                 None => rhs,
@@ -677,6 +685,9 @@ pub struct SymIntervalAnalysis {
     present: BitMatrix,
     vals: Vec<Interval>,
     reached: Vec<bool>,
+    /// Work counter: interval slots compared or written, one universe
+    /// per node store. Not part of the result.
+    pub slot_updates: usize,
 }
 
 impl SymIntervalAnalysis {
@@ -686,6 +697,7 @@ impl SymIntervalAnalysis {
             present: BitMatrix::new(nodes, universe),
             vals: vec![Interval::TOP; nodes * universe],
             reached: vec![false; nodes],
+            slot_updates: 0,
         }
     }
 
@@ -701,6 +713,7 @@ impl SymIntervalAnalysis {
 
     /// Store `env` as `node`'s environment; true if it changed.
     fn store(&mut self, node: NodeId, env: &SymEnv) -> bool {
+        self.slot_updates += self.universe;
         let range = node * self.universe..(node + 1) * self.universe;
         if self.reached[node] && env.matches(self.present.row(node), &self.vals[range.clone()]) {
             return false;
@@ -712,12 +725,83 @@ impl SymIntervalAnalysis {
     }
 }
 
+/// The relevance slice of the interval fixpoint, as a sub-universe of
+/// `syms`: the locals read by index-site index expressions and by every
+/// branch condition, closed under "assigned from" (a strong definition
+/// of a slice local pulls in every local the defining node reads).
+/// `None` when the function has no index site — the fixpoint's only
+/// output is per-site intervals, so there is nothing to compute.
+///
+/// Dropping the other locals changes no site interval and no edge's
+/// feasibility: every transfer reads only its target and the locals of
+/// its right-hand side, join and widening are per local, and condition
+/// locals are all in the slice, so the slice's values — and which nodes
+/// are reached — evolve sweep for sweep exactly as in the full universe.
+pub fn relevance_slice<'p>(
+    cfg: &Cfg<'_>,
+    syms: &FnSymbols<'p>,
+    defs: &[Option<(LocalId, bool)>],
+    uses: &NodeUses,
+) -> Option<FnSymbols<'p>> {
+    let mut keep = BitSet::new(syms.len());
+    let mut work: Vec<LocalId> = Vec::new();
+    let mut any_site = false;
+    for_each_index_site(cfg, &mut |_, _, index, _| {
+        any_site = true;
+        visit::walk_expr(index, &mut |e| {
+            if let ExprKind::Var(name) = &e.kind {
+                let local = syms.local(name).expect("index var interned");
+                if keep.insert(local as usize) {
+                    work.push(local);
+                }
+            }
+        });
+    });
+    if !any_site {
+        return None;
+    }
+    for (id, node) in cfg.nodes.iter().enumerate() {
+        if let NodeKind::Cond(_) = node.kind {
+            for &local in &uses[id] {
+                if keep.insert(local as usize) {
+                    work.push(local);
+                }
+            }
+        }
+    }
+    // Strong definitions per local as linked lists threaded through the
+    // nodes (`head[local]`, then `next[node]`).
+    const NONE: u32 = u32::MAX;
+    let mut head = vec![NONE; syms.len()];
+    let mut next = vec![NONE; cfg.node_count()];
+    for (id, def) in defs.iter().enumerate() {
+        if let Some((local, true)) = *def {
+            next[id] = head[local as usize];
+            head[local as usize] = id as u32;
+        }
+    }
+    while let Some(local) = work.pop() {
+        let mut node = head[local as usize];
+        while node != NONE {
+            for &read in &uses[node as usize] {
+                if keep.insert(read as usize) {
+                    work.push(read);
+                }
+            }
+            node = next[node as usize];
+        }
+    }
+    Some(syms.restrict(&keep))
+}
+
 /// The forward interval fixpoint over one function's CFG, visiting nodes
 /// in `order` (reverse postorder). Widening applies at loop heads (targets
 /// of back edges) after [`WIDEN_AFTER`] sweeps; widening anywhere else
 /// would wipe out branch refinements computed after the loop. The join of
 /// a node's in-edges is built in one reused environment and compared
-/// against the stored row, so a sweep allocates nothing.
+/// against the stored row, so a sweep allocates nothing. The environments
+/// range over the locals of `syms` — the function's own symbols, or the
+/// [`relevance_slice`] of them context construction passes.
 pub fn analyze_cfg_sym(
     cfg: &Cfg<'_>,
     f: &Function,
@@ -741,7 +825,9 @@ pub fn analyze_cfg_sym(
     let mut joined = SymEnv::new(universe);
     for p in &f.params {
         if p.ty == Type::Int {
-            joined.insert(syms.local(&p.name).expect("param interned"), Interval::TOP);
+            if let Some(local) = syms.local(&p.name) {
+                joined.insert(local, Interval::TOP);
+            }
         }
     }
     envs.store(cfg.entry, &joined);
@@ -1051,5 +1137,52 @@ mod tests {
         };
         let (syms, env) = env_with_x(f, Interval::new(0, 5));
         assert_eq!(eval_sym(e, env.vals(), &syms), Interval::constant(1));
+    }
+
+    #[test]
+    fn relevance_slice_reproduces_full_universe_site_intervals() {
+        // Each body indexes through assignment chains and loop counters
+        // while other locals (and every callee name) stay out of it.
+        let bodies = [
+            "fn f(n: int, m: int) -> int {
+                 let b: int[16]; let unused: int = 0; let k: int = 2;
+                 let j: int = k + 3; let t: int = m;
+                 while t < 10 { t = t + 1; unused = unused + 7; log_msg(unused); }
+                 if t > 12 { j = 20; }
+                 b[j] = 1;
+                 for i = 0; i < 16; i += 1 { b[i] = unused; }
+                 return b[k];
+             }",
+            "fn f(s: str, n: int) {
+                 let a: int[4]; let noise: int = n * 3; let c: int = n;
+                 c += 1;
+                 if c < 4 { if c >= 0 { a[c] = noise; } }
+                 strcpy(s, s);
+             }",
+        ];
+        for src in bodies {
+            with_fcx(src, |fcx| {
+                let full = check_bounds_sym(&fcx.cfg, fcx.function, &fcx.symbols, &analyze(fcx));
+                let slice = relevance_slice(&fcx.cfg, &fcx.symbols, &fcx.defs, &fcx.uses)
+                    .expect("has index sites");
+                assert!(slice.len() < fcx.symbols.len(), "{src}");
+                let sliced_env = analyze_cfg_sym(&fcx.cfg, fcx.function, &slice, &fcx.rpo);
+                let sliced = check_bounds_sym(&fcx.cfg, fcx.function, &slice, &sliced_env);
+                assert_eq!(sliced, full, "{src}");
+                assert_eq!(sliced.1, fcx.index_sites);
+            });
+        }
+    }
+
+    #[test]
+    fn no_index_site_means_no_interval_slice() {
+        with_fcx(
+            "fn f(x: int) -> int { while x < 100 { x = x * 2; } return x; }",
+            |fcx| {
+                assert!(relevance_slice(&fcx.cfg, &fcx.symbols, &fcx.defs, &fcx.uses).is_none());
+                assert_eq!(fcx.bounds, BoundsReport::default());
+                assert!(fcx.index_sites.is_empty());
+            },
+        );
     }
 }

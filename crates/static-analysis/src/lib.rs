@@ -24,9 +24,9 @@
 //!
 //! Collectors share one [`context::AnalysisContext`]: identifiers are
 //! interned into a [`symbols::SymbolTable`], each function's CFG,
-//! reverse-postorder, dominator tree and def/use sets are built exactly
-//! once, and the dataflow/taint/interval fixpoints run on dense
-//! [`bitset::BitSet`] lattices keyed by [`symbols::SymbolId`].
+//! reverse-postorder and def/use sets are built exactly once, and the
+//! dataflow/taint/interval fixpoints run on dense [`bitset::BitSet`]
+//! lattices keyed by [`symbols::SymbolId`].
 
 pub mod bitset;
 pub mod callgraph;

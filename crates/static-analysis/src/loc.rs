@@ -50,9 +50,15 @@ impl LocCounts {
 }
 
 /// Classify every line of `source` under the given dialect's comment syntax.
+///
+/// The scan works on bytes: the comment markers and the quote are ASCII
+/// (a marker is only compared where its first byte matches), and a
+/// multi-byte character is stepped over whole, its width read off its
+/// lead byte, everywhere outside string literals.
 pub fn count_source(source: &str, dialect: Dialect) -> LocCounts {
-    let line_intro = dialect.line_comment();
+    let line_intro = dialect.line_comment().as_bytes();
     let (block_open, block_close) = dialect.block_comment();
+    let (block_open, block_close) = (block_open.as_bytes(), block_close.as_bytes());
     let mut counts = LocCounts::default();
     // Carried across lines: are we inside a block comment?
     let mut in_block = false;
@@ -65,22 +71,23 @@ pub fn count_source(source: &str, dialect: Dialect) -> LocCounts {
         let mut in_string = false;
 
         while i < bytes.len() {
+            let b = bytes[i];
             if in_block {
                 has_comment = true;
-                if line[i..].starts_with(block_close) {
+                if b == block_close[0] && bytes[i..].starts_with(block_close) {
                     in_block = false;
                     i += block_close.len();
                 } else {
-                    i += utf8_step(line, i);
+                    i += utf8_width(b);
                 }
                 continue;
             }
             if in_string {
                 has_code = true;
-                if bytes[i] == b'\\' && i + 1 < bytes.len() {
+                if b == b'\\' && i + 1 < bytes.len() {
                     i += 2;
                 } else {
-                    if bytes[i] == b'"' {
+                    if b == b'"' {
                         in_string = false;
                     }
                     i += 1;
@@ -88,17 +95,16 @@ pub fn count_source(source: &str, dialect: Dialect) -> LocCounts {
                 continue;
             }
             // Outside both string and block comment.
-            if line[i..].starts_with(line_intro) {
+            if b == line_intro[0] && bytes[i..].starts_with(line_intro) {
                 has_comment = true;
                 break; // rest of the line is comment
             }
-            if line[i..].starts_with(block_open) {
+            if b == block_open[0] && bytes[i..].starts_with(block_open) {
                 has_comment = true;
                 in_block = true;
                 i += block_open.len();
                 continue;
             }
-            let b = bytes[i];
             if b == b'"' {
                 // NOTE: in the Python dialect the block-open `"""` is matched
                 // above before this single-quote case fires.
@@ -110,7 +116,7 @@ pub fn count_source(source: &str, dialect: Dialect) -> LocCounts {
             if !b.is_ascii_whitespace() {
                 has_code = true;
             }
-            i += utf8_step(line, i);
+            i += utf8_width(b);
         }
 
         if has_code {
@@ -124,14 +130,14 @@ pub fn count_source(source: &str, dialect: Dialect) -> LocCounts {
     counts
 }
 
-/// Byte width of the character starting at `i` (1 for ASCII).
-fn utf8_step(s: &str, i: usize) -> usize {
-    s[i..]
-        .chars()
-        .next()
-        .map(|c| c.len_utf8())
-        .max(Some(1))
-        .unwrap_or(1)
+/// Byte width of the UTF-8 character whose first byte is `lead`.
+fn utf8_width(lead: u8) -> usize {
+    match lead {
+        0xf0.. => 4,
+        0xe0.. => 3,
+        0xc0.. => 2,
+        _ => 1,
+    }
 }
 
 /// Count one module using its own dialect.
@@ -227,6 +233,22 @@ mod tests {
             LocCounts {
                 code: 2,
                 comment: 3,
+                blank: 0
+            }
+        );
+    }
+
+    #[test]
+    fn multibyte_characters_are_stepped_whole() {
+        // Non-ASCII code, string contents, comment text and a lone
+        // non-ASCII symbol.
+        let src = "let é: str = \"ü // no\"; // ç\n/* ñ\n€ */\n  ∀\n";
+        let c = count_source(src, Dialect::C);
+        assert_eq!(
+            c,
+            LocCounts {
+                code: 2,
+                comment: 2,
                 blank: 0
             }
         );

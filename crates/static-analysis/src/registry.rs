@@ -12,7 +12,7 @@
 
 use crate::context::AnalysisContext;
 use crate::features::FeatureVector;
-use crate::{callgraph, counts, cyclomatic, dataflow, halstead, interval, loc, smells};
+use crate::{callgraph, counts, cyclomatic, dataflow, halstead, interval, smells};
 use minilang::ast::Program;
 use std::time::Instant;
 
@@ -105,7 +105,7 @@ impl MetricCollector for LocCollector {
     }
 
     fn collect(&self, cx: &AnalysisContext<'_>, out: &mut FeatureVector) {
-        let c = loc::count_program(cx.program);
+        let c = cx.program_loc();
         out.set("loc.code", c.code as f64);
         out.set("loc.comment", c.comment as f64);
         out.set("loc.blank", c.blank as f64);

@@ -6,7 +6,6 @@
 //! reports instances; their counts become testbed features.
 
 use crate::context::AnalysisContext;
-use crate::loc;
 use minilang::ast::{Annotation, Function};
 use minilang::{visit, Span};
 use std::collections::HashMap;
@@ -116,9 +115,8 @@ pub fn detect(cx: &AnalysisContext<'_>, thresholds: &Thresholds) -> Vec<Smell> {
     // between two detections of the same program in one process.
     let mut bodies: Vec<(String, &[u64])> = Vec::new();
     let mut body_index: HashMap<String, usize> = HashMap::new();
-    for m in &program.modules {
+    for (m, counts) in program.modules.iter().zip(&cx.module_loc) {
         // Module-level: comment ratio.
-        let counts = loc::count_module(m);
         if counts.code > 50 && counts.comment_ratio() < thresholds.min_comment_ratio {
             smells.push(Smell {
                 kind: SmellKind::SparseComments,

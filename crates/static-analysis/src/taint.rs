@@ -12,11 +12,12 @@
 //!
 //! 1. **Summaries** — for every function, compute (a) whether it can return
 //!    source-derived data unconditionally and (b) whether tainted parameters
-//!    can flow to its return value, iterating until the summary set is
-//!    stable (handles recursion).
+//!    can flow to its return value, callees before callers over the call
+//!    graph's strongly connected components, iterating inside each cycle
+//!    until its summaries are stable (handles recursion).
 //! 2. **Entry propagation** — parameters are tainted for annotated entry
 //!    points, then call sites with tainted arguments taint their callee's
-//!    parameters, to fixpoint; a final intraprocedural pass per function
+//!    parameters, to fixpoint; each function's final intraprocedural pass
 //!    records every sink call receiving tainted data.
 
 use crate::bitset::{row_contains, row_insert, row_remove, BitMatrix};
@@ -24,7 +25,7 @@ use crate::cfg::NodeKind;
 use crate::context::{FnSymbols, FunctionContext};
 use minilang::ast::{Expr, ExprKind, Function, LValue, Program, StmtKind};
 use minilang::{visit, Intrinsic, Span};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How a function may produce tainted output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,6 +68,9 @@ pub struct TaintReport {
     pub sink_calls: usize,
     /// Per-function summaries (kept for the attack-graph exploit templates).
     pub summaries: BTreeMap<String, TaintSummary>,
+    /// Work counter: intraprocedural passes the fixpoint requested (memo
+    /// hits included). Not part of the result.
+    pub intra_passes: usize,
 }
 
 impl TaintReport {
@@ -80,7 +84,7 @@ impl TaintReport {
 /// incremental engine can memoize it across extractions: the result is a
 /// pure function of the function's text, `params_tainted`, and the
 /// restriction of the summary map to the function's callee names.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntraResult {
     pub returns_taint: bool,
     pub hit_sink: bool,
@@ -105,27 +109,59 @@ pub trait IntraMemo {
     fn put(&self, idx: usize, params_tainted: bool, digest: u64, result: &IntraResult);
 }
 
-/// The distinct non-intrinsic callee names a function mentions, sorted —
-/// the summary-map entries an intraprocedural pass can observe.
-/// (Intrinsic-named callees resolve through [`Intrinsic::from_name`]
-/// before the summary map is consulted, so they cannot affect the result.)
-pub fn callee_dependencies(f: &Function) -> Vec<String> {
-    let mut names = BTreeSet::new();
-    visit::walk_exprs(&f.body, &mut |e| {
-        if let ExprKind::Call { callee, .. } = &e.kind {
-            if Intrinsic::from_name(callee).is_none() {
-                names.insert(callee.clone());
+/// What one walk over a function's calls yields: the distinct
+/// non-intrinsic callee names, sorted — the summary-map entries an
+/// intraprocedural pass can observe (intrinsic-named callees resolve
+/// through [`Intrinsic::from_name`] before the summary map is consulted,
+/// so they cannot affect the result) — and its taint-source and
+/// dangerous-sink call counts.
+struct CallFacts<'a> {
+    callees: Vec<&'a str>,
+    source_calls: usize,
+    sink_calls: usize,
+}
+
+impl<'a> CallFacts<'a> {
+    fn of(f: &'a Function) -> CallFacts<'a> {
+        let mut callees = Vec::new();
+        let (mut source_calls, mut sink_calls) = (0, 0);
+        visit::walk_exprs(&f.body, &mut |e| {
+            if let ExprKind::Call { callee, .. } = &e.kind {
+                match Intrinsic::from_name(callee) {
+                    Some(i) => {
+                        source_calls += i.is_taint_source() as usize;
+                        sink_calls += i.is_dangerous_sink() as usize;
+                    }
+                    None => callees.push(callee.as_str()),
+                }
             }
+        });
+        callees.sort_unstable();
+        callees.dedup();
+        CallFacts {
+            callees,
+            source_calls,
+            sink_calls,
         }
-    });
-    names.into_iter().collect()
+    }
+
+    /// With clean parameters, can any value in the function be tainted?
+    /// Only a source call or a callee that always returns taint creates
+    /// taint from nothing; without either, a clean pass finds nothing.
+    fn taint_from_nothing(&self, summaries: &BTreeMap<String, TaintSummary>) -> bool {
+        self.source_calls > 0
+            || self
+                .callees
+                .iter()
+                .any(|c| summaries.get(*c).is_some_and(|s| s.returns_taint_always))
+    }
 }
 
 /// FNV-1a digest of the summary map restricted to `callees` (which must be
 /// sorted and deduplicated): per name, its presence in the map and its
 /// summary bits. Two summary maps with equal digests are indistinguishable
 /// to an intraprocedural pass over a function with these callees.
-pub fn summaries_digest(callees: &[String], summaries: &BTreeMap<String, TaintSummary>) -> u64 {
+pub fn summaries_digest(callees: &[&str], summaries: &BTreeMap<String, TaintSummary>) -> u64 {
     // Local FNV-1a 64: this crate sits below `pipeline`, so it cannot
     // borrow `pipeline::fnv`.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -138,7 +174,7 @@ pub fn summaries_digest(callees: &[String], summaries: &BTreeMap<String, TaintSu
     for name in callees {
         eat(&(name.len() as u64).to_le_bytes());
         eat(name.as_bytes());
-        match summaries.get(name) {
+        match summaries.get(*name) {
             None => eat(&[0]),
             Some(s) => eat(&[
                 1,
@@ -160,11 +196,11 @@ pub fn analyze_contexts(program: &Program, fcxs: &[FunctionContext<'_>]) -> Tain
 }
 
 /// [`analyze_contexts`] with a cross-extraction memo for the
-/// intraprocedural passes. The sweep structure and iteration order are
-/// unchanged; only the per-call `intra_ctx` work is elided on memo hits,
-/// so the report is bit-identical to the memo-free path. Callgraph-edge
-/// invalidation falls out of the key: when a callee's summary changes,
-/// every caller's digest changes and its memo entries stop matching.
+/// intraprocedural passes. The evaluation order does not depend on the
+/// memo; only the per-call `intra_ctx` work is elided on memo hits, so
+/// the report is bit-identical to the memo-free path. Callgraph-edge invalidation falls
+/// out of the key: when a callee's summary changes, every caller's digest
+/// changes and its memo entries stop matching.
 pub fn analyze_contexts_memo(
     program: &Program,
     fcxs: &[FunctionContext<'_>],
@@ -173,99 +209,154 @@ pub fn analyze_contexts_memo(
     run_contexts(program, fcxs, Some(memo))
 }
 
+/// The whole-program fixpoint over the last-wins name graph (one node per
+/// distinct function name, numbered in name order; an edge per call to a
+/// defined name).
+///
+/// An intraprocedural pass is monotone in the summary bits and the
+/// parameter flag it reads (see [`intra_ctx`]), and both fixpoints start
+/// from bottom, so every chaotic iteration order reaches the same least
+/// fixpoint. That licenses the cheapest orders:
+///
+/// 1. **Summaries**, bottom-up over the strongly connected components
+///    (callees before callers), iterating a worklist only inside cyclic
+///    components. Each function's last clean and dirty passes saw final
+///    summaries — a member is re-queued whenever a same-component callee
+///    changes — so they are kept and phase 2 and the flow pass run no
+///    passes of their own.
+/// 2. **Entry propagation** by worklist over the kept passes.
+/// 3. **Flows**, collected in name order.
 fn run_contexts(
     program: &Program,
     fcxs: &[FunctionContext<'_>],
     memo: Option<&dyn IntraMemo>,
 ) -> TaintReport {
-    // Name → index into `fcxs`, last-wins on duplicates.
-    let functions: BTreeMap<&str, usize> = fcxs
+    // Node `k` of the name graph: `(name, index into fcxs)`, sorted by
+    // name, last-wins on duplicates.
+    let nodes: Vec<(&str, usize)> = fcxs
         .iter()
         .enumerate()
         .map(|(i, fcx)| (fcx.function.name.as_str(), i))
+        .collect::<BTreeMap<_, _>>()
+        .into_iter()
         .collect();
-    // Callee-name lists only matter when a memo is wired in; the plain
-    // path skips the collection walk entirely.
-    let callees: Vec<Vec<String>> = match memo {
-        Some(_) => fcxs
-            .iter()
-            .map(|fcx| callee_dependencies(fcx.function))
-            .collect(),
-        None => Vec::new(),
-    };
-    let intra = |idx: usize,
-                 params_tainted: bool,
-                 summaries: &BTreeMap<String, TaintSummary>|
+    let node_of = |name: &str| nodes.binary_search_by(|&(n, _)| n.cmp(name)).ok();
+    let facts: Vec<CallFacts> = nodes
+        .iter()
+        .map(|&(_, i)| CallFacts::of(fcxs[i].function))
+        .collect();
+    let succs: Vec<Vec<usize>> = facts
+        .iter()
+        .map(|f| f.callees.iter().filter_map(|c| node_of(c)).collect())
+        .collect();
+
+    let mut intra_passes = 0usize;
+    let mut intra = |k: usize,
+                     params_tainted: bool,
+                     summaries: &BTreeMap<String, TaintSummary>|
      -> IntraResult {
+        intra_passes += 1;
+        let idx = nodes[k].1;
+        let fcx = &fcxs[idx];
         let Some(memo) = memo else {
-            return intra_ctx(&fcxs[idx], params_tainted, summaries);
+            return intra_ctx(fcx, params_tainted, summaries);
         };
-        let digest = summaries_digest(&callees[idx], summaries);
+        let digest = summaries_digest(&facts[k].callees, summaries);
         if let Some(hit) = memo.get(idx, params_tainted, digest) {
             return hit;
         }
-        let result = intra_ctx(&fcxs[idx], params_tainted, summaries);
+        let result = intra_ctx(fcx, params_tainted, summaries);
         memo.put(idx, params_tainted, digest, &result);
         result
     };
 
-    // Phase 1: summaries to fixpoint.
-    let mut summaries: BTreeMap<String, TaintSummary> = functions
-        .keys()
-        .map(|&n| (n.to_string(), TaintSummary::default()))
+    // Phase 1: summaries, callee components first.
+    let mut summaries: BTreeMap<String, TaintSummary> = nodes
+        .iter()
+        .map(|&(n, _)| (n.to_string(), TaintSummary::default()))
         .collect();
-    loop {
-        let mut changed = false;
-        for (&name, &idx) in &functions {
-            let clean = intra(idx, false, &summaries);
-            let dirty = intra(idx, true, &summaries);
+    let sccs = crate::callgraph::strongly_connected(&succs);
+    // Same-component callers, to re-queue when a summary changes.
+    let mut callers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    for (k, out) in succs.iter().enumerate() {
+        for &j in out {
+            if sccs.component_of[j] == sccs.component_of[k] {
+                callers[j].push(k);
+            }
+        }
+    }
+    // Each function's last (clean, dirty) passes; every node belongs to
+    // a component, so every entry is overwritten.
+    let mut passes: Vec<(IntraResult, IntraResult)> = vec![Default::default(); nodes.len()];
+    let mut queued = vec![false; nodes.len()];
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    for members in &sccs.components {
+        queue.extend(members);
+        for &k in members {
+            queued[k] = true;
+        }
+        while let Some(k) = queue.pop_front() {
+            queued[k] = false;
+            // Passes that provably see no taint are not run: a clean pass
+            // with nothing to create taint, and a dirty pass over a
+            // function without parameters (it is the clean pass).
+            let clean = if facts[k].taint_from_nothing(&summaries) {
+                intra(k, false, &summaries)
+            } else {
+                IntraResult::default()
+            };
+            let dirty = if fcxs[nodes[k].1].param_locals.is_empty() {
+                clean.clone()
+            } else {
+                intra(k, true, &summaries)
+            };
             let new = TaintSummary {
                 returns_taint_always: clean.returns_taint,
                 returns_taint_if_param: dirty.returns_taint,
                 param_reaches_sink: dirty.hit_sink,
             };
-            let entry = summaries.get_mut(name).expect("summary exists");
+            passes[k] = (clean, dirty);
+            let entry = summaries.get_mut(nodes[k].0).expect("summary exists");
             if *entry != new {
                 *entry = new;
-                changed = true;
+                for &caller in &callers[k] {
+                    if !queued[caller] {
+                        queued[caller] = true;
+                        queue.push_back(caller);
+                    }
+                }
             }
-        }
-        if !changed {
-            break;
         }
     }
 
-    // Phase 2: which functions run with tainted parameters?
+    // Phase 2: which functions run with tainted parameters? Every
+    // function's clean pass taints callees; each function in the set
+    // then taints the callees of its dirty pass (a superset) once.
     let mut tainted_entry: BTreeSet<String> = program
         .functions()
         .filter(|f| f.is_untrusted() || !f.endpoint_channels().is_empty())
         .map(|f| f.name.clone())
         .collect();
-    loop {
-        let mut changed = false;
-        for (&name, &idx) in &functions {
-            let params_tainted = tainted_entry.contains(name);
-            let result = intra(idx, params_tainted, &summaries);
-            for callee in result.tainted_arg_callees {
-                if functions.contains_key(callee.as_str()) && tainted_entry.insert(callee) {
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
+    let mut work: Vec<usize> = (0..nodes.len())
+        .filter(|&k| tainted_entry.contains(nodes[k].0))
+        .collect();
+    for (clean, _) in &passes {
+        taint_callees(clean, &node_of, &mut tainted_entry, &mut work);
+    }
+    while let Some(k) = work.pop() {
+        taint_callees(&passes[k].1, &node_of, &mut tainted_entry, &mut work);
     }
 
     // Final pass: collect flows and counts.
     let mut report = TaintReport {
-        tainted_entry_functions: tainted_entry.clone(),
-        summaries: summaries.clone(),
+        tainted_entry_functions: tainted_entry,
+        summaries,
+        intra_passes,
         ..Default::default()
     };
-    for (&name, &idx) in &functions {
-        let params_tainted = tainted_entry.contains(name);
-        let result = intra(idx, params_tainted, &summaries);
+    for (((name, _), (clean, dirty)), facts) in nodes.into_iter().zip(passes).zip(&facts) {
+        let params_tainted = report.tainted_entry_functions.contains(name);
+        let result = if params_tainted { dirty } else { clean };
         for (sink, span, needed_params) in result.sink_hits {
             report.flows.push(TaintFlow {
                 function: name.to_string(),
@@ -274,25 +365,40 @@ fn run_contexts(
                 via_parameters: needed_params && params_tainted,
             });
         }
-        visit::walk_exprs(&fcxs[idx].function.body, &mut |e| {
-            if let ExprKind::Call { callee, .. } = &e.kind {
-                if let Some(i) = Intrinsic::from_name(callee) {
-                    if i.is_taint_source() {
-                        report.source_calls += 1;
-                    }
-                    if i.is_dangerous_sink() {
-                        report.sink_calls += 1;
-                    }
-                }
-            }
-        });
+        report.source_calls += facts.source_calls;
+        report.sink_calls += facts.sink_calls;
     }
     report
+}
+
+/// Add the defined callees `pass` passed tainted arguments to `tainted`,
+/// queueing the node of each one newly added.
+fn taint_callees(
+    pass: &IntraResult,
+    node_of: &dyn Fn(&str) -> Option<usize>,
+    tainted: &mut BTreeSet<String>,
+    work: &mut Vec<usize>,
+) {
+    for callee in &pass.tainted_arg_callees {
+        if let Some(k) = node_of(callee) {
+            if tainted.insert(callee.clone()) {
+                work.push(k);
+            }
+        }
+    }
 }
 
 /// Forward taint fixpoint over a prebuilt function context, tracking
 /// tainted variables as rows of one [`BitMatrix`] over the function's
 /// local symbols; each node's transfer runs in place on one scratch row.
+///
+/// Monotone in its inputs, which is what lets [`run_contexts`] pick any
+/// evaluation order: a summary bit read here is only ever OR-ed into a
+/// value's taint (`returns_taint_always`, `returns_taint_if_param`) or
+/// into `hit_sink` (`param_reaches_sink`), and tainted parameters only
+/// grow every node's set; so `returns_taint`, `hit_sink` and
+/// `tainted_arg_callees` never shrink as the summaries or the parameter
+/// flag grow.
 fn intra_ctx(
     fcx: &FunctionContext<'_>,
     params_tainted: bool,
@@ -630,5 +736,39 @@ mod tests {
     fn strncpy_is_not_a_sink() {
         let r = report("fn f(buf: str[8]) { strncpy(buf, read_input(), 8); }");
         assert!(r.flows.is_empty());
+    }
+
+    #[test]
+    fn passes_that_see_no_taint_are_skipped() {
+        // No source and no parameters: no pass can see taint.
+        let r = report("fn f() { let x: int = 1; printf(\"%d\", x); }");
+        assert_eq!(r.intra_passes, 0);
+        // A parameter but no source: only the dirty pass runs.
+        let r = report("fn f(s: str) { exec(s); }");
+        assert_eq!(r.intra_passes, 1);
+        assert!(r.summaries["f"].param_reaches_sink);
+        // A callee that always returns taint makes the clean pass count.
+        let r = report(
+            "fn get() -> str { return read_input(); }
+             fn f() { system(get()); }",
+        );
+        assert_eq!(r.intra_passes, 2);
+        assert_eq!(r.flows.len(), 1);
+    }
+
+    #[test]
+    fn mutual_recursion_reaches_the_same_fixpoint_in_any_order() {
+        // Return taint enters the ring at `c` and must circulate to `a`,
+        // whose name sorts before both callees.
+        let r = report(
+            "fn a(n: int) -> str { return b(n); }
+             fn b(n: int) -> str { return c(n); }
+             fn c(n: int) -> str { if n > 0 { return a(n - 1); } return recv(0); }
+             fn user() { exec(a(3)); }",
+        );
+        for f in ["a", "b", "c"] {
+            assert!(r.summaries[f].returns_taint_always, "{f}");
+        }
+        assert_eq!(r.flows.len(), 1);
     }
 }

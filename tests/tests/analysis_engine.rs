@@ -12,58 +12,15 @@
 
 use bugfind::MetaTool;
 use clairvoyant::testbed::Testbed;
-use corpus::{AppSpec, Domain};
-use cvedb::Cwe;
+use integration_tests::{assert_matches_fixture, seeded_app};
 use minilang::ast::Program;
 use minilang::Dialect;
 use static_analysis::context::AnalysisContext;
 use static_analysis::FeatureVector;
 use std::fmt::Write as _;
-
-const DIALECTS: [Dialect; 4] = [Dialect::C, Dialect::Cpp, Dialect::Python, Dialect::Java];
-const DOMAINS: [Domain; 4] = [
-    Domain::Server,
-    Domain::Library,
-    Domain::CliTool,
-    Domain::Desktop,
-];
+use std::path::Path;
 
 const FIXTURE: &str = include_str!("../fixtures/analysis_engine.golden");
-
-fn spec(i: u64, dialect: Dialect, domain: Domain) -> AppSpec {
-    AppSpec {
-        name: format!("prop-app-{i}"),
-        dialect,
-        domain,
-        // Small programs keep ~50 cases tractable in debug builds; the
-        // synthesizer still emits branches, loops, buffers and endpoints
-        // at this size.
-        target_kloc: 0.25 + (i % 5) as f64 * 0.1,
-        maturity: (i % 7) as f64 / 6.0,
-        review: (i % 3) as f64 / 2.0,
-        expertise: (i % 4) as f64 / 3.0,
-        first_release_year: 1998 + (i % 20) as i32,
-        seed: 0x5eed_0000 + i * 7919,
-    }
-}
-
-fn seeded_app(i: u64) -> Program {
-    let dialect = DIALECTS[(i % 4) as usize];
-    let domain = DOMAINS[((i / 4) % 4) as usize];
-    corpus::synth::synthesize(&spec(i, dialect, domain), &cwe_seeds(i)).program
-}
-
-fn cwe_seeds(i: u64) -> Vec<(Cwe, bool)> {
-    match i % 4 {
-        0 => vec![],
-        1 => vec![(Cwe::StackBufferOverflow, true)],
-        2 => vec![(Cwe::FormatString, false), (Cwe::PathTraversal, true)],
-        _ => vec![
-            (Cwe::CommandInjection, true),
-            (Cwe::HardcodedCredentials, false),
-        ],
-    }
-}
 
 /// Index-site shapes the `bufcheck` replay of cached per-site intervals
 /// must get right: nesting, sites inside indexed assignments, unreachable
@@ -163,37 +120,6 @@ fn render(
     }
 }
 
-fn data_lines(text: &str) -> impl Iterator<Item = &str> {
-    text.lines().filter(|l| !l.starts_with('#'))
-}
-
-/// Compare against the fixture, ignoring `#` comment lines; on a
-/// mismatch, write `actual` under `target/` and fail naming the first
-/// differing line.
-fn assert_matches_fixture(actual: &str, what: &str) {
-    let mut expected = data_lines(FIXTURE);
-    let mut got = data_lines(actual);
-    loop {
-        match (expected.next(), got.next()) {
-            (None, None) => return,
-            (Some(e), Some(g)) if e == g => {}
-            (e, g) => {
-                let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-                    .join("analysis_engine.golden.actual");
-                std::fs::write(&path, actual).expect("write actual output");
-                let program = e.or(g).and_then(|l| l.split(' ').next()).unwrap_or("?");
-                panic!(
-                    "{what} diverged from the golden fixture at program `{program}`:\n  \
-                     expected: {}\n  actual:   {}\nfull actual output: {}",
-                    e.unwrap_or("<end of fixture>"),
-                    g.unwrap_or("<end of output>"),
-                    path.display()
-                );
-            }
-        }
-    }
-}
-
 const HEADER: &str = "\
 # Golden analysis output: feature vectors (f64 bits) and bug-finder
 # diagnostics over the programs of tests/tests/analysis_engine.rs, which
@@ -212,7 +138,12 @@ fn extraction_and_diagnostics_match_golden_fixture_at_1_and_4_workers() {
             let report = tool.run(&AnalysisContext::build(program));
             render(&mut out, label, &features, &report.diagnostics);
         }
-        assert_matches_fixture(&out, &format!("output at fn_jobs {jobs}"));
+        assert_matches_fixture(
+            FIXTURE,
+            &out,
+            &Path::new(env!("CARGO_TARGET_TMPDIR")).join("analysis_engine.golden.actual"),
+            &format!("output at fn_jobs {jobs}"),
+        );
     }
 }
 
