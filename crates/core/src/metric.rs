@@ -183,13 +183,15 @@ pub(crate) fn assemble_report(
     // assembly). The comparator — |contribution| descending, column
     // index ascending — is a total order, and on ties the stable sort
     // kept indices ascending too, so the ranked prefix is identical.
+    // `total_cmp` orders magnitudes (never `-0.0`) as `partial_cmp`
+    // does, and ranks a NaN contribution — a damaged model file's
+    // weight or scale — first instead of panicking.
     let n = feature_names.len().min(row.len()).min(risk_weights.len());
     let mut ranked: Vec<usize> = (0..n).collect();
     let by_rank = |&a: &usize, &b: &usize| {
         (risk_weights[b] * row[b])
             .abs()
-            .partial_cmp(&(risk_weights[a] * row[a]).abs())
-            .expect("finite contributions")
+            .total_cmp(&(risk_weights[a] * row[a]).abs())
             .then(a.cmp(&b))
     };
     if n > 10 {

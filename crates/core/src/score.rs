@@ -7,7 +7,7 @@
 //! whole corpus at once: feature rows are prepared into one reused
 //! scratch buffer (no per-app allocation), assembled into a single
 //! columnar [`ColMatrix`], and every model in the battery scores the full
-//! matrix with its blocked `predict_batch` kernel, fanned out over the
+//! matrix with its compiled `predict_batch` engine, fanned out over the
 //! pipeline work-stealing pool. Reports are bit-identical to the boxed
 //! per-row path ([`crate::metric::evaluate_features`]) for any worker
 //! count.
@@ -118,14 +118,16 @@ impl CompiledModel {
         self.hypotheses.len()
     }
 
-    /// Lower every tree-shaped model in the battery to its quantized,
-    /// feature-pruned, depth-unrolled kernel (`secml::kernel`) — the
-    /// "codegen" stage. A load/reload-time step, not a wire-format
-    /// change: `CLVY` bytes are untouched, and scoring stays bitwise
-    /// identical (the compiled programs make provably the same decisions
-    /// as the interpreter). Returns the number of models whose compiled
-    /// kernel is active; models that hit the exactness fallback keep the
-    /// interpreter and are simply not counted.
+    /// Compile every tree-shaped model in the battery to its quantized,
+    /// feature-pruned program (`secml::kernel`) now, and link the
+    /// programs to one shared quantization — the eager warm-up of what
+    /// batch scoring otherwise does on first use (minus the link). A
+    /// load/reload-time step, not a wire-format change: `CLVY` bytes are
+    /// untouched, and scoring stays bitwise identical (the programs make
+    /// provably the same decisions as the scalar row walk). Returns the
+    /// number of models with an active program, non-tree learners
+    /// included; tables `compile` refuses keep the scalar row walk and
+    /// are not counted.
     pub fn optimize(&self) -> usize {
         let classifiers = self.hypotheses.iter().map(|(_, m)| m.optimize());
         let regressors = std::iter::once(&self.count_model)
@@ -193,8 +195,8 @@ impl CompiledModel {
 
     /// The pure inference stage: every model in the battery (hypothesis
     /// classifiers, count regressor, severity regressors — in that
-    /// order) scores the entire prepared matrix with its flattened
-    /// batch kernel, fanned out over `jobs` pool workers. One
+    /// order) scores the entire prepared matrix with its compiled
+    /// batch engine, fanned out over `jobs` pool workers. One
     /// prediction vector per model, rows in corpus order.
     pub fn score_battery(&self, batch: &PreparedBatch, jobs: usize) -> Vec<Vec<f64>> {
         let jobs = self.clamp_jobs(batch.rows.len(), jobs);
@@ -342,6 +344,22 @@ impl CompiledModel {
             );
         }
         let all_feature_names = get_strings(&mut r)?;
+        // Row prep indexes the schema-width row by every kept index and
+        // zips it with the standardizer: a mismatch would panic on every
+        // score or silently mis-scale, so it fails decode instead.
+        let width = all_feature_names.len();
+        if let Some(&i) = kept.iter().find(|&&i| i >= width) {
+            return Err(format!(
+                "kept feature index {i} is outside the {width}-feature schema"
+            ));
+        }
+        if standardizer.means.len() != width || standardizer.stds.len() != width {
+            return Err(format!(
+                "standardizer covers {} means and {} stds for a {width}-feature schema",
+                standardizer.means.len(),
+                standardizer.stds.len()
+            ));
+        }
         let battery = standard_battery();
         let n_hyp = r.get_usize()?;
         let mut hypotheses = Vec::with_capacity(n_hyp.min(1 << 10));
@@ -412,6 +430,7 @@ mod tests {
     use super::*;
     use crate::testbed::Testbed;
     use crate::testutil::{shared_corpus, shared_model};
+    use crate::train::{Learner, Trainer, TrainerConfig};
 
     fn corpus_features() -> Vec<(String, FeatureVector)> {
         let corpus = shared_corpus();
@@ -499,18 +518,20 @@ mod tests {
 
     #[test]
     fn optimized_battery_reports_are_bit_identical() {
+        // An eagerly optimized, linked battery against one that compiles
+        // its programs unlinked on first use, and both against the boxed
+        // per-row reference.
         let model = shared_model();
-        let compiled = model.compile();
+        let lazy = model.compile();
         let optimized = model.compile();
-        assert!(optimized.optimize() > 0, "battery compiles some kernels");
+        assert!(optimized.optimize() > 0, "battery compiles some programs");
         let apps = corpus_features();
-        let interp = compiled.evaluate_batch(&apps, 1);
-        let kernel = optimized.evaluate_batch(&apps, 1);
-        for (a, b) in interp.iter().zip(&kernel) {
+        let unlinked = lazy.evaluate_batch(&apps, 1);
+        let linked = optimized.evaluate_batch(&apps, 1);
+        for (a, b) in unlinked.iter().zip(&linked) {
             reports_bit_identical(a, b);
         }
-        // And against the boxed scalar reference, transitively.
-        for ((name, fv), report) in apps.iter().zip(&kernel) {
+        for ((name, fv), report) in apps.iter().zip(&linked) {
             let boxed = crate::metric::evaluate_features(model, name.clone(), fv);
             reports_bit_identical(&boxed, report);
         }
@@ -540,6 +561,36 @@ mod tests {
     }
 
     #[test]
+    fn kept_indices_outside_the_schema_fail_decode() {
+        let mut model = shared_model().compile();
+        model.kept[0] = model.all_feature_names.len();
+        let err = CompiledModel::from_bytes(&model.to_bytes())
+            .err()
+            .expect("out-of-range kept index decoded");
+        assert!(err.contains("outside"), "{err}");
+    }
+
+    #[test]
+    fn standardizer_means_of_the_wrong_width_fail_decode() {
+        let mut model = shared_model().compile();
+        model.standardizer.means.pop();
+        let err = CompiledModel::from_bytes(&model.to_bytes())
+            .err()
+            .expect("short means decoded");
+        assert!(err.contains("standardizer"), "{err}");
+    }
+
+    #[test]
+    fn standardizer_stds_of_the_wrong_width_fail_decode() {
+        let mut model = shared_model().compile();
+        model.standardizer.stds.push(1.0);
+        let err = CompiledModel::from_bytes(&model.to_bytes())
+            .err()
+            .expect("long stds decoded");
+        assert!(err.contains("standardizer"), "{err}");
+    }
+
+    #[test]
     fn load_returns_errors_not_panics_on_bad_files() {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
@@ -562,5 +613,68 @@ mod tests {
 
         std::fs::remove_file(&empty).ok();
         std::fs::remove_file(&truncated).ok();
+    }
+
+    /// The corruption sweep's battery: a small forest model's bytes, and
+    /// the 64 rows its decoded mutants must score.
+    fn sweep_fixture() -> (Vec<u8>, Vec<(String, FeatureVector)>) {
+        let model = Trainer::with_config(TrainerConfig {
+            learner: Learner::RandomForest,
+            forest_trees: 2,
+            top_k_features: Some(8),
+            ..Default::default()
+        })
+        .train(shared_corpus());
+        let seed = corpus_features();
+        let apps = (0..64)
+            .map(|i| {
+                let (name, fv) = &seed[i % seed.len()];
+                (format!("{name}-{i}"), fv.clone())
+            })
+            .collect();
+        (model.compile().to_bytes(), apps)
+    }
+
+    /// Decode `bytes`; a model that decodes must score and explain 1 and
+    /// 64 rows.
+    fn decode_and_score(bytes: &[u8], apps: &[(String, FeatureVector)]) {
+        if let Ok(model) = CompiledModel::from_bytes(bytes) {
+            for rows in [&apps[..1], apps] {
+                assert_eq!(model.evaluate_batch(rows, 1).len(), rows.len());
+                assert_eq!(model.explain_batch(rows, 1).len(), rows.len());
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_model_bytes_fail_decode_or_score_without_panicking() {
+        let (bytes, apps) = sweep_fixture();
+        for cut in 0..bytes.len() {
+            assert!(
+                CompiledModel::from_bytes(&bytes[..cut]).is_err(),
+                "a {cut}-byte truncation decoded"
+            );
+        }
+        let mut panicked = Vec::new();
+        for value in [1u64 << 20, u64::MAX] {
+            // Stride 11 (coprime to the 8-byte field width) reaches
+            // every alignment and keeps the debug-build sweep short.
+            for at in (0..=bytes.len() - 8).step_by(11) {
+                let mut mutant = bytes.clone();
+                mutant[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    decode_and_score(&mutant, &apps)
+                }));
+                if outcome.is_err() {
+                    panicked.push((at, value));
+                }
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "{} of {} overwrites decoded to a model that panics: {panicked:?}",
+            panicked.len(),
+            bytes.len()
+        );
     }
 }

@@ -173,8 +173,8 @@ pub fn evaluate_system_jobs(
     jobs: usize,
 ) -> SystemReport {
     let compiled = model.compile();
-    // Codegen before scoring: bit-identical, so system reports cannot
-    // tell the kernels from the interpreter.
+    // Compile and link the battery's programs before scoring, so every
+    // component shares one quantization of the matrix.
     compiled.optimize();
     evaluate_system_compiled(&compiled, system, jobs)
 }

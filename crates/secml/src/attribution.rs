@@ -23,23 +23,21 @@
 //! a feature that already dominates), which makes the invariant hold by
 //! construction for every model family, worker count, and block size.
 //!
-//! Tree attribution is batched exactly like scoring: rows are gathered
-//! by [`for_each_block`] into the same row-major scratch layout, and
-//! every tree walks all [`BLOCK_ROWS`] rows via the packed
-//! [`KernelTables`] before the next tree starts. Crediting is split off
-//! the descent so the hot loop stays the scoring kernel verbatim
-//! (branch-free, leaf-blind, four loads and a select per step): each
-//! edge's credit `E[child] − E[parent]` depends only on the child
-//! reached, so it is precomputed per node ([`Credits`]) and deposited by
-//! a short parent-pointer walk *up* from the landed leaf — actual path
-//! length, not padded max depth, and no per-step leaf test. Per row,
+//! Tree attribution batches through the same compiled program as
+//! scoring ([`crate::kernel`]), built on first use: the program reports
+//! each row's landed leaf per tree, in forest order. Crediting is split
+//! off the descent: each edge's credit `E[child] − E[parent]` depends
+//! only on the child reached, so it is precomputed per node
+//! ([`Credits`]) and deposited by a short parent-pointer walk *up* from
+//! the landed leaf — actual path length, no per-step leaf test. Per row,
 //! credits accumulate in the same (tree-major, leaf-to-root) order as
-//! the scalar walk, so batched and scalar attributions are bit-identical.
+//! the scalar walk ([`attribute_walk_row`]), the fallback for matrices
+//! and tables the program cannot run and the reference it is tested
+//! against, so batched and scalar attributions are bit-identical.
 
 use crate::dataset::ColMatrix;
 use crate::infer::{
-    for_each_block, sq_dist, CompiledClassifier, CompiledRegressor, FlatForest, FlatTree,
-    KernelTables, BLOCK_ROWS, LANES, LEAF,
+    map_rows, sq_dist, CompiledClassifier, CompiledRegressor, FlatForest, FlatTree, LEAF,
 };
 
 /// One row's decomposed prediction.
@@ -209,8 +207,8 @@ impl FlatForest {
 /// flat tree gives every node a unique parent, so the credit a row earns
 /// at a node — `E[node] − E[parent]`, owed to the parent's split feature
 /// — is a per-node constant. Precomputing it turns attribution into the
-/// *scoring* descent (branch-free, leaf-blind) plus a parent-pointer
-/// walk up from the landed leaf that runs for the actual path length.
+/// *scoring* descent plus a parent-pointer walk up from the landed leaf
+/// that runs for the actual path length.
 #[derive(Debug, Clone)]
 struct Credits {
     /// `parent[i]` is `i`'s parent; roots point at themselves (the
@@ -288,51 +286,6 @@ fn attribute_walk_row(
     }
 }
 
-/// The blocked attribution kernel: one tree over every row of a
-/// row-major block (a [`LANES`] multiple, as [`for_each_block`]
-/// guarantees). The descent is the scoring kernel's verbatim — lanes
-/// advance in lockstep through the packed [`KernelTables`] with no leaf
-/// test (a finished lane self-loops under the `NaN` rule) — and each
-/// lane's credits are then deposited by [`Credits::deposit`] from the
-/// landed leaf, in the same per-row order as [`attribute_walk_row`].
-/// `bins` is row-major (`width` per row);
-/// `leaf_sink(row_in_block, leaf_value)` fires once per lane, including
-/// for padding rows the caller must ignore (their bins are overwritten
-/// or discarded, so crediting them is harmless).
-#[allow(clippy::too_many_arguments)]
-fn attribute_walk_block(
-    nodes: &FlatTree,
-    kt: &KernelTables,
-    credits: &Credits,
-    root: u32,
-    depth: u32,
-    block: &[f64],
-    width: usize,
-    bins: &mut [f64],
-    leaf_sink: &mut impl FnMut(usize, f64),
-) {
-    let mut base = 0;
-    for chunk in block.chunks_exact(width * LANES) {
-        let mut idx = [root as usize; LANES];
-        for _ in 0..depth {
-            for (l, i) in idx.iter_mut().enumerate() {
-                let fr = kt.feature_right[*i];
-                let v = chunk[l * width + (fr >> 32) as usize];
-                *i = if v <= kt.threshold[*i] {
-                    *i + 1
-                } else {
-                    (fr & u64::from(u32::MAX)) as usize
-                };
-            }
-        }
-        for (l, &i) in idx.iter().enumerate() {
-            leaf_sink(base + l, nodes.threshold[i]);
-            credits.deposit(i, &mut bins[(base + l) * width..(base + l + 1) * width]);
-        }
-        base += LANES;
-    }
-}
-
 /// Exactified attribution from raw credits: `score` becomes the fold
 /// target, `prediction` is supplied by the caller (identical to `score`
 /// for identity-link models).
@@ -385,10 +338,10 @@ fn finish_forest_row(
     finish_additive(baseline, contributions, target, target)
 }
 
-/// Batched forest attribution with the same block/fallback structure as
-/// `FlatForest::predict_batch`: empty forests yield constant
-/// attributions, zero-width or too-narrow matrices take the scalar row
-/// walk, everything else the blocked kernel.
+/// Batched forest attribution with `FlatForest::predict_batch`'s
+/// structure: empty forests yield constant attributions, the compiled
+/// program runs wherever it can, and the scalar row walk everywhere
+/// else.
 fn forest_attribute_batch(forest: &FlatForest, x: &ColMatrix) -> Vec<RowAttribution> {
     let n = x.n_rows();
     let width = x.n_cols();
@@ -399,63 +352,23 @@ fn forest_attribute_batch(forest: &FlatForest, x: &ColMatrix) -> Vec<RowAttribut
     }
     let at = forest.attr_tables();
     let (expected, credits) = (at.expected.as_slice(), &at.credits);
-    if width == 0 || forest.nodes.max_feature() as usize >= width {
-        let mut row = vec![0.0; width];
-        return (0..n)
-            .map(|i| {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = x.value(i, j);
-                }
-                forest_attribute_row(forest, expected, credits, &row, width)
-            })
-            .collect();
-    }
-    if let Some(prog) = forest.program() {
-        // The compiled program lands on the same leaf ids in the same
-        // per-row tree order, so deposits and leaf sums — and therefore
-        // every attribution — are bit-identical to the interpreter.
-        let mut bins = vec![0.0f64; n * width];
-        let mut sums = vec![0.0f64; n];
-        prog.walk_batch(x, &mut |r, leaf, v| {
-            sums[r] += v;
-            credits.deposit(leaf as usize, &mut bins[r * width..(r + 1) * width]);
+    let Some(prog) = forest.batch_program(x) else {
+        return map_rows(x, |row| {
+            forest_attribute_row(forest, expected, credits, row, width)
         });
-        return (0..n)
-            .map(|r| {
-                finish_forest_row(forest, expected, &bins[r * width..(r + 1) * width], sums[r])
-            })
-            .collect();
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut bins = vec![0.0f64; BLOCK_ROWS * width];
-    let mut sums = [0.0f64; BLOCK_ROWS];
-    for_each_block(x, |_start, rows, block| {
-        let padded = block.len() / width;
-        bins[..padded * width].fill(0.0);
-        sums[..padded].fill(0.0);
-        for (&root, &depth) in forest.roots.iter().zip(&forest.depths) {
-            attribute_walk_block(
-                &forest.nodes,
-                forest.nodes.kernel_tables(),
-                credits,
-                root,
-                depth,
-                block,
-                width,
-                &mut bins,
-                &mut |r, v| sums[r] += v,
-            );
-        }
-        for r in 0..rows {
-            out.push(finish_forest_row(
-                forest,
-                expected,
-                &bins[r * width..(r + 1) * width],
-                sums[r],
-            ));
-        }
+    };
+    // The program lands on the row walk's leaf ids in the same per-row
+    // tree order, so deposits and leaf sums — and therefore every
+    // attribution — are bit-identical.
+    let mut bins = vec![0.0f64; n * width];
+    let mut sums = vec![0.0f64; n];
+    prog.walk_batch(x, &mut |r, leaf, v| {
+        sums[r] += v;
+        credits.deposit(leaf as usize, &mut bins[r * width..(r + 1) * width]);
     });
-    out
+    (0..n)
+        .map(|r| finish_forest_row(forest, expected, &bins[r * width..(r + 1) * width], sums[r]))
+        .collect()
 }
 
 /// Scalar single-tree attribution: the leaf value *is* the prediction.
@@ -471,77 +384,33 @@ fn tree_attribute_row(
     finish_additive(expected[0], bins, leaf, leaf)
 }
 
-/// Batched single-tree attribution, mirroring `FlatTree::predict_batch`'s
-/// fallback structure.
+/// Batched single-tree attribution, mirroring `FlatTree::predict_batch`.
 fn tree_attribute_batch(tree: &FlatTree, x: &ColMatrix) -> Vec<RowAttribution> {
     let n = x.n_rows();
     let width = x.n_cols();
     let expected = subtree_expected(tree);
     let credits = Credits::build(tree, &expected);
-    if width == 0 {
-        return (0..n)
-            .map(|_| tree_attribute_row(tree, &expected, &credits, &[], 0))
-            .collect();
-    }
-    if tree.max_feature() as usize >= width {
-        let mut row = vec![0.0; width];
-        return (0..n)
-            .map(|i| {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = x.value(i, j);
-                }
-                tree_attribute_row(tree, &expected, &credits, &row, width)
-            })
-            .collect();
-    }
-    if let Some(prog) = tree.program() {
-        let mut bins = vec![0.0f64; n * width];
-        let mut leaves = vec![0.0f64; n];
-        prog.walk_batch(x, &mut |r, leaf, v| {
-            leaves[r] = v;
-            credits.deposit(leaf as usize, &mut bins[r * width..(r + 1) * width]);
+    let Some(prog) = tree.batch_program(x) else {
+        return map_rows(x, |row| {
+            tree_attribute_row(tree, &expected, &credits, row, width)
         });
-        return (0..n)
-            .map(|r| {
-                finish_additive(
-                    expected[0],
-                    bins[r * width..(r + 1) * width].to_vec(),
-                    leaves[r],
-                    leaves[r],
-                )
-            })
-            .collect();
-    }
-    let kt = tree.kernel_tables();
-    let depth = tree.node_depths()[0];
-    let mut out = Vec::with_capacity(n);
-    let mut bins = vec![0.0f64; BLOCK_ROWS * width];
-    let mut leaves = [0.0f64; BLOCK_ROWS];
-    for_each_block(x, |_start, rows, block| {
-        let padded = block.len() / width;
-        bins[..padded * width].fill(0.0);
-        attribute_walk_block(
-            tree,
-            kt,
-            &credits,
-            0,
-            depth,
-            block,
-            width,
-            &mut bins,
-            &mut |r, v| leaves[r] = v,
-        );
-        for r in 0..rows {
-            let leaf = leaves[r];
-            out.push(finish_additive(
+    };
+    let mut bins = vec![0.0f64; n * width];
+    let mut leaves = vec![0.0f64; n];
+    prog.walk_batch(x, &mut |r, leaf, v| {
+        leaves[r] = v;
+        credits.deposit(leaf as usize, &mut bins[r * width..(r + 1) * width]);
+    });
+    (0..n)
+        .map(|r| {
+            finish_additive(
                 expected[0],
                 bins[r * width..(r + 1) * width].to_vec(),
-                leaf,
-                leaf,
-            ));
-        }
-    });
-    out
+                leaves[r],
+                leaves[r],
+            )
+        })
+        .collect()
 }
 
 /// Linear margin decomposition: `contributions[j] = w_j · x_j`, baseline
@@ -622,23 +491,10 @@ fn knn_attribute_row(
     RowAttribution::constant(value, row.len())
 }
 
-/// Gather rows out of `x` and attribute each through `f`.
-fn per_row(x: &ColMatrix, mut f: impl FnMut(&[f64]) -> RowAttribution) -> Vec<RowAttribution> {
-    let mut row = vec![0.0; x.n_cols()];
-    (0..x.n_rows())
-        .map(|i| {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = x.value(i, j);
-            }
-            f(&row)
-        })
-        .collect()
-}
-
 impl CompiledClassifier {
-    /// Attribute every row of `x`. Tree-family models run the blocked
-    /// kernel (one tree over all rows per block); the rest are cheap
-    /// per-row decompositions. Results are bit-identical to
+    /// Attribute every row of `x`. Tree-family models run their compiled
+    /// program (see [`crate::kernel`]); the rest are cheap per-row
+    /// decompositions. Results are bit-identical to
     /// [`attribute_row`](CompiledClassifier::attribute_row) on the same
     /// row, and `prediction` to
     /// [`predict_batch`](CompiledClassifier::predict_batch).
@@ -646,7 +502,7 @@ impl CompiledClassifier {
         match self {
             CompiledClassifier::Forest(forest) => forest_attribute_batch(forest, x),
             CompiledClassifier::Tree(tree) => tree_attribute_batch(tree, x),
-            _ => per_row(x, |row| self.attribute_row(row)),
+            _ => map_rows(x, |row| self.attribute_row(row)),
         }
     }
 
@@ -696,7 +552,7 @@ impl CompiledRegressor {
         match self {
             CompiledRegressor::Forest(forest) => forest_attribute_batch(forest, x),
             CompiledRegressor::Tree(tree) => tree_attribute_batch(tree, x),
-            CompiledRegressor::Linear { .. } => per_row(x, |row| self.attribute_row(row)),
+            CompiledRegressor::Linear { .. } => map_rows(x, |row| self.attribute_row(row)),
         }
     }
 
@@ -782,7 +638,7 @@ mod tests {
 
     #[test]
     fn every_classifier_attribution_is_exact() {
-        // 150 rows: two full blocks plus a tail, exercising padding lanes.
+        // 150 rows: mask-walk blocks of 64, 43 and 43 rows.
         let rows = synth_rows(150, 7, 3);
         let y = labels_of(&rows);
         let models: Vec<(&str, Box<dyn Classifier>)> = vec![

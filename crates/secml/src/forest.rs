@@ -129,10 +129,6 @@ impl Classifier for RandomForest {
         self.trees.iter().map(|t| t.predict_proba(row)).sum::<f64>() / self.n_trees_f
     }
 
-    fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
-        crate::infer::flatten_forest(self.trees.iter().map(|t| t.root()), 0.5).predict_batch(x)
-    }
-
     fn compile(&self) -> Option<crate::CompiledClassifier> {
         Some(crate::CompiledClassifier::Forest(
             crate::infer::flatten_forest(self.trees.iter().map(|t| t.root()), 0.5),
@@ -188,10 +184,6 @@ impl Regressor for RandomForestRegressor {
             return 0.0;
         }
         self.trees.iter().map(|t| t.predict(row)).sum::<f64>() / self.n_trees_f
-    }
-
-    fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
-        crate::infer::flatten_forest(self.trees.iter().map(|t| t.root()), 0.0).predict_batch(x)
     }
 
     fn compile(&self) -> Option<crate::CompiledRegressor> {

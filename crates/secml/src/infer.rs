@@ -1,4 +1,4 @@
-//! Batched inference: flattened models and blocked row-major scoring.
+//! Batched inference: flattened models and their batch scoring engine.
 //!
 //! Training produces pointer-linked `Box` trees that score one row at a
 //! time — every node visit chases a heap pointer, and scoring a corpus
@@ -9,16 +9,21 @@
 //! inline in the `threshold` slot under a `u32::MAX` feature sentinel),
 //! and a whole forest shares one node table ([`FlatForest`]).
 //!
-//! `predict_batch` then scores blocks of [`BLOCK_ROWS`] rows at a time:
-//! each block is gathered from the columnar [`ColMatrix`] into one
-//! row-major scratch buffer, and every tree traverses all rows of the
-//! block before the next tree starts, so a tree's nodes are fetched once
-//! per block instead of once per row. Linear, naive-Bayes and k-NN
-//! models get columnar batch loops with the same accumulation order as
-//! their row-major `predict_proba`.
+//! Tree models batch-score through one engine, the compiled program of
+//! [`crate::kernel`]: its mask walk runs every block of at least
+//! `MASK_MIN_ROWS` rows and every block of a forest with a tree deeper
+//! than the unroll limit, and its depth-unrolled ladders run the shorter
+//! blocks of shallow forests. The program is compiled on the first
+//! `predict_batch` or `attribute_batch` and cached on the model
+//! (`optimize()` does the same eagerly). The scalar row walk
+//! ([`FlatTree::score_from`]) is the one fallback — for matrices too
+//! narrow for the table's splits and for tables `compile` refuses — and
+//! the reference the tests compare the programs against. Linear, naive-Bayes and k-NN models get columnar
+//! batch loops with the same accumulation order as their row-major
+//! `predict_proba`.
 //!
 //! **Every batched prediction is bit-identical to the boxed per-row
-//! path**: traversals use the same `value <= threshold` comparison with
+//! path**: traversals make the same `value <= threshold` decisions with
 //! the same missing-feature default, and every floating-point fold (tree
 //! sums, dot products, log-likelihoods, neighbour votes) runs in the
 //! same element order as the row-major original.
@@ -29,43 +34,26 @@
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::dataset::ColMatrix;
+use crate::kernel::ForestProgram;
 use crate::tree::Node;
-
-/// Rows gathered per scoring block. 64 rows × ~100 features × 8 bytes is
-/// ~50 KiB of scratch — comfortably L2-resident alongside the node table.
-pub(crate) const BLOCK_ROWS: usize = 64;
+use std::sync::OnceLock;
 
 /// Feature sentinel marking a leaf node; the leaf value lives in the
 /// node's `threshold` slot.
 pub(crate) const LEAF: u32 = u32::MAX;
 
-/// Rows traversed in lockstep by the blocked kernel. Each lane is an
-/// independent root-to-leaf walk, so the loads of `LANES` rows overlap
-/// instead of serializing on one walk's dependency chain.
-pub(crate) const LANES: usize = 16;
-
-/// Gather `x` into row-major blocks of up to [`BLOCK_ROWS`] rows and hand
-/// each to `f` as `(first_row_index, real_rows, row_major_values)`; rows
-/// are `x.n_cols()`-wide consecutive slices of the last argument. The
-/// block is padded with all-zero rows up to a [`LANES`] multiple (real
-/// rows first), so the lockstep kernel never needs a scalar tail — sinks
-/// must ignore row indices at or beyond `real_rows`.
-pub(crate) fn for_each_block(x: &ColMatrix, mut f: impl FnMut(usize, usize, &[f64])) {
-    let width = x.n_cols();
-    let mut scratch = vec![0.0; BLOCK_ROWS * width];
-    let mut start = 0;
-    while start < x.n_rows() {
-        let len = BLOCK_ROWS.min(x.n_rows() - start);
-        let padded = len.next_multiple_of(LANES);
-        for j in 0..width {
-            for (r, &v) in x.col(j)[start..start + len].iter().enumerate() {
-                scratch[r * width + j] = v;
+/// Apply `f` to every row of `x`, gathered into one reused row buffer —
+/// the scalar fallback's row loop.
+pub(crate) fn map_rows<T>(x: &ColMatrix, mut f: impl FnMut(&[f64]) -> T) -> Vec<T> {
+    let mut row = vec![0.0; x.n_cols()];
+    (0..x.n_rows())
+        .map(|i| {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = x.value(i, j);
             }
-        }
-        scratch[len * width..padded * width].fill(0.0);
-        f(start, len, &scratch[..padded * width]);
-        start += len;
-    }
+            f(&row)
+        })
+        .collect()
 }
 
 /// A decision or regression tree flattened into parallel node arrays.
@@ -78,22 +66,14 @@ pub struct FlatTree {
     pub(crate) threshold: Vec<f64>,
     pub(crate) left: Vec<u32>,
     pub(crate) right: Vec<u32>,
-    /// The kernel's leaf-rewritten node view — a pure function of the
-    /// arrays above, built once on first use instead of per scoring
-    /// call.
-    kt: std::sync::OnceLock<Box<KernelTables>>,
-    /// Largest split feature index (0 for a lone leaf), cached apart
-    /// from `kt`: every batch path checks it against the matrix width,
-    /// and a compiled program never needs the rest of `kt`.
-    max_feature: std::sync::OnceLock<u32>,
-    /// The quantized program, compiled once by [`optimize`](Self::optimize);
-    /// `None` inside means compilation was attempted and fell back.
-    opt: std::sync::OnceLock<Option<Box<crate::kernel::ForestProgram>>>,
+    /// The compiled program, built on first batch use or by
+    /// [`optimize`](Self::optimize); `None` inside means `compile`
+    /// refused and the scalar row walk stays in charge.
+    opt: OnceLock<Option<Box<ForestProgram>>>,
 }
 
-/// Derived caches (`kt`, `max_feature`, `opt`) are excluded: they are
-/// functions of the node table, and the kernel's leaf thresholds are
-/// `NaN`, which would make any tree compare unequal to itself.
+/// The derived program (`opt`) is excluded: it is a function of the
+/// node table.
 impl PartialEq for FlatTree {
     fn eq(&self, other: &Self) -> bool {
         self.feature == other.feature
@@ -108,9 +88,8 @@ impl FlatTree {
         self.feature.len()
     }
 
-    /// Leaves self-loop (`left == right == i`): the lockstep kernel then
-    /// needs no leaf branch — a lane that has reached its leaf keeps
-    /// re-selecting the same node until the tree's depth budget runs out.
+    /// Leaves self-loop (`left == right == i`), the wire invariant
+    /// `validate` enforces.
     fn push_leaf(&mut self, value: f64) -> u32 {
         let i = self.feature.len() as u32;
         self.feature.push(LEAF);
@@ -144,12 +123,14 @@ impl FlatTree {
         }
     }
 
-    /// Walk from node `root` for one row. Same comparison and
-    /// missing-feature default as the boxed `Node::predict`, so results
-    /// are bit-identical (NaN features included: `NaN <= t` is false on
-    /// both paths, taking the right branch).
+    /// Walk from node `root` for one row — the scalar fallback and the
+    /// reference the compiled programs are tested against. Same
+    /// comparison and missing-feature default as the boxed
+    /// `Node::predict`, so results are bit-identical (NaN features
+    /// included: `NaN <= t` is false on both paths, taking the right
+    /// branch).
     #[inline]
-    fn score_from(&self, root: u32, row: &[f64]) -> f64 {
+    pub(crate) fn score_from(&self, root: u32, row: &[f64]) -> f64 {
         let mut i = root as usize;
         loop {
             let f = self.feature[i];
@@ -179,149 +160,38 @@ impl FlatTree {
         depth
     }
 
-    /// Rewrite the node table for the lockstep kernel: leaves get feature
-    /// 0 (so every per-step row load is in-bounds) and threshold `NaN`
-    /// (so the `v <= t` select is always false and a finished lane takes
-    /// `right`, which self-loops). Split nodes are untouched, so the
-    /// kernel makes exactly the decisions `score_from` makes. Built once
-    /// and cached — repeated scalar/explain calls stop rebuilding it.
-    pub(crate) fn kernel_tables(&self) -> &KernelTables {
-        self.kt.get_or_init(|| {
-            let mut feature_right = Vec::with_capacity(self.feature.len());
-            let mut threshold = Vec::with_capacity(self.threshold.len());
-            for i in 0..self.feature.len() {
-                let (f, t) = if self.feature[i] == LEAF {
-                    (0, f64::NAN)
-                } else {
-                    (self.feature[i], self.threshold[i])
-                };
-                feature_right.push(u64::from(f) << 32 | u64::from(self.right[i]));
-                threshold.push(t);
-            }
-            Box::new(KernelTables {
-                feature_right,
-                threshold,
-            })
-        })
-    }
-
-    /// Largest feature index any split reads (0 when there is none) —
-    /// the batch paths' one-time `max_feature < width` guard.
-    pub(crate) fn max_feature(&self) -> u32 {
-        *self.max_feature.get_or_init(|| {
-            self.feature
-                .iter()
-                .filter(|&&f| f != LEAF)
-                .max()
-                .copied()
-                .unwrap_or(0)
-        })
-    }
-
-    /// Compile this tree's quantized program (a single-tree forest in
-    /// kernel terms). Idempotent; scoring uses the program only after
-    /// this has run, so un-optimized instances stay the exact
-    /// interpreter. Returns whether a compiled program is active.
+    /// Compile this tree's program (a single-tree forest in kernel
+    /// terms) now instead of on first batch use. Idempotent. Returns
+    /// whether a compiled program is active (`false`: `compile` refused
+    /// and batches take the scalar row walk).
     pub fn optimize(&self) -> bool {
+        self.program().is_some()
+    }
+
+    /// The compiled program, built on first call.
+    pub(crate) fn program(&self) -> Option<&ForestProgram> {
         self.opt
-            .get_or_init(|| {
-                let depth = self.node_depths()[0];
-                crate::kernel::ForestProgram::compile(self, &[0], &[depth]).map(Box::new)
-            })
-            .is_some()
+            .get_or_init(|| ForestProgram::compile(self, &[0]).map(Box::new))
+            .as_deref()
     }
 
-    /// The compiled program, if [`optimize`](Self::optimize) has run and
-    /// succeeded.
-    #[inline]
-    pub(crate) fn program(&self) -> Option<&crate::kernel::ForestProgram> {
-        self.opt.get().and_then(|p| p.as_deref())
+    /// The program that batch-scores `x`, or `None` when the scalar row
+    /// walk must.
+    pub(crate) fn batch_program(&self, x: &ColMatrix) -> Option<&ForestProgram> {
+        self.program().filter(|prog| prog.fits(x))
     }
 
-    /// Walk every row of a row-major `block` (whose row count must be a
-    /// [`LANES`] multiple, as [`for_each_block`] guarantees) from `root`,
-    /// calling `sink(row_index_in_block, leaf_value)` — including for any
-    /// zero-padding rows, which the sink must discard. `kt` comes from
-    /// [`kernel_tables`](FlatTree::kernel_tables) and every feature in it
-    /// must be `< width` (the caller checks `max_feature` once).
-    ///
-    /// Rows advance [`LANES`] at a time in lockstep for exactly `depth`
-    /// steps with no leaf test in the hot loop: a lane that reaches its
-    /// leaf keeps failing the `NaN` comparison and holds position through
-    /// the self-looping `right` child. The preorder invariant `left ==
-    /// i + 1` (enforced by `validate`) makes the taken branch pure
-    /// arithmetic, so each step is four loads plus a select and the
-    /// lanes' dependency chains overlap. Each lane makes exactly the
-    /// decisions `score_from` makes, so leaf values — and therefore
-    /// predictions — are bit-identical.
-    fn score_block(
-        &self,
-        kt: &KernelTables,
-        root: u32,
-        depth: u32,
-        block: &[f64],
-        width: usize,
-        sink: &mut impl FnMut(usize, f64),
-    ) {
-        let mut base = 0;
-        for chunk in block.chunks_exact(width * LANES) {
-            let mut idx = [root as usize; LANES];
-            for _ in 0..depth {
-                for (l, i) in idx.iter_mut().enumerate() {
-                    let fr = kt.feature_right[*i];
-                    let v = chunk[l * width + (fr >> 32) as usize];
-                    *i = if v <= kt.threshold[*i] {
-                        *i + 1
-                    } else {
-                        (fr & u64::from(u32::MAX)) as usize
-                    };
-                }
-            }
-            for (l, &i) in idx.iter().enumerate() {
-                sink(base + l, self.threshold[i]);
-            }
-            base += LANES;
-        }
-    }
-
-    /// Score every row of `x` (blocked lockstep traversal, falling back
-    /// to the plain row walk when the tree references features beyond
-    /// the matrix width — those reads default to 0.0, which the kernel's
-    /// unconditional loads cannot express). After [`optimize`](Self::optimize)
-    /// the quantized program runs instead, under the same fallback
-    /// condition and with bit-identical results.
+    /// Score every row of `x` through the compiled program, or the
+    /// scalar row walk where the program cannot run.
     pub fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
-        let width = x.n_cols();
-        if width == 0 {
-            return (0..x.n_rows()).map(|_| self.score_from(0, &[])).collect();
+        match self.batch_program(x) {
+            Some(prog) => {
+                let mut out = vec![0.0; x.n_rows()];
+                prog.walk_batch(x, &mut |r, _leaf, v| out[r] = v);
+                out
+            }
+            None => map_rows(x, |row| self.score_from(0, row)),
         }
-        if self.max_feature() as usize >= width {
-            let mut row = vec![0.0; width];
-            return (0..x.n_rows())
-                .map(|i| {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = x.value(i, j);
-                    }
-                    self.score_from(0, &row)
-                })
-                .collect();
-        }
-        let mut out = vec![0.0; x.n_rows()];
-        if let Some(prog) = self.program() {
-            prog.walk_batch(x, &mut |r, _leaf, v| out[r] = v);
-            return out;
-        }
-        let kt = self.kernel_tables();
-        let depth = self.node_depths()[0];
-        for_each_block(x, |start, rows, block| {
-            let dst = &mut out[start..start + rows];
-            self.score_block(kt, 0, depth, block, width, &mut |r, v| {
-                if r < dst.len() {
-                    dst[r] = v;
-                }
-            });
-        });
-        out
     }
 
     fn encode(&self, w: &mut ByteWriter) {
@@ -346,8 +216,8 @@ impl FlatTree {
     /// Structural sanity: equal-length arrays, at least one node, every
     /// split's left child at exactly `i + 1` with the right child in
     /// bounds after it (the preorder invariants `node_depths` and the
-    /// lockstep kernel rely on, which also rule out cycles), and every
-    /// leaf self-looping (ditto). A corrupt table must fail at load time,
+    /// compiled program's walks rely on, which also rule out cycles),
+    /// and every leaf self-looping. A corrupt table must fail at load time,
     /// not loop or index out of bounds mid-traversal.
     fn validate(&self) -> Result<(), String> {
         let n = self.feature.len();
@@ -369,17 +239,6 @@ impl FlatTree {
         }
         Ok(())
     }
-}
-
-/// The lockstep kernel's view of a [`FlatTree`]: same node indices, but
-/// leaves carry feature 0 and a `NaN` threshold so the hot loop needs no
-/// leaf test or bounds fallback, and each node's feature and right child
-/// are packed into one `u64` (feature high, right low) so a step is one
-/// load fewer. See [`kernel_tables`](FlatTree::kernel_tables).
-#[derive(Debug, Clone)]
-pub(crate) struct KernelTables {
-    pub(crate) feature_right: Vec<u64>,
-    pub(crate) threshold: Vec<f64>,
 }
 
 /// Flatten a boxed tree root (`None` = unfitted, which predicts
@@ -408,29 +267,25 @@ pub(crate) fn flatten_tree(root: Option<&Node>, default_value: f64) -> FlatTree 
 pub struct FlatForest {
     pub(crate) roots: Vec<u32>,
     pub(crate) nodes: FlatTree,
-    /// Per-root max depth (not serialized — recomputed from the table),
-    /// the lockstep kernel's step budget.
-    pub(crate) depths: Vec<u32>,
     /// Number of voting trees as `f64` — the division denominator.
     pub(crate) n_trees: f64,
     /// Prediction when the forest has no trees (0.5 classifier, 0.0
     /// regressor), matching the boxed empty-forest guard.
     pub(crate) empty_value: f64,
     /// Attribution's derived view (subtree expectations + per-edge
-    /// credits) — like `kernel`, a pure function of the node table, but
-    /// built lazily on the first `attribute_batch`/`attribute_row` so
-    /// scoring-only deployments never pay for it (boxed: it must not
-    /// grow the enum variants scoring matches on).
-    pub(crate) attr: std::sync::OnceLock<Box<crate::attribution::AttrTables>>,
-    /// The quantized program, compiled once by [`optimize`](Self::optimize);
-    /// `None` inside means compilation was attempted and fell back.
-    opt: std::sync::OnceLock<Option<Box<crate::kernel::ForestProgram>>>,
+    /// credits) — a pure function of the node table, built lazily on the
+    /// first `attribute_batch`/`attribute_row` so scoring-only
+    /// deployments never pay for it (boxed: it must not grow the enum
+    /// variants scoring matches on).
+    pub(crate) attr: OnceLock<Box<crate::attribution::AttrTables>>,
+    /// The compiled program, built on first batch use or by
+    /// [`optimize`](Self::optimize); `None` inside means `compile`
+    /// refused and the scalar row walk stays in charge.
+    opt: OnceLock<Option<Box<ForestProgram>>>,
 }
 
-/// Derived caches (`depths`, the node table's kernel view, `attr`,
-/// `opt`) are excluded: they are functions of the node table, and the
-/// kernel's leaf thresholds are `NaN`, which would make any forest
-/// compare unequal to itself.
+/// Derived caches (`attr`, `opt`) are excluded: they are functions of
+/// the node table.
 impl PartialEq for FlatForest {
     fn eq(&self, other: &Self) -> bool {
         self.roots == other.roots
@@ -449,30 +304,31 @@ impl FlatForest {
         self.nodes.n_nodes()
     }
 
-    /// Lower the forest into its quantized, feature-pruned, depth-unrolled
-    /// program (see [`crate::kernel`]). Idempotent; batched scoring and
-    /// attribution use the program only after this has run, so
-    /// un-optimized instances stay the exact interpreter. Returns whether
-    /// a compiled program is active (`false` = exactness fallback).
+    /// Compile the forest's quantized, feature-pruned program (see
+    /// [`crate::kernel`]) now instead of on first batch use. Idempotent.
+    /// Returns whether a compiled program is active (`false`: `compile`
+    /// refused and batches take the scalar row walk).
     pub fn optimize(&self) -> bool {
+        self.program().is_some()
+    }
+
+    /// The compiled program, built on first call.
+    pub(crate) fn program(&self) -> Option<&ForestProgram> {
         self.opt
-            .get_or_init(|| {
-                crate::kernel::ForestProgram::compile(&self.nodes, &self.roots, &self.depths)
-                    .map(Box::new)
-            })
-            .is_some()
+            .get_or_init(|| ForestProgram::compile(&self.nodes, &self.roots).map(Box::new))
+            .as_deref()
     }
 
-    /// The compiled program, if [`optimize`](Self::optimize) has run and
-    /// succeeded.
-    #[inline]
-    pub(crate) fn program(&self) -> Option<&crate::kernel::ForestProgram> {
-        self.opt.get().and_then(|p| p.as_deref())
+    /// The program that batch-scores `x`, or `None` when the scalar row
+    /// walk must.
+    pub(crate) fn batch_program(&self, x: &ColMatrix) -> Option<&ForestProgram> {
+        self.program().filter(|prog| prog.fits(x))
     }
 
-    /// Mean of per-tree predictions for one row, in tree order.
+    /// Mean of per-tree predictions for one row, in tree order — the
+    /// scalar fallback and reference.
     #[inline]
-    fn score_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn score_row(&self, row: &[f64]) -> f64 {
         let mut sum = 0.0;
         for &root in &self.roots {
             sum += self.nodes.score_from(root, row);
@@ -480,56 +336,27 @@ impl FlatForest {
         sum / self.n_trees
     }
 
-    /// Score every row of `x`: per block, every tree traverses all rows
-    /// before the next tree starts, keeping the tree's nodes cache-hot.
+    /// Score every row of `x` through the compiled program, or the
+    /// scalar row walk where the program cannot run.
     pub fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
         let n = x.n_rows();
         if self.roots.is_empty() {
             return vec![self.empty_value; n];
         }
-        let width = x.n_cols();
-        if width == 0 {
-            return (0..n).map(|_| self.score_row(&[])).collect();
-        }
-        if self.nodes.max_feature() as usize >= width {
-            let mut row = vec![0.0; width];
-            return (0..n)
-                .map(|i| {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = x.value(i, j);
-                    }
-                    self.score_row(&row)
-                })
-                .collect();
-        }
+        let Some(prog) = self.batch_program(x) else {
+            return map_rows(x, |row| self.score_row(row));
+        };
+        // The program fires each row's leaves in forest order — the row
+        // walk's fold order — so sums and the final division are
+        // bit-identical.
         let mut out = vec![0.0; n];
-        if let Some(prog) = self.program() {
-            // The compiled program folds leaves in the interpreter's
-            // exact order (trees in forest order per row), so sums — and
-            // the final division — are bit-identical.
-            // SAFETY: walk_batch only fires rows `< x.n_rows()` =
-            // out.len(); this sink runs once per (row, tree) and is the
-            // single hottest callback in batch scoring.
-            prog.walk_batch(x, &mut |r, _leaf, v| unsafe {
-                *out.get_unchecked_mut(r) += v;
-            });
-            out.iter_mut().for_each(|o| *o /= self.n_trees);
-            return out;
-        }
-        let kt = self.nodes.kernel_tables();
-        for_each_block(x, |start, rows, block| {
-            // Padded accumulator: pad-row sums land here too and are
-            // simply never copied out, keeping the sink branch-free.
-            let mut acc = [0.0f64; BLOCK_ROWS];
-            let acc = &mut acc[..block.len() / width];
-            for (&root, &depth) in self.roots.iter().zip(&self.depths) {
-                self.nodes
-                    .score_block(kt, root, depth, block, width, &mut |r, v| acc[r] += v);
-            }
-            for (dst, sum) in out[start..start + rows].iter_mut().zip(&*acc) {
-                *dst = sum / self.n_trees;
-            }
+        // SAFETY: walk_batch only fires rows `< x.n_rows()` = out.len();
+        // this sink runs once per (row, tree) and is the single hottest
+        // callback in batch scoring.
+        prog.walk_batch(x, &mut |r, _leaf, v| unsafe {
+            *out.get_unchecked_mut(r) += v;
         });
+        out.iter_mut().for_each(|o| *o /= self.n_trees);
         out
     }
 
@@ -546,10 +373,7 @@ impl FlatForest {
         if let Some(&root) = roots.iter().find(|&&root| root as usize >= nodes.n_nodes()) {
             return Err(format!("flat forest root {root} is out of range"));
         }
-        let all_depths = nodes.node_depths();
-        let depths = roots.iter().map(|&r| all_depths[r as usize]).collect();
         Ok(FlatForest {
-            depths,
             roots,
             nodes,
             n_trees: r.get_f64()?,
@@ -577,10 +401,8 @@ pub(crate) fn flatten_forest<'a>(
         // Keep the invariant that a node table is never empty.
         nodes.push_leaf(empty_value);
     }
-    let all_depths = nodes.node_depths();
     FlatForest {
         n_trees: roots.len() as f64,
-        depths: roots.iter().map(|&r| all_depths[r as usize]).collect(),
         roots,
         nodes,
         empty_value,
@@ -723,10 +545,10 @@ impl CompiledClassifier {
         }
     }
 
-    /// Compile tree-shaped models to their quantized programs (see
-    /// [`crate::kernel`]); other learners are already branch-free and
-    /// return `true` unchanged. Returns whether every kernel this model
-    /// could compile is active.
+    /// Compile tree-shaped models to their quantized programs now rather
+    /// than on first batch use (see [`crate::kernel`]); other learners
+    /// are already branch-free and return `true` unchanged. Returns
+    /// whether every program this model could compile is active.
     pub fn optimize(&self) -> bool {
         match self {
             CompiledClassifier::Forest(forest) => forest.optimize(),
@@ -735,9 +557,9 @@ impl CompiledClassifier {
         }
     }
 
-    /// The active compiled program, if this is a tree-shaped model whose
-    /// `optimize` succeeded.
-    pub(crate) fn program(&self) -> Option<&crate::kernel::ForestProgram> {
+    /// The compiled program (built on first call), if this is a
+    /// tree-shaped model whose table compiles.
+    pub(crate) fn program(&self) -> Option<&ForestProgram> {
         match self {
             CompiledClassifier::Forest(forest) => forest.program(),
             CompiledClassifier::Tree(tree) => tree.program(),
@@ -836,18 +658,17 @@ impl CompiledClassifier {
     }
 }
 
-/// Link every optimized tree-shaped model of a battery to one shared
-/// quantization (the union of their cut tables), so batched scoring
-/// ranks each matrix once per call instead of once per model — see
-/// [`crate::kernel`]. Call after the battery's `optimize` pass; models
-/// without an active program (non-tree learners, exactness fallbacks)
-/// simply don't participate. Idempotent, and a no-op when the merged
+/// Link every tree-shaped model of a battery to one shared quantization
+/// (the union of their cut tables), so batched scoring ranks each matrix
+/// once per call instead of once per model — see [`crate::kernel`].
+/// Compiles any program not built yet; models without one (non-tree
+/// learners, tables `compile` refuses) simply don't participate. Idempotent, and a no-op when the merged
 /// tables would not quantize losslessly.
 pub fn link_battery<'a>(
     classifiers: impl IntoIterator<Item = &'a CompiledClassifier>,
     regressors: impl IntoIterator<Item = &'a CompiledRegressor>,
 ) {
-    let programs: Vec<&crate::kernel::ForestProgram> = classifiers
+    let programs: Vec<&ForestProgram> = classifiers
         .into_iter()
         .filter_map(|m| m.program())
         .chain(regressors.into_iter().filter_map(|m| m.program()))
@@ -880,8 +701,9 @@ impl CompiledRegressor {
         }
     }
 
-    /// Compile tree-shaped models to their quantized programs (see
-    /// [`crate::kernel`]); linear models are already branch-free.
+    /// Compile tree-shaped models to their quantized programs now rather
+    /// than on first batch use (see [`crate::kernel`]); linear models are
+    /// already branch-free.
     pub fn optimize(&self) -> bool {
         match self {
             CompiledRegressor::Linear { .. } => true,
@@ -890,9 +712,9 @@ impl CompiledRegressor {
         }
     }
 
-    /// The active compiled program, if this is a tree-shaped model whose
-    /// `optimize` succeeded.
-    pub(crate) fn program(&self) -> Option<&crate::kernel::ForestProgram> {
+    /// The compiled program (built on first call), if this is a
+    /// tree-shaped model whose table compiles.
+    pub(crate) fn program(&self) -> Option<&ForestProgram> {
         match self {
             CompiledRegressor::Linear { .. } => None,
             CompiledRegressor::Tree(tree) => tree.program(),
@@ -964,9 +786,11 @@ mod tests {
         rows.iter().map(|r| (r[0] + r[1] > 0.0) as usize).collect()
     }
 
+    /// The compiled batch against the boxed model's per-row
+    /// `predict_proba`.
     fn assert_batch_matches_rowwise(model: &dyn Classifier, rows: &[Vec<f64>]) {
         let x = ColMatrix::from_rows(rows);
-        let batch = model.predict_batch(&x);
+        let batch = model.compile().expect("compiles").predict_batch(&x);
         assert_eq!(batch.len(), rows.len());
         for (row, got) in rows.iter().zip(&batch) {
             assert_eq!(
@@ -1077,12 +901,42 @@ mod tests {
     }
 
     #[test]
+    fn first_batch_call_compiles_the_program() {
+        // A compiled model that never ran `optimize()` still batch-scores
+        // through its program: the first batch call builds it.
+        let rows = synth_rows(40, 4, 31);
+        let y = labels_of(&rows);
+        let x = ColMatrix::from_rows(&rows);
+        let compiled =
+            |opt: &OnceLock<Option<Box<ForestProgram>>>| opt.get().is_some_and(|p| p.is_some());
+
+        let mut f = RandomForest::new();
+        f.fit(&rows, &y);
+        let Some(CompiledClassifier::Forest(forest)) = f.compile() else {
+            panic!("forests compile to a flat forest");
+        };
+        assert!(!compiled(&forest.opt));
+        forest.predict_batch(&x);
+        assert!(compiled(&forest.opt));
+
+        let mut t = DecisionTree::new();
+        t.fit(&rows, &y);
+        let tree = t.compile().unwrap();
+        let CompiledClassifier::Tree(flat) = &tree else {
+            panic!("trees compile to a flat tree");
+        };
+        assert!(!compiled(&flat.opt));
+        tree.attribute_batch(&x);
+        assert!(compiled(&flat.opt));
+    }
+
+    #[test]
     fn zero_width_matrix_scores_leaf_defaults() {
         let rows: Vec<Vec<f64>> = vec![vec![]; 5];
         let x = ColMatrix::from_rows(&rows);
         let mut t = DecisionTree::new();
         t.fit(&synth_rows(20, 2, 9), &labels_of(&synth_rows(20, 2, 9)));
-        let batch = t.predict_batch(&x);
+        let batch = t.compile().unwrap().predict_batch(&x);
         assert_eq!(batch.len(), 5);
         for (got, row) in batch.iter().zip(&rows) {
             assert_eq!(got.to_bits(), t.predict_proba(row).to_bits());
@@ -1138,7 +992,7 @@ mod tests {
         assert!(decoded.predict_batch(&x).iter().all(|p| p.is_nan()));
 
         // A NaN *split threshold*: `v <= NaN` is false for every v, so
-        // both the row walk and the lockstep kernel must take the right
+        // both the row walk and the compiled program must take the right
         // branch — deterministically, with no panic.
         let mut w = ByteWriter::new();
         w.put_u8(1);
@@ -1148,7 +1002,7 @@ mod tests {
         w.put_u32s(&[2, 1, 2]);
         let bytes = w.into_bytes();
         let decoded = CompiledClassifier::decode(&mut ByteReader::new(&bytes)).unwrap();
-        // Enough rows to exercise the blocked kernel, not just the tail.
+        // Enough rows to exercise the mask walk, not just a short block.
         let x = ColMatrix::from_rows(&synth_rows(130, 3, 19));
         assert!(decoded.predict_batch(&x).iter().all(|&p| p == 2.0));
     }

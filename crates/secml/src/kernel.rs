@@ -1,14 +1,12 @@
 //! The battery compiler: lowers a flattened forest into a quantized,
-//! feature-pruned, depth-unrolled scoring program.
+//! feature-pruned scoring program — the one batch engine for tree
+//! models.
 //!
-//! The PR 4 interpreter ([`FlatTree::score_block`]-style lockstep over
-//! [`KernelTables`](crate::infer::KernelTables)) still pays for generic
-//! trees on every step: an 8-byte packed node plus an 8-byte threshold
-//! load, a double compare, and a 50 KiB row-major `f64` block gathered
-//! per model per block whether or not a column is ever split on.
-//! [`ForestProgram`] removes that interpretive overhead at *compile*
-//! time — a load/reload-time step behind `optimize()`, never a wire
-//! format change:
+//! A tree model compiles its [`ForestProgram`] on its first batch call
+//! (`predict_batch` or `attribute_batch`), or up front through
+//! `optimize()`; either way a load-time step, never a wire format
+//! change. The program replaces per-row pointer walks over `f64`
+//! thresholds with:
 //!
 //! - **Quantized thresholds.** Every feature's split thresholds across
 //!   the whole forest become a sorted cut table, and each row value is
@@ -21,63 +19,74 @@
 //!   leaf both encode as `qt = 0`, which no bucket (≥ 1) ever satisfies.
 //!   When a feature's threshold set cannot quantize losslessly into the
 //!   `u16` rank space (> [`MAX_CUTS`] distinct cuts), `compile` refuses
-//!   and the caller keeps the exact interpreter — the exactness
-//!   fallback. Ranking is a branchless binary search over a
-//!   power-of-two cut table padded with `+∞`: `log2(cuts)`
+//!   and the model keeps the scalar row walk (`FlatTree::score_from`) —
+//!   the exactness fallback. Ranking is a branchless binary search over
+//!   a power-of-two cut table padded with `+∞`: `log2(cuts)`
 //!   conditional-move steps per value, no sort of the matrix, and the
 //!   searches for different rows are independent so they pipeline.
 //! - **Feature-subset pruning.** Each tree records the columns its
 //!   splits actually touch; row prep buckets only the union of touched
 //!   columns into a packed per-matrix `u16` table (row-major per
 //!   feature slot), so dead columns are never gathered and the whole
-//!   working set drops from ~50 KiB of `f64` per block to a few KiB of
-//!   ranks that stay cache-resident across all 200 trees.
-//! - **Mask-propagation blocks.** A full block never descends per row
-//!   at all. The program first builds, per feature, a table of 64-bit
-//!   row masks indexed by cut rank — `mask(qt)` = "rows of this block
-//!   whose bucket is ≤ qt", a histogram over the block's ranks followed
-//!   by a prefix-OR — and every split node's compare against the whole
-//!   block becomes *one load* of `mask(qt)`. Each tree is then walked
-//!   once in preorder, propagating row-set masks (`left = m & mask`,
-//!   `right = m & !mask`) and skipping any subtree whose mask goes
-//!   empty, so the work scales with the nodes the block actually
-//!   reaches (≈ one visit per node) instead of `rows × depth` lockstep
-//!   steps. Landed rows pop out of the leaf masks bit by bit, one
-//!   `(row, leaf, value)` sink call each.
-//! - **Depth-unrolled hot trees.** Short batches — serve-style
-//!   single-row scoring, anything below [`MASK_MIN_ROWS`] rows (longer
-//!   batches never leave a shorter tail block, see `block_len`) —
-//!   can't amortize mask tables, so trees whose depth is at most
-//!   [`UNROLL_MAX_DEPTH`] also get a perfect-binary ladder: slot `j`
-//!   steps to `2j + 1 + (bucket > qt)` with no child pointer load, the
-//!   step count a compile-time constant (monomorphized per depth),
-//!   early leaves padded down the always-right spine with `qt = 0`
-//!   sentinels. Deeper trees (wire-decoded, custom configs) run a
-//!   quantized lockstep loop over the shared node table on that path.
-//!   Ladders are built from the quantized node table on the first short
-//!   block, not at compile: a depth-8 ladder is 511 slots for a tree of a
-//!   few dozen nodes, and a model that only ever scores full blocks
-//!   (bulk scoring, retraining) never pays that memory.
+//!   working set is a few KiB of ranks that stay cache-resident across
+//!   all 200 trees.
+//! - **Mask-propagation blocks.** A block never descends per row at
+//!   all. The program first builds, per feature, a table of 64-bit row
+//!   masks indexed by cut rank — `mask(qt)` = "rows of this block whose
+//!   bucket is ≤ qt", a histogram over the block's ranks followed by a
+//!   prefix-OR — and every split node's compare against the whole block
+//!   becomes *one load* of `mask(qt)`. Each tree is then walked once in
+//!   preorder, propagating row-set masks (`left = m & mask`, `right = m
+//!   & !mask`) and skipping any subtree whose mask goes empty, so the
+//!   work scales with the nodes the block actually reaches (≈ one visit
+//!   per node) instead of `rows × depth` steps. Landed rows pop out of
+//!   the leaf masks bit by bit, one `(row, leaf, value)` sink call each.
+//!   The walk is exact for any block of 1 to [`BLOCK_ROWS`] rows and any
+//!   depth, DAG-shaped wire tables included.
+//! - **Depth-unrolled ladders.** Short batches — serve-style single-row
+//!   scoring, anything below [`MASK_MIN_ROWS`] rows (longer batches
+//!   never leave a shorter tail block, see `block_len`) — can't amortize
+//!   mask tables. When every tree is at most [`UNROLL_MAX_DEPTH`] deep,
+//!   each tree gets a perfect-binary ladder instead: slot `j` steps to
+//!   `2j + 1 + (bucket > qt)` with no child pointer load, the step count
+//!   a compile-time constant (monomorphized per depth), early leaves
+//!   padded down the always-right spine with `qt = 0` sentinels. A
+//!   forest with any deeper tree (wire-decoded, custom configs) runs its
+//!   short blocks through the mask walk as well. Ladders are built from
+//!   the mask walk's node table on the first short block, not at
+//!   compile: a depth-8 ladder is 511 slots for a tree of a few dozen
+//!   nodes, and a model that only ever scores long batches (bulk
+//!   scoring, retraining) never pays that memory.
 //!
 //! Every decision the program makes is provably the decision the
-//! interpreter makes, so leaf values — and therefore scores *and*
+//! scalar row walk makes, so leaf values — and therefore scores *and*
 //! attribution deposits, which only depend on the landed leaf — are
-//! bit-identical. The equality gate in `tests/` and the
-//! `inference_kernel` bench enforce this end to end.
+//! bit-identical. The unit tests below and the differential fuzz in
+//! `tests/` compare every engine against the row walk.
 
 use crate::dataset::ColMatrix;
-use crate::infer::{FlatTree, BLOCK_ROWS, LANES, LEAF};
+use crate::infer::{FlatTree, LEAF};
+
+/// Rows per scoring block: the mask walk packs one block row per bit of
+/// a `u64`.
+const BLOCK_ROWS: usize = 64;
+
+/// Rows a ladder walks side by side. Each lane is an independent
+/// root-to-leaf walk, so the loads of `LANES` rows overlap instead of
+/// serializing on one walk's dependency chain.
+const LANES: usize = 16;
 
 /// Trees at or below this depth compile to the branchless unrolled
-/// ladder; deeper trees keep the (quantized) lockstep loop. 8 matches
-/// the default `TreeConfig::max_depth`, so trained batteries unroll
-/// every tree; the ladder for depth 8 is 255 nodes + 256 leaves — about
-/// 2 KiB, comfortably L1-resident while a tree sweeps a block.
+/// ladder; a forest with a deeper tree runs every block through the mask
+/// walk. 8 matches the default `TreeConfig::max_depth`, so trained
+/// batteries unroll every tree; the ladder for depth 8 is 255 nodes +
+/// 256 leaves — about 2 KiB, comfortably L1-resident while a tree sweeps
+/// a block.
 pub(crate) const UNROLL_MAX_DEPTH: u32 = 8;
 
 /// Blocks with at least this many rows run the mask-propagation walk;
-/// shorter blocks (single-row serve scoring, batches under this size)
-/// keep the ladder/lockstep descent, whose per-tree fixed cost is lower
+/// shorter blocks (single-row serve scoring, batches under this size) of
+/// shallow forests run the ladders, whose per-tree fixed cost is lower
 /// than building the per-block mask tables.
 pub(crate) const MASK_MIN_ROWS: usize = 32;
 
@@ -94,7 +103,7 @@ const COUNT_CUTS_MAX: usize = 64;
 /// Largest number of distinct cuts a feature may quantize into: buckets
 /// run `1 ..= cuts + 1` (the top bucket also absorbs `NaN`), and both
 /// must fit `u16`. Beyond this the threshold set does not quantize
-/// losslessly and `compile` falls back to the interpreter.
+/// losslessly and `compile` refuses: the model keeps the scalar row walk.
 pub(crate) const MAX_CUTS: usize = u16::MAX as usize - 1;
 
 /// One touched feature: its source column and the forest-wide sorted
@@ -334,46 +343,27 @@ fn qt_of(cuts: &[f64], t: f64) -> u16 {
     }
 }
 
-/// One compiled tree on the short-block path: either an unrolled
-/// perfect-binary ladder or a (root, depth) program over the shared
-/// quantized node table. Full blocks ignore this and run the
-/// mask-propagation walk from the tree's root.
+/// A shallow program's short-block form: every tree's perfect-binary
+/// ladder, packed back to back. Tree `t`'s ladder starts at `start[t]`:
+/// `2^depth - 1` packed nodes (`feat_slot << 16 | qt`), then the
+/// original node id of each of the `2^depth` bottom slots — attribution
+/// wants the id, and values come from the shared `value` table, so the
+/// ladder stays 2 KiB a tree instead of 4. Slot arithmetic replaces
+/// child pointers.
 #[derive(Debug, Clone)]
-enum TreeProg {
-    /// Perfect-binary ladder at `ShortTrees::ladders[start..]`:
-    /// `2^depth - 1` packed nodes (`feat_slot << 16 | qt`), then the
-    /// original node id of each of the `2^depth` bottom slots —
-    /// attribution wants the id, and values come from the shared
-    /// `value` table, so the ladder stays 2 KiB a tree instead of 4.
-    /// Slot arithmetic replaces child pointers.
-    Unrolled { depth: u32, start: usize },
-    /// Quantized lockstep over the shared table — the preorder
-    /// invariant (`left == i + 1`) holds globally, so no per-tree node
-    /// extraction is needed and DAG-shaped wire forests cost nothing.
-    Lockstep { root: u32, depth: u32 },
-}
-
-/// A program's short-block form: one [`TreeProg`] per tree, and the
-/// ladders of the unrolled ones packed back to back.
-#[derive(Debug, Clone)]
-struct ShortTrees {
-    trees: Vec<TreeProg>,
-    ladders: Vec<u32>,
+struct Ladders {
+    start: Vec<usize>,
+    slots: Vec<u32>,
 }
 
 /// A [`FlatForest`](crate::infer::FlatForest) lowered to its vectorized
-/// form. Built once by [`compile`](ForestProgram::compile) (behind
-/// `optimize()`), immutable afterwards apart from its lazily built
-/// short-block programs; scoring and attribution both drive
-/// [`walk_batch`](ForestProgram::walk_batch).
+/// form. Built once by [`compile`](ForestProgram::compile) on the
+/// model's first batch call (or by `optimize()`), immutable afterwards
+/// apart from its lazily built ladders and battery link; scoring and
+/// attribution both drive [`walk_batch`](ForestProgram::walk_batch).
 #[derive(Debug, Clone)]
 pub(crate) struct ForestProgram {
     feats: Vec<FeatQuant>,
-    /// Shared quantized node table:
-    /// `feat_slot << 48 | qt << 32 | right`. Leaves carry `qt = 0` and
-    /// their self-looping `right`, so a finished lockstep lane holds
-    /// position.
-    qnodes: Vec<u64>,
     /// The mask walk's node records: `maskofs << 32 | right`, where
     /// `maskofs` is the offset into the per-block mask table — split
     /// node `i` compares a whole block as `masks[maskofs]` (=
@@ -385,16 +375,17 @@ pub(crate) struct ForestProgram {
     /// (`0 ..= cuts + 1`); the extra trailing entry is the table size.
     feat_base: Vec<u32>,
     /// Original per-node values (leaf values in their threshold slots) —
-    /// the leaf lookup for every engine.
+    /// the leaf lookup for both engines.
     value: Vec<f64>,
     roots: Vec<u32>,
-    /// Per-root max depth: picks ladder or lockstep, and is the
-    /// lockstep step budget.
-    depths: Vec<u32>,
-    /// Per-tree short-block programs, built by
-    /// [`short_trees`](Self::short_trees) on the first block below
-    /// [`MASK_MIN_ROWS`] rows (like `FlatForest::attr`, on first use).
-    short: std::sync::OnceLock<ShortTrees>,
+    /// Per-root max depth when every tree is at most
+    /// [`UNROLL_MAX_DEPTH`] deep, so short blocks can run ladders;
+    /// `None` sends every block through the mask walk.
+    ladder_depths: Option<Vec<u32>>,
+    /// The ladders, built by [`ladders`](Self::ladders) on the first
+    /// block below [`MASK_MIN_ROWS`] rows (like `FlatForest::attr`, on
+    /// first use).
+    ladders: std::sync::OnceLock<Ladders>,
     /// Battery-level quantization, installed once by [`link_programs`]
     /// after every program in the battery has compiled; absent means
     /// this program buckets matrices against its own tables.
@@ -402,14 +393,10 @@ pub(crate) struct ForestProgram {
 }
 
 impl ForestProgram {
-    /// Lower `(nodes, roots, depths)` — a validated flat forest — into a
+    /// Lower `(nodes, roots)` — a validated flat forest — into a
     /// program, or `None` when the table does not quantize losslessly
-    /// (the exactness fallback: the caller keeps the interpreter).
-    pub(crate) fn compile(
-        nodes: &FlatTree,
-        roots: &[u32],
-        depths: &[u32],
-    ) -> Option<ForestProgram> {
+    /// (the exactness fallback: the model keeps the scalar row walk).
+    pub(crate) fn compile(nodes: &FlatTree, roots: &[u32]) -> Option<ForestProgram> {
         let n = nodes.n_nodes();
         // Distinct split columns in first-touch order, then sorted: the
         // union of per-tree touched columns (leaves contribute nothing).
@@ -457,7 +444,7 @@ impl ForestProgram {
         // starting at `feat_base[slot]`, one u64 row mask per rank per
         // block. Offsets must leave `u32::MAX` free as the leaf
         // sentinel; a forest big enough to overflow that keeps the
-        // interpreter.
+        // scalar row walk.
         let mut feat_base: Vec<u32> = Vec::with_capacity(feats.len() + 1);
         let mut total = 0usize;
         for fq in &feats {
@@ -469,73 +456,64 @@ impl ForestProgram {
         }
         feat_base.push(total as u32);
 
-        let mut qnodes = Vec::with_capacity(n);
-        let mut mnodes = Vec::with_capacity(n);
-        for i in 0..n {
-            let f = nodes.feature[i];
-            if f == LEAF {
-                qnodes.push(u64::from(nodes.right[i]));
-                mnodes.push(u64::from(u32::MAX) << 32 | u64::from(nodes.right[i]));
-            } else {
-                let slot = slot_of(f);
-                let qt = qt_of(&feats[slot].cuts, nodes.threshold[i]);
-                qnodes.push((slot as u64) << 48 | u64::from(qt) << 32 | u64::from(nodes.right[i]));
-                mnodes.push(
-                    u64::from(feat_base[slot] + u32::from(qt)) << 32 | u64::from(nodes.right[i]),
-                );
-            }
-        }
+        let mnodes = (0..n)
+            .map(|i| {
+                let f = nodes.feature[i];
+                let maskofs = if f == LEAF {
+                    u32::MAX
+                } else {
+                    let slot = slot_of(f);
+                    feat_base[slot] + u32::from(qt_of(&feats[slot].cuts, nodes.threshold[i]))
+                };
+                u64::from(maskofs) << 32 | u64::from(nodes.right[i])
+            })
+            .collect();
 
+        let all_depths = nodes.node_depths();
+        let depths: Vec<u32> = roots.iter().map(|&r| all_depths[r as usize]).collect();
         Some(ForestProgram {
             feats,
-            qnodes,
             mnodes,
             feat_base,
             value: nodes.threshold.clone(),
             roots: roots.to_vec(),
-            depths: depths.to_vec(),
-            short: std::sync::OnceLock::new(),
+            ladder_depths: depths
+                .iter()
+                .all(|&d| d <= UNROLL_MAX_DEPTH)
+                .then_some(depths),
+            ladders: std::sync::OnceLock::new(),
             shared: std::sync::OnceLock::new(),
         })
     }
 
-    /// The short-block program of every tree, in forest order: a ladder
-    /// for trees at most [`UNROLL_MAX_DEPTH`] deep, lockstep otherwise.
-    /// Built once, on first call, with every ladder in one allocation.
-    fn short_trees(&self) -> &ShortTrees {
-        self.short.get_or_init(|| {
-            let unrolled = |depth: u32| depth <= UNROLL_MAX_DEPTH;
+    /// Every tree's ladder, in forest order, for the per-root `depths`
+    /// of a shallow program. Built once, on first call, in one
+    /// allocation.
+    fn ladders(&self, depths: &[u32]) -> &Ladders {
+        self.ladders.get_or_init(|| {
             let len = |depth: u32| (2usize << depth) - 1;
-            let total = self
-                .depths
-                .iter()
-                .filter(|&&d| unrolled(d))
-                .map(|&d| len(d));
-            let mut ladders = Vec::with_capacity(total.sum());
-            let trees = self
+            let mut slots = Vec::with_capacity(depths.iter().map(|&d| len(d)).sum());
+            let start = self
                 .roots
                 .iter()
-                .zip(&self.depths)
+                .zip(depths)
                 .map(|(&root, &depth)| {
-                    if !unrolled(depth) {
-                        return TreeProg::Lockstep { root, depth };
-                    }
-                    let start = ladders.len();
-                    ladders.resize(start + len(depth), 0);
-                    let (nodes, leaf) = ladders[start..].split_at_mut((1usize << depth) - 1);
+                    let start = slots.len();
+                    slots.resize(start + len(depth), 0);
+                    let (nodes, leaf) = slots[start..].split_at_mut((1usize << depth) - 1);
                     self.fill_ladder(root as usize, 0, depth, nodes, leaf);
-                    TreeProg::Unrolled { depth, start }
+                    start
                 })
                 .collect();
-            ShortTrees { trees, ladders }
+            Ladders { start, slots }
         })
     }
 
     /// Expand a (depth ≤ [`UNROLL_MAX_DEPTH`]) tree rooted at `id` into
-    /// its perfect-binary ladder, reading the quantized node table:
-    /// split `i`'s `feat_slot`/`qt` come from `qnodes`, its left child
-    /// is `i + 1` (the preorder invariant) and its right child the low
-    /// half of `qnodes`. Early leaves become `qt = 0` spine nodes that
+    /// its perfect-binary ladder, reading the mask walk's node table:
+    /// split `i`'s `feat_slot`/`qt` decode from its mask offset, its left
+    /// child is `i + 1` (the preorder invariant) and its right child the
+    /// low half of `mnodes`. Early leaves become `qt = 0` spine nodes that
     /// force every lane right until the bottom level, where the original
     /// leaf's node id lands; slots no walk can reach stay zero.
     fn fill_ladder(
@@ -546,7 +524,9 @@ impl ForestProgram {
         ladder: &mut [u32],
         leaf: &mut [u32],
     ) {
-        let is_leaf = self.mnodes[id] >> 32 == u64::from(u32::MAX);
+        let nd = self.mnodes[id];
+        let maskofs = (nd >> 32) as u32;
+        let is_leaf = maskofs == u32::MAX;
         if levels_left == 0 {
             // Bottom level: `node_depths` guarantees every path from the
             // root has reached its leaf by now.
@@ -561,25 +541,37 @@ impl ForestProgram {
             self.fill_ladder(id, 2 * slot + 2, levels_left - 1, ladder, leaf);
             return;
         }
-        let nd = self.qnodes[id];
-        ladder[slot] = ((nd >> 48) as u32) << 16 | u32::from((nd >> 32) as u16);
+        // A split's mask offset is `feat_base[feat_slot] + qt` with
+        // `qt ≤ cuts + 1`, so its feature slot is the last base at or
+        // below the offset.
+        let feat_slot = self.feat_base.partition_point(|&b| b <= maskofs) - 1;
+        let qt = maskofs - self.feat_base[feat_slot];
+        ladder[slot] = (feat_slot as u32) << 16 | qt;
         self.fill_ladder(id + 1, 2 * slot + 1, levels_left - 1, ladder, leaf);
         let right = (nd & u64::from(u32::MAX)) as usize;
         self.fill_ladder(right, 2 * slot + 2, levels_left - 1, ladder, leaf);
     }
 
+    /// Whether `x` has every column this program splits on (`feats` is
+    /// sorted by column, so the last is the widest). The program ranks
+    /// whole columns, so a narrower matrix — whose missing values the
+    /// row walk reads as 0.0 — must take the scalar row walk.
+    pub(crate) fn fits(&self, x: &ColMatrix) -> bool {
+        self.feats
+            .last()
+            .is_none_or(|fq| (fq.column as usize) < x.n_cols())
+    }
+
     /// Walk every tree over every row of `x`, calling
     /// `sink(row, leaf_node_id, leaf_value)`. Trees run in forest order
     /// and each row fires exactly once per tree, so every row sees its
-    /// trees in forest order — the interpreter's per-row fold order
+    /// trees in forest order — the scalar row walk's per-row fold order
     /// exactly — and per-row sums and attribution deposits are
     /// bit-identical. (Within one tree the *row* order is unspecified:
     /// the mask walk emits leaves in traversal order. Rows never fold
     /// into each other, so only the per-row tree order matters.) The
-    /// caller must already have passed the interpreter's one-time
-    /// `max_feature < width` guard, which bounds every column this
-    /// program buckets (both sides are the maximum split column of the
-    /// same node table).
+    /// caller must already have checked [`fits`](Self::fits), which
+    /// bounds every column this program buckets.
     pub(crate) fn walk_batch(&self, x: &ColMatrix, sink: &mut impl FnMut(usize, u32, f64)) {
         let n = x.n_rows();
         if n == 0 {
@@ -628,19 +620,20 @@ impl ForestProgram {
         let mut start = 0;
         while start < n {
             let len = block_len(n - start);
-            if len >= MASK_MIN_ROWS {
-                self.mask_block(&q, n, start, len, &mut masks, &mut stack, sink);
-            } else {
-                if tile.is_empty() {
-                    tile = vec![1u16; self.feats.len() * BLOCK_ROWS];
+            match &self.ladder_depths {
+                Some(depths) if len < MASK_MIN_ROWS => {
+                    if tile.is_empty() {
+                        tile = vec![1u16; self.feats.len() * BLOCK_ROWS];
+                    }
+                    self.ladder_block(&q, n, start, len, depths, &mut tile, sink);
                 }
-                self.lane_block(&q, n, start, len, &mut tile, sink);
+                _ => self.mask_block(&q, n, start, len, &mut masks, &mut stack, sink),
             }
             start += len;
         }
     }
 
-    /// Mask-propagation engine for one (≥ [`MASK_MIN_ROWS`]-row) block.
+    /// Mask-propagation engine for one block of 1 to [`BLOCK_ROWS`] rows.
     ///
     /// Builds the per-feature rank → row-mask tables (histogram +
     /// prefix-OR: `masks[feat_base[slot] + qt]` = rows whose bucket is
@@ -728,19 +721,19 @@ impl ForestProgram {
         }
     }
 
-    /// Per-lane descent engine for short blocks: re-packs the block's
-    /// ranks into a compile-time-stride tile (bucket index becomes
-    /// shift-and-add) and runs each tree's ladder — or the quantized
-    /// lockstep loop for deep trees — [`LANES`] rows at a time. Padding
-    /// lanes hold bucket 1 (any real rank) so their walks stay in
-    /// bounds and are discarded before the sink.
+    /// Ladder engine for one short block of a shallow program: re-packs
+    /// the block's ranks into a compile-time-stride tile (bucket index
+    /// becomes shift-and-add) and runs each tree's ladder [`LANES`] rows
+    /// at a time. Padding lanes hold bucket 1 (any real rank) so their
+    /// walks stay in bounds and are discarded before the sink.
     #[allow(clippy::too_many_arguments)]
-    fn lane_block(
+    fn ladder_block(
         &self,
         q: &[u16],
         n: usize,
         start: usize,
         len: usize,
+        depths: &[u32],
         tile: &mut [u16],
         sink: &mut impl FnMut(usize, u32, f64),
     ) {
@@ -750,48 +743,23 @@ impl ForestProgram {
             dst[..len].copy_from_slice(&q[slot * n + start..slot * n + start + len]);
             dst[len..].fill(1);
         }
-        let short = self.short_trees();
-        for prog in &short.trees {
-            match *prog {
-                TreeProg::Unrolled { depth, start: at } => {
-                    let inner = (1usize << depth) - 1;
-                    let nodes = &short.ladders[at..at + inner];
-                    let leaf = &short.ladders[at + inner..at + 2 * inner + 1];
-                    for base in (0..padded).step_by(LANES) {
-                        ladder_lanes(
-                            depth,
-                            nodes,
-                            tile,
-                            base,
-                            leaf,
-                            &self.value,
-                            len,
-                            start,
-                            sink,
-                        );
-                    }
-                }
-                TreeProg::Lockstep { root, depth } => {
-                    for base in (0..padded).step_by(LANES) {
-                        let mut idx = [root as usize; LANES];
-                        for _ in 0..depth {
-                            for (l, i) in idx.iter_mut().enumerate() {
-                                let nd = self.qnodes[*i];
-                                let b = tile[(nd >> 48) as usize * BLOCK_ROWS + base + l];
-                                *i = if b <= (nd >> 32) as u16 {
-                                    *i + 1
-                                } else {
-                                    (nd & u64::from(u32::MAX)) as usize
-                                };
-                            }
-                        }
-                        for (l, &i) in idx.iter().enumerate() {
-                            if base + l < len {
-                                sink(start + base + l, i as u32, self.value[i]);
-                            }
-                        }
-                    }
-                }
+        let ladders = self.ladders(depths);
+        for (&depth, &at) in depths.iter().zip(&ladders.start) {
+            let inner = (1usize << depth) - 1;
+            let nodes = &ladders.slots[at..at + inner];
+            let leaf = &ladders.slots[at + inner..at + 2 * inner + 1];
+            for base in (0..padded).step_by(LANES) {
+                ladder_lanes(
+                    depth,
+                    nodes,
+                    tile,
+                    base,
+                    leaf,
+                    &self.value,
+                    len,
+                    start,
+                    sink,
+                );
             }
         }
     }
@@ -891,6 +859,7 @@ mod tests {
     use super::*;
     use crate::dataset::ColMatrix;
     use crate::forest::RandomForest;
+    use crate::infer::CompiledClassifier;
     use crate::Classifier;
 
     fn synth_rows(n: usize, cols: usize, salt: u64) -> Vec<Vec<f64>> {
@@ -926,31 +895,47 @@ mod tests {
         t
     }
 
-    fn assert_programs_match(reference: &FlatTree, x: &ColMatrix) {
-        let optimized = reference.clone();
-        optimized.optimize();
-        let a = reference.predict_batch(x);
-        let b = optimized.predict_batch(x);
-        for (i, (p, q)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(p.to_bits(), q.to_bits(), "row {i} diverged");
+    /// The scalar reference for a tree model: `score_from` per tree,
+    /// folded like the row walk.
+    fn reference(model: &CompiledClassifier, row: &[f64]) -> f64 {
+        match model {
+            CompiledClassifier::Forest(forest) => forest.score_row(row),
+            CompiledClassifier::Tree(tree) => tree.score_from(0, row),
+            _ => unreachable!("tree models only"),
         }
+    }
+
+    /// Batch scores and attributions of `rows` against the per-row
+    /// scalar references, bit for bit.
+    fn assert_matches_reference(model: &CompiledClassifier, rows: &[Vec<f64>], context: &str) {
+        let x = ColMatrix::from_rows(rows);
+        let scores = model.predict_batch(&x);
+        let attributions = model.attribute_batch(&x);
+        assert_eq!(scores.len(), rows.len(), "{context}");
+        for (i, row) in rows.iter().enumerate() {
+            let want = reference(model, row);
+            assert_eq!(scores[i].to_bits(), want.to_bits(), "{context}: row {i}");
+            assert_eq!(
+                attributions[i],
+                model.attribute_row(row),
+                "{context}: attribution row {i}"
+            );
+        }
+    }
+
+    fn trained_forest(rows: &[Vec<f64>], label: impl Fn(&[f64]) -> bool) -> CompiledClassifier {
+        let y: Vec<usize> = rows.iter().map(|r| label(r) as usize).collect();
+        let mut f = RandomForest::new();
+        f.fit(rows, &y);
+        f.compile().unwrap()
     }
 
     #[test]
     fn optimized_forest_scores_bit_identically() {
         let rows = synth_rows(150, 7, 3);
-        let y: Vec<usize> = rows.iter().map(|r| (r[0] + r[1] > 0.0) as usize).collect();
-        let mut f = RandomForest::new();
-        f.fit(&rows, &y);
-        let compiled = f.compile().unwrap();
-        let optimized = compiled.clone();
+        let optimized = trained_forest(&rows, |r| r[0] + r[1] > 0.0);
         assert!(optimized.optimize());
-        let x = ColMatrix::from_rows(&rows);
-        let a = compiled.predict_batch(&x);
-        let b = optimized.predict_batch(&x);
-        for (p, q) in a.iter().zip(&b) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
+        assert_matches_reference(&optimized, &rows, "150 rows");
     }
 
     #[test]
@@ -958,21 +943,12 @@ mod tests {
         // Batch sizes straddling MASK_MIN_ROWS and BLOCK_ROWS: tiny
         // batches take the ladder path, 64-row blocks the mask walk,
         // and sizes in between split their last two blocks (65 rows run
-        // as 33 + 32). All must equal the interpreter bitwise.
+        // as 33 + 32). All must equal the scalar row walk bitwise.
         let rows = synth_rows(200, 6, 23);
-        let y: Vec<usize> = rows.iter().map(|r| (r[2] > 0.5) as usize).collect();
-        let mut f = RandomForest::new();
-        f.fit(&rows, &y);
-        let compiled = f.compile().unwrap();
-        let optimized = compiled.clone();
+        let optimized = trained_forest(&rows, |r| r[2] > 0.5);
         assert!(optimized.optimize());
         for take in [1usize, MASK_MIN_ROWS - 1, MASK_MIN_ROWS, 64, 65, 150] {
-            let x = ColMatrix::from_rows(&rows[..take]);
-            let a = compiled.predict_batch(&x);
-            let b = optimized.predict_batch(&x);
-            for (i, (p, q)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(p.to_bits(), q.to_bits(), "take={take} row {i}");
-            }
+            assert_matches_reference(&optimized, &rows[..take], &format!("take={take}"));
         }
     }
 
@@ -982,37 +958,22 @@ mod tests {
         // attribution) never read a ladder, whatever their tail, so an
         // optimized model holds none until a shorter batch arrives; from
         // then on short blocks run the ladders and stay bitwise equal to
-        // the interpreter.
+        // the scalar row walk.
         let rows = synth_rows(150, 6, 29);
-        let y: Vec<usize> = rows.iter().map(|r| (r[1] > 0.1) as usize).collect();
-        let mut f = RandomForest::new();
-        f.fit(&rows, &y);
-        let compiled = f.compile().unwrap();
-        let optimized = compiled.clone();
+        let optimized = trained_forest(&rows, |r| r[1] > 0.1);
         assert!(optimized.optimize());
-        let built = || optimized.program().expect("compiled").short.get().is_some();
+        let prog = optimized.program().expect("compiled");
+        assert!(prog.ladder_depths.is_some(), "trained trees unroll");
+        let built = || prog.ladders.get().is_some();
         assert!(!built(), "optimize() built ladders");
         for take in [MASK_MIN_ROWS, 64, 65, 95, 96, 150] {
-            let x = ColMatrix::from_rows(&rows[..take]);
-            let (a, b) = (compiled.predict_batch(&x), optimized.predict_batch(&x));
-            assert!(a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()));
-            assert_eq!(compiled.attribute_batch(&x), optimized.attribute_batch(&x));
+            assert_matches_reference(&optimized, &rows[..take], &format!("take={take}"));
             assert!(!built(), "a {take}-row batch built ladders");
         }
         for take in [1usize, MASK_MIN_ROWS - 1] {
-            let x = ColMatrix::from_rows(&rows[..take]);
-            let (a, b) = (compiled.predict_batch(&x), optimized.predict_batch(&x));
-            for (i, (p, q)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(p.to_bits(), q.to_bits(), "take={take} row {i}");
-            }
-            assert_eq!(compiled.attribute_batch(&x), optimized.attribute_batch(&x));
+            assert_matches_reference(&optimized, &rows[..take], &format!("take={take}"));
             assert!(built(), "a {take}-row batch ran without ladders");
         }
-        let short = optimized.program().unwrap().short_trees();
-        assert!(short
-            .trees
-            .iter()
-            .all(|t| matches!(t, TreeProg::Unrolled { .. })));
     }
 
     #[test]
@@ -1038,29 +999,34 @@ mod tests {
     }
 
     #[test]
-    fn deep_chains_run_the_quantized_lockstep_path() {
-        // 40 levels is past UNROLL_MAX_DEPTH, so the short-block path
-        // keeps the lockstep loop — over a DAG-shaped table the ladder
-        // could not legally expand node-per-slot — and the mask walk
-        // must handle the shared bottom leaf (visited once per
-        // incoming path, disjoint masks each time).
-        let tree = chain_tree(40);
-        assert!(tree.optimize());
+    fn deep_chains_take_the_mask_walk_on_short_blocks() {
+        // 40 levels is past UNROLL_MAX_DEPTH, so the program builds no
+        // ladders and short blocks run the mask walk too — over a
+        // DAG-shaped table no ladder could expand node-per-slot, whose
+        // shared bottom leaf the walk visits once per incoming path with
+        // disjoint masks.
+        let model = CompiledClassifier::Tree(chain_tree(40));
+        assert!(model.optimize());
         let mut rows = synth_rows(90, 3, 11);
+        rows[0][0] = -8.0;
         rows[7][0] = f64::NAN;
         rows[33][0] = -8.0;
-        assert_programs_match(&tree, &ColMatrix::from_rows(&rows));
+        for take in [1usize, 8, MASK_MIN_ROWS - 1, MASK_MIN_ROWS, 65, 90] {
+            assert_matches_reference(&model, &rows[..take], &format!("take={take}"));
+        }
+        let prog = model.program().expect("compiled");
+        assert!(prog.ladder_depths.is_none() && prog.ladders.get().is_none());
     }
 
     #[test]
     fn oversized_cut_tables_take_the_exactness_fallback() {
         // One feature with MAX_CUTS + 2 distinct thresholds cannot rank
-        // into u16 buckets losslessly: optimize() must refuse and leave
-        // the interpreter in charge.
-        let tree = chain_tree(MAX_CUTS + 2);
-        assert!(!tree.optimize());
+        // into u16 buckets losslessly: compile must refuse and leave the
+        // scalar row walk in charge.
+        let model = CompiledClassifier::Tree(chain_tree(MAX_CUTS + 2));
+        assert!(!model.optimize());
         let rows = synth_rows(5, 2, 17);
-        assert_programs_match(&tree, &ColMatrix::from_rows(&rows));
+        assert_matches_reference(&model, &rows, "oversized");
     }
 
     #[test]
@@ -1078,28 +1044,18 @@ mod tests {
     #[test]
     fn linked_batteries_share_ranks_and_stay_bit_identical() {
         // Two forests trained on overlapping features get linked to one
-        // merged quantization; scoring must stay bitwise equal to each
-        // forest's own interpreter across the mask/ladder block-size
-        // boundary (the shared path only covers full blocks).
+        // merged quantization; scoring must stay bitwise equal to the
+        // scalar row walk across the mask/ladder block-size boundary
+        // (the shared path only covers full blocks).
         let rows = synth_rows(180, 6, 41);
-        let ya: Vec<usize> = rows.iter().map(|r| (r[0] > 0.2) as usize).collect();
-        let yb: Vec<usize> = rows.iter().map(|r| (r[3] + r[4] > -0.5) as usize).collect();
-        let mut fa = RandomForest::new();
-        fa.fit(&rows, &ya);
-        let mut fb = RandomForest::new();
-        fb.fit(&rows, &yb);
-        let (ia, ib) = (fa.compile().unwrap(), fb.compile().unwrap());
-        let (ca, cb) = (ia.clone(), ib.clone());
+        let ca = trained_forest(&rows, |r| r[0] > 0.2);
+        let cb = trained_forest(&rows, |r| r[3] + r[4] > -0.5);
         assert!(ca.optimize() && cb.optimize());
         crate::infer::link_battery([&ca, &cb], []);
-        for take in [MASK_MIN_ROWS, 64, 65, 180] {
-            let x = ColMatrix::from_rows(&rows[..take]);
-            for (interp, linked) in [(&ia, &ca), (&ib, &cb)] {
-                let a = interp.predict_batch(&x);
-                let b = linked.predict_batch(&x);
-                for (i, (p, q)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(p.to_bits(), q.to_bits(), "take={take} row {i}");
-                }
+        assert!(ca.program().unwrap().shared.get().is_some());
+        for take in [MASK_MIN_ROWS - 1, MASK_MIN_ROWS, 64, 65, 180] {
+            for model in [&ca, &cb] {
+                assert_matches_reference(model, &rows[..take], &format!("take={take}"));
             }
         }
     }

@@ -63,8 +63,9 @@ pub trait Classifier {
     }
     /// Class-1 probability for every row of `x`, bit-identical to calling
     /// [`predict_proba`](Classifier::predict_proba) per row. The default
-    /// materializes rows into one reused scratch buffer; models override
-    /// it with flattened batch kernels (see [`infer`]).
+    /// materializes rows into one reused scratch buffer; the branch-free
+    /// learners override it with their compiled columnar loops. Tree
+    /// models batch-score through their compiled form (see [`infer`]).
     fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
         let mut row = vec![0.0; x.n_cols()];
         (0..x.n_rows())

@@ -357,10 +357,6 @@ impl Classifier for DecisionTree {
         self.root.as_ref().map(|r| r.predict(row)).unwrap_or(0.5)
     }
 
-    fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
-        crate::infer::flatten_tree(self.root(), 0.5).predict_batch(x)
-    }
-
     fn compile(&self) -> Option<crate::CompiledClassifier> {
         Some(crate::CompiledClassifier::Tree(crate::infer::flatten_tree(
             self.root(),
@@ -411,10 +407,6 @@ impl Regressor for RegressionTree {
 
     fn predict(&self, row: &[f64]) -> f64 {
         self.root.as_ref().map(|r| r.predict(row)).unwrap_or(0.0)
-    }
-
-    fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
-        crate::infer::flatten_tree(self.root(), 0.0).predict_batch(x)
     }
 
     fn compile(&self) -> Option<crate::CompiledRegressor> {

@@ -7,7 +7,7 @@ Fails (exit 1) if CURRENT[FIELD] < SNAPSHOT[FIELD] * (1 - TOLERANCE),
 i.e. the measured value regressed more than TOLERANCE (default 0.10)
 below the committed snapshot. Both files hold a single JSON object as
 emitted by the bench harnesses (`BENCH_* {...}` lines with the prefix
-stripped); CI applies it to the BENCH_KERNEL and BENCH_INCR `speedup`
+stripped); CI applies it to the BENCH_INFER and BENCH_INCR `speedup`
 fields. Stdlib only — CI runners need nothing installed.
 """
 

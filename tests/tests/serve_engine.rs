@@ -762,6 +762,54 @@ fn hot_reload_race_keeps_every_response_consistent() {
     handle.shutdown();
 }
 
+/// Byte offset of the first kept-feature index in a CLVY file: past
+/// the magic, version, feature names, log flag and standardizer.
+fn first_kept_index_offset(bytes: &[u8]) -> usize {
+    use secml::bytes::ByteReader;
+    let mut r = ByteReader::new(bytes);
+    r.take(8).expect("magic and version");
+    for _ in 0..r.get_usize().expect("feature name count") {
+        r.get_str().expect("feature name");
+    }
+    r.get_u8().expect("log flag");
+    r.get_f64s().expect("means");
+    r.get_f64s().expect("stds");
+    assert!(
+        r.get_usize().expect("kept count") > 0,
+        "model keeps no feature"
+    );
+    bytes.len() - r.remaining()
+}
+
+#[test]
+fn reloading_a_model_that_indexes_past_its_schema_is_refused() {
+    // A kept-feature index overwritten with 1 << 20 used to decode, and
+    // the published model answered every score with `internal`. The
+    // reload must now fail typed, and the old model keep serving.
+    let fx = fixture();
+    let handle = start_server(ServeConfig::default());
+    let mut bytes = std::fs::read(&fx.path_b).expect("read model B");
+    let at = first_kept_index_offset(&bytes);
+    bytes[at..at + 8].copy_from_slice(&(1u64 << 20).to_le_bytes());
+    let bad = std::env::temp_dir().join(format!(
+        "clairvoyant-serve-bad-kept-{}.clvy",
+        std::process::id()
+    ));
+    std::fs::write(&bad, &bytes).expect("write damaged model");
+
+    let mut client = connect(handle.addr());
+    let response = client.reload(Some(bad.to_str().unwrap())).expect("reload");
+    assert_eq!(error_type(&response), Some("bad_request"), "{response}");
+    for (name, fv) in &fx.apps {
+        let response = client.score_features(name, fv).expect("score");
+        let (fp, report) = score_parts(&response);
+        assert_eq!(fp, fx.fp_a, "the damaged model was published");
+        assert_eq!(&report, &fx.expected_a[name]);
+    }
+    std::fs::remove_file(&bad).ok();
+    handle.shutdown();
+}
+
 #[test]
 fn response_timeout_poisons_the_client_connection() {
     let fx = fixture();
