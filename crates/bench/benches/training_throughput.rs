@@ -1,14 +1,13 @@
 //! BENCH-PERF (part 2): the offline training budget of §1 — corpus
 //! generation, the ML training engine, and metric application.
 //!
-//! The headline measurement pits the fast engine (columnar matrix +
-//! incremental split sweep + pooled forest/CV training) against an
-//! in-bench copy of the pre-rework reference (row-major trees, per-
-//! threshold re-partition split search) on the same prepared dataset:
-//! a 150-app corpus, the full feature set, 5 CV folds, and the full
-//! standard hypothesis battery with the 20-tree random forest. Results
-//! print as a one-line `BENCH_TRAIN {…}` JSON record, and the bench
-//! asserts that 1-worker and 4-worker training are bit-identical.
+//! The headline measurement times the training engine (columnar matrix +
+//! incremental split sweep + pooled forest/CV training) on a prepared
+//! dataset: a 150-app corpus, the full feature set, 5 CV folds, and the
+//! full standard hypothesis battery with the 20-tree random forest.
+//! Results print as a one-line `BENCH_TRAIN {…}` JSON record with the
+//! absolute wall time and core count, and the bench asserts that 1-worker
+//! and 4-worker training are bit-identical.
 
 use bench::harness::{black_box, BenchmarkId, Criterion};
 use bench::{criterion_group, criterion_main};
@@ -17,216 +16,19 @@ use clairvoyant::hypothesis::standard_battery;
 use clairvoyant::train::TrainerConfig;
 use clairvoyant::{Learner, PipelineConfig, Trainer};
 use cvedb::SelectionCriteria;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use secml::dataset::{ColMatrix, Dataset};
-use secml::eval::{cross_validate_classifier_jobs, stratified_folds};
+use secml::dataset::ColMatrix;
+use secml::eval::cross_validate_classifier_jobs;
 use secml::forest::{ForestConfig, RandomForest};
 use secml::preprocess::{log1p_rows, Standardizer};
-use secml::tree::TreeConfig;
 use secml::Classifier;
 use std::time::Instant;
 
 const FOLDS: usize = 5;
 const TREES: usize = 20;
 
-// ---------------------------------------------------------------------
-// Reference implementation: the pre-rework training engine, verbatim.
-// Row-major storage; every candidate threshold re-partitions the node and
-// recomputes both impurities from scratch; trees grown sequentially from
-// one shared RNG stream.
-// ---------------------------------------------------------------------
-
-enum NaiveNode {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: Box<NaiveNode>,
-        right: Box<NaiveNode>,
-    },
-}
-
-impl NaiveNode {
-    fn predict(&self, row: &[f64]) -> f64 {
-        match self {
-            NaiveNode::Leaf { value } => *value,
-            NaiveNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                if row.get(*feature).copied().unwrap_or(0.0) <= *threshold {
-                    left.predict(row)
-                } else {
-                    right.predict(row)
-                }
-            }
-        }
-    }
-}
-
-fn naive_entropy(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let n = values.len() as f64;
-    let ones = values.iter().sum::<f64>();
-    let mut h = 0.0;
-    for p in [ones / n, 1.0 - ones / n] {
-        if p > 0.0 {
-            h -= p * p.log2();
-        }
-    }
-    h
-}
-
-fn naive_grow(
-    x: &[Vec<f64>],
-    y: &[f64],
-    indices: &[usize],
-    depth: usize,
-    config: &TreeConfig,
-    feature_pool: &[usize],
-) -> NaiveNode {
-    let values: Vec<f64> = indices.iter().map(|&i| y[i]).collect();
-    let mean = values.iter().sum::<f64>() / values.len().max(1) as f64;
-    let parent_impurity = naive_entropy(&values);
-
-    if depth >= config.max_depth
-        || indices.len() < config.min_samples_split
-        || parent_impurity <= 0.0
-    {
-        return NaiveNode::Leaf { value: mean };
-    }
-
-    let mut best: Option<(usize, f64, f64)> = None;
-    for &feature in feature_pool {
-        let mut vals: Vec<f64> = indices.iter().map(|&i| x[i][feature]).collect();
-        vals.sort_by(f64::total_cmp);
-        vals.dedup();
-        if vals.len() < 2 {
-            continue;
-        }
-        for w in vals.windows(2) {
-            let threshold = (w[0] + w[1]) / 2.0;
-            let (mut left, mut right) = (Vec::new(), Vec::new());
-            for &i in indices {
-                if x[i][feature] <= threshold {
-                    left.push(y[i]);
-                } else {
-                    right.push(y[i]);
-                }
-            }
-            if left.is_empty() || right.is_empty() {
-                continue;
-            }
-            let n = indices.len() as f64;
-            let weighted = (left.len() as f64 / n) * naive_entropy(&left)
-                + (right.len() as f64 / n) * naive_entropy(&right);
-            let gain = parent_impurity - weighted;
-            if best.is_none_or(|(_, _, g)| gain > g) {
-                best = Some((feature, threshold, gain));
-            }
-        }
-    }
-
-    match best {
-        Some((feature, threshold, gain)) if gain > config.min_gain => {
-            let (mut li, mut ri) = (Vec::new(), Vec::new());
-            for &i in indices {
-                if x[i][feature] <= threshold {
-                    li.push(i);
-                } else {
-                    ri.push(i);
-                }
-            }
-            NaiveNode::Split {
-                feature,
-                threshold,
-                left: Box::new(naive_grow(x, y, &li, depth + 1, config, feature_pool)),
-                right: Box::new(naive_grow(x, y, &ri, depth + 1, config, feature_pool)),
-            }
-        }
-        _ => NaiveNode::Leaf { value: mean },
-    }
-}
-
-#[derive(Default)]
-struct NaiveForest {
-    trees: Vec<NaiveNode>,
-}
-
-impl Classifier for NaiveForest {
-    fn fit_matrix(&mut self, x: &ColMatrix, y: &[usize]) {
-        self.fit(&x.to_rows(), y);
-    }
-
-    fn fit(&mut self, x: &[Vec<f64>], y: &[usize]) {
-        self.trees.clear();
-        if x.is_empty() {
-            return;
-        }
-        let cols = x[0].len();
-        let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
-        let config = ForestConfig {
-            n_trees: TREES,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        for _ in 0..config.n_trees {
-            let sample: Vec<usize> = (0..x.len()).map(|_| rng.gen_range(0..x.len())).collect();
-            let bx: Vec<Vec<f64>> = sample.iter().map(|&i| x[i].clone()).collect();
-            let by: Vec<f64> = sample.iter().map(|&i| yf[i]).collect();
-            let k = ((cols as f64 * config.feature_fraction).ceil() as usize).clamp(1, cols);
-            let mut pool: Vec<usize> = (0..cols).collect();
-            pool.shuffle(&mut rng);
-            pool.truncate(k);
-            let indices: Vec<usize> = (0..bx.len()).collect();
-            self.trees
-                .push(naive_grow(&bx, &by, &indices, 0, &config.tree, &pool));
-        }
-    }
-
-    fn predict_proba(&self, row: &[f64]) -> f64 {
-        if self.trees.is_empty() {
-            return 0.5;
-        }
-        self.trees.iter().map(|t| t.predict(row)).sum::<f64>() / self.trees.len() as f64
-    }
-}
-
-/// Pre-rework cross-validation: clones the training rows per fold and
-/// trains the naive forest sequentially.
-fn naive_cv_auc(x: &[Vec<f64>], y: &[usize], k: usize) -> f64 {
-    let fold_sets = stratified_folds(y, k);
-    let mut truth = Vec::new();
-    let mut scores = Vec::new();
-    for test in &fold_sets {
-        let test_set: std::collections::HashSet<usize> = test.iter().copied().collect();
-        let train_idx: Vec<usize> = (0..x.len()).filter(|i| !test_set.contains(i)).collect();
-        let tx: Vec<Vec<f64>> = train_idx.iter().map(|&i| x[i].clone()).collect();
-        let ty: Vec<usize> = train_idx.iter().map(|&i| y[i]).collect();
-        let mut model = NaiveForest::default();
-        model.fit(&tx, &ty);
-        for &i in test {
-            truth.push(y[i]);
-            scores.push(model.predict_proba(&x[i]));
-        }
-    }
-    secml::eval::roc_auc(&truth, &scores)
-}
-
-// ---------------------------------------------------------------------
-// The benchmark proper.
-// ---------------------------------------------------------------------
-
-/// The trainer's data prep, reproduced so the naive and fast engines see
-/// the exact same matrix: full feature set, log1p + standardization.
+/// The trainer's data prep on the full feature set: log1p +
+/// standardization of the dense rows, and the labels of every
+/// non-degenerate battery hypothesis.
 fn prepared_battery(corpus: &corpus::Corpus) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
     let histories = corpus.db.select(&SelectionCriteria::default());
     let apps: Vec<&corpus::GeneratedApp> = histories
@@ -239,19 +41,7 @@ fn prepared_battery(corpus: &corpus::Corpus) -> (Vec<Vec<f64>>, Vec<Vec<usize>>)
                 .expect("app exists")
         })
         .collect();
-    let extraction = extract_apps(apps.iter().copied(), PipelineConfig::default());
-    let items: Vec<(String, Vec<(String, f64)>)> = extraction
-        .features
-        .iter()
-        .map(|(name, fv)| {
-            (
-                name.clone(),
-                fv.iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            )
-        })
-        .collect();
-    let dataset = Dataset::from_named(&items);
-    let mut rows = dataset.rows.clone();
+    let (_, mut rows) = extract_apps(apps, PipelineConfig::default()).dense_rows();
     log1p_rows(&mut rows);
     let st = Standardizer::fit(&rows);
     st.transform(&mut rows);
@@ -279,8 +69,8 @@ fn bench_training_engine(c: &mut Criterion) {
         batteries.len()
     );
 
-    // Fast engine: shared columnar matrix, incremental sweep, pooled CV.
-    let fast_battery = |jobs: usize| -> Vec<f64> {
+    // Shared columnar matrix, incremental sweep, pooled CV.
+    let battery = |jobs: usize| -> Vec<f64> {
         let matrix = ColMatrix::from_rows(&rows);
         matrix.sorted(0);
         batteries
@@ -310,8 +100,8 @@ fn bench_training_engine(c: &mut Criterion) {
     };
 
     // Determinism gate: 1 worker and 4 workers must agree bit-for-bit.
-    let sequential = fast_battery(1);
-    let parallel = fast_battery(4);
+    let sequential = battery(1);
+    let parallel = battery(4);
     assert_eq!(
         sequential.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         parallel.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -319,32 +109,17 @@ fn bench_training_engine(c: &mut Criterion) {
     );
 
     let t0 = Instant::now();
-    black_box(fast_battery(1));
-    let fast_ms = t0.elapsed().as_secs_f64() * 1e3;
+    black_box(battery(1));
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Reference engine, one pass (it is the slow side by construction).
-    let t0 = Instant::now();
-    for labels in &batteries {
-        black_box(naive_cv_auc(&rows, labels, FOLDS));
-        let mut model = NaiveForest::default();
-        model.fit(&rows, labels);
-        black_box(model.predict_proba(&rows[0]));
-    }
-    let naive_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let speedup = naive_ms / fast_ms.max(1e-9);
+    let cores = pipeline::default_workers();
     println!(
         "BENCH_TRAIN {{\"rows\":{n_rows},\"features\":{n_features},\"trees\":{TREES},\
-         \"folds\":{FOLDS},\"hypotheses\":{},\"wall_ms\":{:.1},\"naive_ms\":{:.1},\
-         \"speedup\":{:.2}}}",
+         \"folds\":{FOLDS},\"hypotheses\":{},\"cores\":{cores},\"wall_ms\":{:.1}}}",
         batteries.len(),
-        fast_ms,
-        naive_ms,
-        speedup
+        wall_ms,
     );
-    eprintln!(
-        "training engine: fast {fast_ms:.0} ms, naive {naive_ms:.0} ms, speedup {speedup:.1}×"
-    );
+    eprintln!("training engine: {wall_ms:.0} ms on {cores} core(s)");
 
     // Full trainer wall (extraction included) on the same corpus, for the
     // BENCH ledger.

@@ -91,36 +91,42 @@ impl fmt::Display for AblationResult {
     }
 }
 
-/// Run the ablation over a corpus.
+/// Run the ablation over a corpus. Every family trains on the same
+/// ground truth, so the corpus is extracted once and each run projects
+/// its family's columns out of the shared rows.
 pub fn run_ablation(corpus: &Corpus) -> AblationResult {
-    let mut rows = Vec::new();
-    let mut run_one = |family: Option<&str>| {
-        let trainer = Trainer::with_config(TrainerConfig {
-            feature_prefix: family.map(String::from),
-            // §5.2's "filtering features that are irrelevant": keep the
-            // regression honest when the app count is modest relative to
-            // the unified vector's width.
-            top_k_features: Some(8),
-            ..Default::default()
-        });
-        let (_, report) = trainer.train_with_report(corpus);
-        let high_sev_auc = report
-            .hypothesis_reports
-            .iter()
-            .find(|h| h.hypothesis.name() == "cvss_gt_7")
-            .and_then(|h| h.report.as_ref())
-            .map(|r| r.auc);
-        rows.push(AblationRow {
-            family: family.unwrap_or("unified").to_string(),
-            count_r2: report.count_cv.r_squared,
-            high_sev_auc,
-            n_features: report.n_features,
-        });
+    let config = TrainerConfig {
+        // §5.2's "filtering features that are irrelevant": keep the
+        // regression honest when the app count is modest relative to
+        // the unified vector's width.
+        top_k_features: Some(8),
+        ..Default::default()
     };
-    run_one(None);
-    for family in FAMILIES {
-        run_one(Some(family));
-    }
+    let (histories, extraction) = Trainer::with_config(config.clone()).extract_selected(corpus);
+    let (schema, dense) = extraction.dense_rows();
+    let families = std::iter::once(None).chain(FAMILIES.map(Some));
+    let rows = families
+        .map(|family| {
+            let trainer = Trainer::with_config(TrainerConfig {
+                feature_prefix: family.map(String::from),
+                ..config.clone()
+            });
+            let prepared = trainer.prepare_rows(&schema, &dense, &histories);
+            let report = trainer.cross_validate(&prepared, &histories, extraction.report.clone());
+            let high_sev_auc = report
+                .hypothesis_reports
+                .iter()
+                .find(|h| h.hypothesis.name() == "cvss_gt_7")
+                .and_then(|h| h.report.as_ref())
+                .map(|r| r.auc);
+            AblationRow {
+                family: family.unwrap_or("unified").to_string(),
+                count_r2: report.count_cv.r_squared,
+                high_sev_auc,
+                n_features: report.n_features,
+            }
+        })
+        .collect();
     AblationResult { rows }
 }
 

@@ -6,14 +6,21 @@
 //! standardization, optional feature filtering), trains one classifier per
 //! hypothesis plus a vulnerability-count regressor, and cross-validates
 //! everything "within the ground truth".
+//!
+//! Every entry point runs one column-wise core. `Trainer::prepare` streams
+//! raw dense rows into the standardized, filtered training matrix (spilled
+//! to disk on request) and `Trainer::fit` trains the final models on it.
+//! [`Trainer::train_with_report`] adds a cross-validation pass over the
+//! same matrix; [`Trainer::train`] and [`Trainer::train_streaming`] skip
+//! it, since no final fit depends on it.
 
-use crate::extract;
+use crate::extract::{self, CorpusFeatures};
 use crate::hypothesis::{standard_battery, Hypothesis};
 use crate::score::CompiledModel;
 use corpus::Corpus;
-use cvedb::SelectionCriteria;
+use cvedb::{AppHistory, SelectionCriteria};
 use pipeline::{parallel_map, PipelineConfig, PipelineReport};
-use secml::dataset::{ColMatrix, ColMatrixBuilder, Dataset};
+use secml::dataset::{ColMatrix, ColMatrixBuilder};
 use secml::eval::{
     cross_validate_classifier_jobs, cross_validate_regressor_jobs, ClassificationReport,
     RegressionReport,
@@ -24,13 +31,11 @@ use secml::linreg::LinearRegression;
 use secml::logreg::LogisticRegression;
 use secml::nb::GaussianNb;
 use secml::preprocess::Standardizer;
-use secml::select::{
-    info_gain_column, info_gain_scores, label_entropy, pearson_column, pearson_scores,
-    pearson_target_stats, top_k,
-};
+use secml::select::{info_gain_column, label_entropy, pearson_column, pearson_target_stats, top_k};
 use secml::tree::DecisionTree;
 use secml::{Classifier, Regressor};
 use std::fmt;
+use std::path::Path;
 
 /// A heap-allocated classifier usable across threads (models are stored in
 /// shared `TrainedModel`s).
@@ -210,20 +215,52 @@ impl Trainer {
     /// Train on the corpus; panics if no application passes selection
     /// (a corpus misconfiguration, not a runtime condition).
     pub fn train(&self, corpus: &Corpus) -> TrainedModel {
-        self.train_with_report(corpus).0
+        let (histories, extraction) = self.extract_selected(corpus);
+        let (schema, rows) = extraction.dense_rows();
+        self.fit(self.prepare_rows(&schema, &rows, &histories), &histories)
     }
 
     /// Train and also return the cross-validation report.
     pub fn train_with_report(&self, corpus: &Corpus) -> (TrainedModel, TrainingReport) {
+        let (histories, extraction) = self.extract_selected(corpus);
+        let (schema, rows) = extraction.dense_rows();
+        let prepared = self.prepare_rows(&schema, &rows, &histories);
+        let report = self.cross_validate(&prepared, &histories, extraction.report);
+        (self.fit(prepared, &histories), report)
+    }
+
+    /// Out-of-core training entry point. Consumes raw dense feature rows
+    /// (in `schema` order, one per history, in `histories` order) through
+    /// a single pass, optionally spilling the working matrices under
+    /// `spill_dir` so peak memory stays bounded by one column rather than
+    /// the whole matrix. This is the same core [`train`](Trainer::train)
+    /// runs, so the model is bit-identical to training on the corpus the
+    /// rows were extracted from, spilled or not.
+    ///
+    /// `schema` must be the sorted feature-name union — for the standard
+    /// testbed every program emits the full name set, so the sorted names
+    /// of any extracted vector qualify.
+    pub fn train_streaming(
+        &self,
+        schema: &[String],
+        rows: impl IntoIterator<Item = Vec<f64>>,
+        histories: &[AppHistory],
+        spill_dir: Option<&Path>,
+    ) -> std::io::Result<TrainedModel> {
+        let prepared = self.prepare(schema, rows, histories, spill_dir)?;
+        Ok(self.fit(prepared, histories))
+    }
+
+    /// The ground-truth histories this configuration selects, and their
+    /// applications' features extracted through the pipeline engine
+    /// (parallel + cached + fault isolated; output order matches the
+    /// histories).
+    pub(crate) fn extract_selected(&self, corpus: &Corpus) -> (Vec<AppHistory>, CorpusFeatures) {
         let histories = corpus.db.select(&self.config.selection);
         assert!(
             !histories.is_empty(),
             "no application passed the ground-truth selection criteria"
         );
-
-        // Feature matrix over the selected applications, extracted
-        // through the pipeline engine (parallel + cached + fault
-        // isolated; output order matches `histories`).
         let selected: Vec<&corpus::GeneratedApp> = histories
             .iter()
             .map(|h| {
@@ -234,219 +271,42 @@ impl Trainer {
                     .unwrap_or_else(|| panic!("history for unknown app {}", h.app))
             })
             .collect();
-        let extraction =
-            extract::extract_apps(selected.iter().copied(), self.config.pipeline.clone());
-        let items: Vec<(String, Vec<(String, f64)>)> = extraction
-            .features
-            .iter()
-            .map(|(name, fv)| {
-                (
-                    name.clone(),
-                    fv.iter().map(|(k, v)| (k.to_string(), v)).collect(),
-                )
-            })
-            .collect();
-        let mut dataset = Dataset::from_named(&items);
-        if let Some(prefix) = &self.config.feature_prefix {
-            dataset = dataset.project_prefix(prefix);
-        }
-
-        // Count target (log10, as in Figure 2).
-        let counts: Vec<f64> = histories.iter().map(|h| (h.total as f64).log10()).collect();
-
-        // Transformations.
-        let mut rows = dataset.rows.clone();
-        if self.config.log_transform {
-            secml::preprocess::log1p_rows(&mut rows);
-        }
-        let standardizer = Standardizer::fit(&rows);
-        standardizer.transform(&mut rows);
-
-        // Feature filtering (Pearson vs the count target, or info gain vs
-        // the high-severity labels).
-        let kept: Vec<usize> = match self.config.top_k_features {
-            Some(k) => {
-                let scores = match self.config.selection_method {
-                    SelectionMethod::PearsonVsCount => pearson_scores(&rows, &counts),
-                    SelectionMethod::InfoGainVsHighSeverity => {
-                        let labels: Vec<usize> = histories
-                            .iter()
-                            .map(|h| Hypothesis::AnyHighSeverity.label(h))
-                            .collect();
-                        info_gain_scores(&rows, &labels)
-                    }
-                };
-                let mut idx = top_k(&scores, k.min(dataset.width()));
-                idx.sort_unstable();
-                idx
-            }
-            None => (0..dataset.width()).collect(),
-        };
-        let feature_names: Vec<String> = kept
-            .iter()
-            .map(|&i| dataset.feature_names[i].clone())
-            .collect();
-        let rows: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|r| kept.iter().map(|&i| r[i]).collect())
-            .collect();
-
-        // One columnar matrix for every learner below: each column is
-        // sorted once here and every CV fold and forest bootstrap derives
-        // its own order from that.
-        let matrix = ColMatrix::from_rows(&rows);
-        if matrix.n_cols() > 0 {
-            matrix.sorted(0);
-        }
-
-        // Hypothesis classifiers, fanned out over the pool. The worker
-        // budget splits into `w1` concurrent hypotheses × `w2` concurrent
-        // CV folds each, so total threads stay ≈ `train_jobs`. Results
-        // are assembled in battery order, so the report and model are
-        // byte-identical for every worker count.
-        let battery = standard_battery();
-        let jobs = self.resolved_train_jobs();
-        let labelled: Vec<(Hypothesis, Vec<usize>, usize)> = battery
-            .iter()
-            .map(|&hypothesis| {
-                let labels: Vec<usize> = histories.iter().map(|h| hypothesis.label(h)).collect();
-                let positives = labels.iter().sum();
-                (hypothesis, labels, positives)
-            })
-            .collect();
-        let trainable: Vec<&(Hypothesis, Vec<usize>, usize)> = labelled
-            .iter()
-            .filter(|(_, labels, p)| *p > 0 && *p < labels.len())
-            .collect();
-        let w1 = jobs.min(trainable.len()).max(1);
-        let w2 = (jobs / w1).max(1);
-        let trained: Vec<(ClassificationReport, BoxedClassifier)> =
-            parallel_map(w1, &trainable, |_, (_, labels, _)| {
-                let report = cross_validate_classifier_jobs(
-                    || self.config.learner.make_sized(self.config.forest_trees, 1),
-                    &matrix,
-                    labels,
-                    self.config.folds,
-                    w2,
-                );
-                let mut model = self.config.learner.make_sized(self.config.forest_trees, w2);
-                model.fit_matrix(&matrix, labels);
-                (report, model)
-            });
-
-        let mut hypotheses = Vec::new();
-        let mut hypothesis_reports = Vec::new();
-        let mut trained_iter = trained.into_iter();
-        for (hypothesis, labels, positives) in labelled {
-            let base_rate = positives as f64 / labels.len() as f64;
-            if positives == 0 || positives == labels.len() {
-                // Degenerate: the constant answer is exact.
-                hypothesis_reports.push(HypothesisOutcome {
-                    hypothesis,
-                    report: None,
-                    base_rate,
-                });
-                continue;
-            }
-            let (report, model) = trained_iter.next().expect("one result per trainable task");
-            hypothesis_reports.push(HypothesisOutcome {
-                hypothesis,
-                report: Some(report),
-                base_rate,
-            });
-            hypotheses.push((hypothesis, model));
-        }
-
-        // Count regressor (always linear, for inspectable weights).
-        let count_cv = cross_validate_regressor_jobs(
-            || LinearRegression::ridge(1.0),
-            &matrix,
-            &counts,
-            self.config.folds,
-            jobs,
-        );
-        let mut count_model = LinearRegression::ridge(1.0);
-        count_model.fit_matrix(&matrix, &counts);
-
-        // Per-severity-band count regressors — the paper's metric "predicts
-        // the number, severity, classification, and impact": high/critical,
-        // medium, and low report counts are modelled separately
-        // (log10(1+n) targets).
-        let severity_models: Vec<(SeverityBand, LinearRegression)> = SeverityBand::ALL
-            .iter()
-            .map(|&band| {
-                let targets: Vec<f64> = histories
-                    .iter()
-                    .map(|h| (1.0 + band.count(h) as f64).log10())
-                    .collect();
-                let mut model = LinearRegression::ridge(1.0);
-                model.fit_matrix(&matrix, &targets);
-                (band, model)
-            })
-            .collect();
-
-        // Auxiliary risk model for attributions: logistic on CVSS>7 when
-        // trainable, else reuse the count weights.
-        let risk_labels: Vec<usize> = histories
-            .iter()
-            .map(|h| Hypothesis::AnyHighSeverity.label(h))
-            .collect();
-        let risk_weights = if risk_labels.iter().sum::<usize>() > 0
-            && risk_labels.iter().sum::<usize>() < risk_labels.len()
-        {
-            let mut lr = LogisticRegression::new();
-            lr.fit_matrix(&matrix, &risk_labels);
-            lr.weights
-        } else {
-            count_model.coefficients.clone()
-        };
-
-        let report = TrainingReport {
-            n_apps: histories.len(),
-            n_features: feature_names.len(),
-            learner: self.config.learner,
-            hypothesis_reports,
-            count_cv,
-            extraction: extraction.report,
-        };
-        let model = TrainedModel {
-            feature_names,
-            log_transform: self.config.log_transform,
-            standardizer,
-            kept,
-            all_feature_names: dataset.feature_names,
-            hypotheses,
-            count_model,
-            severity_models,
-            risk_weights,
-        };
-        (model, report)
+        let extraction = extract::extract_apps(selected, self.config.pipeline.clone());
+        (histories, extraction)
     }
 
-    /// Out-of-core training entry point. Consumes raw dense feature rows
-    /// (in `schema` order, one per history, in `histories` order) through
-    /// a single pass, optionally spilling the working matrices under
-    /// `spill_dir` so peak memory stays bounded by one column rather than
-    /// the whole matrix. All transformations then run column-at-a-time in
-    /// the exact float-operation order of [`train_with_report`], and the
-    /// final model fits are the same code paths — so the returned model
-    /// is bit-identical to in-RAM training on the same data. (This path
-    /// skips cross-validation: the final fits never depend on it.)
-    ///
-    /// `schema` must be the sorted feature-name union — for the standard
-    /// testbed every program emits the full name set, so the sorted names
-    /// of any extracted vector qualify.
-    pub fn train_streaming(
+    /// [`prepare`](Trainer::prepare) over rows already in memory.
+    pub(crate) fn prepare_rows(
         &self,
         schema: &[String],
-        rows: impl IntoIterator<Item = Vec<f64>>,
-        histories: &[cvedb::AppHistory],
-        spill_dir: Option<&std::path::Path>,
-    ) -> std::io::Result<TrainedModel> {
+        rows: &[Vec<f64>],
+        histories: &[AppHistory],
+    ) -> Prepared {
+        self.prepare(schema, rows, histories, None)
+            .expect("in-RAM preparation does no I/O")
+    }
+
+    /// Raw dense rows → the training matrix, column at a time:
+    ///
+    /// 1. stream every row through the prefix projection and the
+    ///    (cell-local) log1p into the raw working matrix;
+    /// 2. per column, the standardizer's mean and std and, when filtering,
+    ///    the selection score of the standardized column;
+    /// 3. the kept standardized columns become the training matrix.
+    ///
+    /// With `spill_dir` both matrices are spilled, so peak memory stays one
+    /// column wide.
+    fn prepare<R: AsRef<[f64]>>(
+        &self,
+        schema: &[String],
+        rows: impl IntoIterator<Item = R>,
+        histories: &[AppHistory],
+        spill_dir: Option<&Path>,
+    ) -> std::io::Result<Prepared> {
         assert!(!histories.is_empty(), "no histories to train on");
 
-        // Optional prefix projection of the schema (the eager path's
-        // `project_prefix`), done on column indices so rows stream.
+        // Optional prefix projection of the schema, done on column indices
+        // so rows stream.
         let (all_feature_names, proj): (Vec<String>, Vec<usize>) = match &self.config.feature_prefix
         {
             Some(prefix) => schema
@@ -465,26 +325,29 @@ impl Trainer {
         if let Some(dir) = spill_dir {
             builder = builder.spill(&dir.join("raw"))?;
         }
-        let mut n_rows = 0usize;
+        let mut r = Vec::with_capacity(width);
         for row in rows {
+            let row = row.as_ref();
             assert_eq!(row.len(), schema.len(), "row width must match schema");
-            let mut r: Vec<f64> = proj.iter().map(|&i| row[i]).collect();
+            r.clear();
+            r.extend(proj.iter().map(|&i| row[i]));
             if self.config.log_transform {
                 for v in r.iter_mut() {
                     *v = v.signum() * v.abs().ln_1p();
                 }
             }
             builder.push_row(&r)?;
-            n_rows += 1;
         }
+        let n_rows = builder.n_rows();
         assert_eq!(n_rows, histories.len(), "one row per selected history");
         let raw = builder.finish()?;
 
+        // Count target (log10, as in Figure 2).
         let counts: Vec<f64> = histories.iter().map(|h| (h.total as f64).log10()).collect();
 
         // Pass 2, column-at-a-time: standardizer statistics and (when
-        // filtering) selection scores. Accumulation order per column is
-        // identical to `Standardizer::fit` / the row-major scorers.
+        // filtering) selection scores — Pearson vs the count target, or
+        // info gain vs the high-severity labels.
         let n = n_rows.max(1) as f64;
         let mut means = vec![0.0; width];
         let mut stds = vec![0.0; width];
@@ -536,8 +399,6 @@ impl Trainer {
             }
             None => (0..width).collect(),
         };
-        let feature_names: Vec<String> =
-            kept.iter().map(|&i| all_feature_names[i].clone()).collect();
 
         // Pass 3: materialize the kept standardized columns as the
         // training matrix — spilled again when out-of-core, so peak RSS
@@ -553,51 +414,54 @@ impl Trainer {
             Some(dir) => {
                 ColMatrix::spill_columns(&dir.join("train"), n_rows, kept.iter().map(standardized))?
             }
-            None => ColMatrix::from_columns(kept.iter().map(standardized).collect()),
+            None => ColMatrix::from_columns(n_rows, kept.iter().map(standardized).collect()),
         };
+        // Sort every column once here: each CV fold and forest bootstrap
+        // derives its own order from these permutations.
         if matrix.n_cols() > 0 {
             matrix.sorted(0);
         }
+        Ok(Prepared {
+            matrix,
+            standardizer,
+            kept,
+            all_feature_names,
+            counts,
+        })
+    }
 
-        // Final fits only — same worker split and the same fit calls as
-        // the eager path, whose outputs never depend on CV.
-        let battery = standard_battery();
-        let jobs = self.resolved_train_jobs();
-        let labelled: Vec<(Hypothesis, Vec<usize>, usize)> = battery
-            .iter()
-            .map(|&hypothesis| {
-                let labels: Vec<usize> = histories.iter().map(|h| hypothesis.label(h)).collect();
-                let positives = labels.iter().sum();
-                (hypothesis, labels, positives)
-            })
-            .collect();
-        let trainable: Vec<&(Hypothesis, Vec<usize>, usize)> = labelled
-            .iter()
-            .filter(|(_, labels, p)| *p > 0 && *p < labels.len())
-            .collect();
-        let w1 = jobs.min(trainable.len()).max(1);
-        let w2 = (jobs / w1).max(1);
-        let trained: Vec<BoxedClassifier> = parallel_map(w1, &trainable, |_, (_, labels, _)| {
+    /// The final fits: one classifier per non-degenerate hypothesis, the
+    /// count and severity regressors, and the attribution weights.
+    fn fit(&self, prepared: Prepared, histories: &[AppHistory]) -> TrainedModel {
+        let Prepared {
+            matrix,
+            standardizer,
+            kept,
+            all_feature_names,
+            counts,
+        } = prepared;
+
+        // Hypothesis classifiers, fanned out over the pool. Models are
+        // assembled in battery order, so they are byte-identical for every
+        // worker count.
+        let labelled = battery_labels(histories);
+        let trainable = trainable(&labelled);
+        let (w1, w2) = split_workers(self.resolved_train_jobs(), trainable.len());
+        let trained = parallel_map(w1, &trainable, |_, (_, labels, _)| {
             let mut model = self.config.learner.make_sized(self.config.forest_trees, w2);
             model.fit_matrix(&matrix, labels);
             model
         });
+        let hypotheses = trainable.iter().map(|(h, ..)| *h).zip(trained).collect();
 
-        let mut hypotheses = Vec::new();
-        let mut trained_iter = trained.into_iter();
-        for (hypothesis, labels, positives) in labelled {
-            if positives == 0 || positives == labels.len() {
-                continue;
-            }
-            hypotheses.push((
-                hypothesis,
-                trained_iter.next().expect("one model per trainable task"),
-            ));
-        }
-
+        // Count regressor (always linear, for inspectable weights).
         let mut count_model = LinearRegression::ridge(1.0);
         count_model.fit_matrix(&matrix, &counts);
 
+        // Per-severity-band count regressors — the paper's metric "predicts
+        // the number, severity, classification, and impact": high/critical,
+        // medium, and low report counts are modelled separately
+        // (log10(1+n) targets).
         let severity_models: Vec<(SeverityBand, LinearRegression)> = SeverityBand::ALL
             .iter()
             .map(|&band| {
@@ -611,13 +475,13 @@ impl Trainer {
             })
             .collect();
 
+        // Auxiliary risk model for attributions: logistic on CVSS>7 when
+        // trainable, else reuse the count weights.
         let risk_labels: Vec<usize> = histories
             .iter()
             .map(|h| Hypothesis::AnyHighSeverity.label(h))
             .collect();
-        let risk_weights = if risk_labels.iter().sum::<usize>() > 0
-            && risk_labels.iter().sum::<usize>() < risk_labels.len()
-        {
+        let risk_weights = if is_trainable(&risk_labels, risk_labels.iter().sum()) {
             let mut lr = LogisticRegression::new();
             lr.fit_matrix(&matrix, &risk_labels);
             lr.weights
@@ -625,8 +489,8 @@ impl Trainer {
             count_model.coefficients.clone()
         };
 
-        Ok(TrainedModel {
-            feature_names,
+        TrainedModel {
+            feature_names: kept.iter().map(|&i| all_feature_names[i].clone()).collect(),
             log_transform: self.config.log_transform,
             standardizer,
             kept,
@@ -635,8 +499,109 @@ impl Trainer {
             count_model,
             severity_models,
             risk_weights,
-        })
+        }
     }
+
+    /// Cross-validate every non-degenerate hypothesis and the count
+    /// regressor over the prepared matrix. The worker budget splits into
+    /// concurrent hypotheses × concurrent folds each; reports are
+    /// assembled in battery order, so they are byte-identical for every
+    /// worker count.
+    pub(crate) fn cross_validate(
+        &self,
+        prepared: &Prepared,
+        histories: &[AppHistory],
+        extraction: PipelineReport,
+    ) -> TrainingReport {
+        let labelled = battery_labels(histories);
+        let trainable = trainable(&labelled);
+        let jobs = self.resolved_train_jobs();
+        let (w1, w2) = split_workers(jobs, trainable.len());
+        let mut reports = parallel_map(w1, &trainable, |_, (_, labels, _)| {
+            cross_validate_classifier_jobs(
+                || self.config.learner.make_sized(self.config.forest_trees, 1),
+                &prepared.matrix,
+                labels,
+                self.config.folds,
+                w2,
+            )
+        })
+        .into_iter();
+        let hypothesis_reports = labelled
+            .iter()
+            .map(|(hypothesis, labels, positives)| HypothesisOutcome {
+                hypothesis: *hypothesis,
+                report: is_trainable(labels, *positives)
+                    .then(|| reports.next().expect("one report per trainable task")),
+                base_rate: *positives as f64 / labels.len() as f64,
+            })
+            .collect();
+        let count_cv = cross_validate_regressor_jobs(
+            || LinearRegression::ridge(1.0),
+            &prepared.matrix,
+            &prepared.counts,
+            self.config.folds,
+            jobs,
+        );
+        TrainingReport {
+            n_apps: histories.len(),
+            n_features: prepared.kept.len(),
+            learner: self.config.learner,
+            hypothesis_reports,
+            count_cv,
+            extraction,
+        }
+    }
+}
+
+/// The training matrix, and what a model needs to repeat its preparation
+/// on new rows.
+pub(crate) struct Prepared {
+    /// The kept standardized columns, one row per history.
+    matrix: ColMatrix,
+    standardizer: Standardizer,
+    /// Indices of the kept columns within `all_feature_names`.
+    kept: Vec<usize>,
+    /// The prefix-projected schema, before filtering.
+    all_feature_names: Vec<String>,
+    /// The log10 vulnerability-count target, one per history.
+    counts: Vec<f64>,
+}
+
+/// A hypothesis, its labels over the histories, and its positive count.
+type Labelled = (Hypothesis, Vec<usize>, usize);
+
+/// Labels for every hypothesis of the standard battery, in battery order.
+fn battery_labels(histories: &[AppHistory]) -> Vec<Labelled> {
+    standard_battery()
+        .into_iter()
+        .map(|hypothesis| {
+            let labels: Vec<usize> = histories.iter().map(|h| hypothesis.label(h)).collect();
+            let positives = labels.iter().sum();
+            (hypothesis, labels, positives)
+        })
+        .collect()
+}
+
+/// Single-class labels are degenerate: the constant answer is exact, so no
+/// model is trained or cross-validated for them.
+fn is_trainable(labels: &[usize], positives: usize) -> bool {
+    positives > 0 && positives < labels.len()
+}
+
+/// The non-degenerate entries of `labelled`, in order.
+fn trainable(labelled: &[Labelled]) -> Vec<&Labelled> {
+    labelled
+        .iter()
+        .filter(|(_, labels, positives)| is_trainable(labels, *positives))
+        .collect()
+}
+
+/// Split `jobs` workers into `w1` concurrent tasks × `w2` workers each,
+/// so total threads stay ≈ `jobs`.
+fn split_workers(jobs: usize, tasks: usize) -> (usize, usize) {
+    let w1 = jobs.min(tasks).max(1);
+    (w1, (jobs / w1).max(1))
 }
 
 /// Cross-validation outcome for one hypothesis.
@@ -972,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_training_is_bit_identical_to_eager() {
+    fn streaming_training_is_bit_identical_to_train() {
         let corpus = corpus();
         let trainer = Trainer::with_config(TrainerConfig {
             top_k_features: Some(14),
@@ -980,30 +945,8 @@ mod tests {
         });
         let eager = trainer.train(corpus).compile().to_bytes();
 
-        let histories = corpus.db.select(&trainer.config.selection);
-        let selected: Vec<&corpus::GeneratedApp> = histories
-            .iter()
-            .map(|h| corpus.apps.iter().find(|a| a.spec.name == h.app).unwrap())
-            .collect();
-        let extraction = extract::extract_apps(selected.iter().copied(), PipelineConfig::default());
-        let schema: Vec<String> = {
-            let mut names: Vec<String> = extraction.features[0]
-                .1
-                .iter()
-                .map(|(k, _)| k.to_string())
-                .collect();
-            names.sort();
-            names
-        };
-        let rows: Vec<Vec<f64>> = extraction
-            .features
-            .iter()
-            .map(|(_, fv)| {
-                let mut out = Vec::new();
-                fv.fill_dense(&schema, &mut out);
-                out
-            })
-            .collect();
+        let (histories, extraction) = trainer.extract_selected(corpus);
+        let (schema, rows) = extraction.dense_rows();
 
         let in_ram = trainer
             .train_streaming(&schema, rows.iter().cloned(), &histories, None)
@@ -1017,7 +960,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("clvy-train-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spilled = trainer
-            .train_streaming(&schema, rows, &histories, Some(&dir))
+            .train_streaming(&schema, rows.iter().cloned(), &histories, Some(&dir))
             .unwrap();
         assert_eq!(
             eager,
@@ -1026,11 +969,9 @@ mod tests {
         );
 
         // The dense-row scorer matches the feature-map scorer.
-        let fv = Testbed::new().extract(&selected[0].program);
-        let mut dense = Vec::new();
-        fv.fill_dense(&schema, &mut dense);
-        let a = spilled.prepare_row(&fv);
-        let b = spilled.prepare_dense_row(&dense);
+        let fv = &extraction.features[0].1;
+        let a = spilled.prepare_row(fv);
+        let b = spilled.prepare_dense_row(&rows[0]);
         assert_eq!(
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

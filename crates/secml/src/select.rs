@@ -15,9 +15,7 @@ pub fn pearson_target_stats(target: &[f64]) -> (f64, f64) {
 }
 
 /// Pearson correlation of one column (in row order) with the target,
-/// given the target moments from [`pearson_target_stats`]. The
-/// accumulation order matches the row-major scorer exactly, so a
-/// column streamed from disk scores bit-identically to its in-RAM twin.
+/// given the target moments from [`pearson_target_stats`].
 pub fn pearson_column(col: &[f64], target: &[f64], my: f64, syy: f64) -> f64 {
     let n = col.len() as f64;
     let mx = col.iter().sum::<f64>() / n;
@@ -34,48 +32,17 @@ pub fn pearson_column(col: &[f64], target: &[f64], my: f64, syy: f64) -> f64 {
     }
 }
 
-/// Pearson correlation of each column with the numeric target.
-pub fn pearson_scores(rows: &[Vec<f64>], target: &[f64]) -> Vec<f64> {
-    let cols = rows.first().map(|r| r.len()).unwrap_or(0);
-    if rows.is_empty() {
-        return vec![0.0; cols];
-    }
-    let (my, syy) = pearson_target_stats(target);
-    (0..cols)
-        .map(|c| {
-            let col: Vec<f64> = rows.iter().map(|r| r[c]).collect();
-            pearson_column(&col, target, my, syy)
-        })
-        .collect()
-}
-
-/// Information gain of the *best* binary split of each column against a
-/// binary label — the Weka `InfoGainAttributeEval` role. For every column
-/// the candidate thresholds are the midpoints between consecutive distinct
-/// sorted values (after a label change), and the maximum gain is reported.
-pub fn info_gain_scores(rows: &[Vec<f64>], labels: &[usize]) -> Vec<f64> {
-    let cols = rows.first().map(|r| r.len()).unwrap_or(0);
-    if rows.is_empty() {
-        return vec![0.0; cols];
-    }
-    let parent = label_entropy(labels);
-    (0..cols)
-        .map(|c| {
-            let col: Vec<f64> = rows.iter().map(|r| r[c]).collect();
-            info_gain_column(&col, labels, parent)
-        })
-        .collect()
-}
-
 /// Entropy of a binary label vector — the parent entropy passed to
 /// [`info_gain_column`].
 pub fn label_entropy(labels: &[usize]) -> f64 {
     entropy(labels.iter().copied())
 }
 
-/// Best-split information gain of one column (in row order) against the
-/// labels, given the precomputed parent entropy. Same sweep as the
-/// row-major scorer, so streamed columns score bit-identically.
+/// Information gain of the *best* binary split of one column (in row
+/// order) against a binary label — the Weka `InfoGainAttributeEval`
+/// role — given the precomputed parent entropy. The candidate thresholds
+/// are the midpoints between consecutive distinct sorted values, and the
+/// maximum gain is reported.
 pub fn info_gain_column(col: &[f64], labels: &[usize], parent: f64) -> f64 {
     let n = col.len() as f64;
     // Sort (value, label) pairs by value; sweep split points,
@@ -148,47 +115,54 @@ pub fn top_k(scores: &[f64], k: usize) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    fn pearson(col: &[f64], target: &[f64]) -> f64 {
+        let (my, syy) = pearson_target_stats(target);
+        pearson_column(col, target, my, syy)
+    }
+
+    fn info_gain(col: &[f64], labels: &[usize]) -> f64 {
+        info_gain_column(col, labels, label_entropy(labels))
+    }
+
     #[test]
     fn pearson_identifies_informative_column() {
-        // Column 0 = target; column 1 = alternating noise.
-        let rows: Vec<Vec<f64>> = (0..20)
-            .map(|i| vec![i as f64, if i % 2 == 0 { 1.0 } else { -1.0 }])
+        // One column tracks the target; the other alternates as noise.
+        let signal: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let noise: Vec<f64> = (0..20)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
         let target: Vec<f64> = (0..20).map(|i| 2.0 * i as f64).collect();
-        let s = pearson_scores(&rows, &target);
-        assert!(s[0] > 0.999);
-        assert!(s[1].abs() < 0.2);
+        assert!(pearson(&signal, &target) > 0.999);
+        assert!(pearson(&noise, &target).abs() < 0.2);
     }
 
     #[test]
     fn pearson_negative_correlation() {
-        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
+        let col: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let target: Vec<f64> = (0..10).map(|i| -(i as f64)).collect();
-        let s = pearson_scores(&rows, &target);
-        assert!(s[0] < -0.999);
+        assert!(pearson(&col, &target) < -0.999);
     }
 
     #[test]
     fn pearson_constant_column_is_zero() {
-        let rows: Vec<Vec<f64>> = (0..10).map(|_| vec![5.0]).collect();
         let target: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert_eq!(pearson_scores(&rows, &target)[0], 0.0);
+        assert_eq!(pearson(&[5.0; 10], &target), 0.0);
     }
 
     #[test]
     fn info_gain_perfect_split_is_one_bit() {
-        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
+        let col: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let labels: Vec<usize> = (0..20).map(|i| (i >= 10) as usize).collect();
-        let s = info_gain_scores(&rows, &labels);
-        assert!((s[0] - 1.0).abs() < 1e-9, "gain = {}", s[0]);
+        let gain = info_gain(&col, &labels);
+        assert!((gain - 1.0).abs() < 1e-9, "gain = {gain}");
     }
 
     #[test]
     fn info_gain_uninformative_is_near_zero() {
-        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 2) as f64]).collect();
+        let col: Vec<f64> = (0..20).map(|i| (i % 2) as f64).collect();
         let labels: Vec<usize> = (0..20).map(|i| ((i / 2) % 2 == 0) as usize).collect();
-        let s = info_gain_scores(&rows, &labels);
-        assert!(s[0] < 0.05, "gain = {}", s[0]);
+        let gain = info_gain(&col, &labels);
+        assert!(gain < 0.05, "gain = {gain}");
     }
 
     #[test]
