@@ -3,8 +3,8 @@
 //! §5.3 claims the metric "requires very little effort from the
 //! developers" because analysis is automated; these benchmarks quantify
 //! that: per-pass wall time over a representative synthesized application,
-//! plus corpus-scale extraction through the pipeline engine (sequential
-//! vs multi-worker vs warm cache), whose `PipelineReport` JSON prints as
+//! plus corpus-scale extraction through the pipeline driver (sequential
+//! vs multi-worker), whose `PipelineReport` JSON prints as
 //! `BENCH_PIPELINE` lines for tracking.
 
 use bench::harness::{black_box, Criterion, Throughput};
@@ -104,29 +104,20 @@ fn bench_parsing(c: &mut Criterion) {
     group.finish();
 }
 
-/// Corpus-scale extraction through the pipeline engine. One timed run per
+/// Corpus-scale extraction through the pipeline driver. One timed run per
 /// configuration (the batch itself is the repetition); each run's
 /// `PipelineReport` prints as a `BENCH_PIPELINE` JSON line.
 fn bench_pipeline(c: &mut Criterion) {
     let corpus = Corpus::generate(&CorpusConfig::small(16, 20177));
-    let configs = [
-        (
-            "sequential",
-            PipelineConfig::default().jobs(1).cache(CacheMode::Off),
-        ),
-        (
-            "workers_4",
-            PipelineConfig::default().jobs(4).cache(CacheMode::Off),
-        ),
-    ];
+    let configs = [("sequential", 1), ("workers_4", 4)];
     let mut group = c.benchmark_group("pipeline_extract");
     group.sample_size(5);
     group.throughput(Throughput::Elements(corpus.apps.len() as u64));
-    for (name, config) in configs {
+    for (name, jobs) in configs {
         let mut last_report = None;
         group.bench_function(name, |b| {
             b.iter(|| {
-                let out = extract_corpus(&corpus, config.clone());
+                let out = extract_corpus(&corpus, jobs);
                 last_report = Some(out.report.clone());
                 black_box(out.features.len())
             })
@@ -134,21 +125,6 @@ fn bench_pipeline(c: &mut Criterion) {
         if let Some(report) = last_report {
             println!("BENCH_PIPELINE {}", report.to_json());
         }
-    }
-    // Warm cache: one engine reused, second batch served from memory.
-    let mut engine = pipeline::Pipeline::new(Testbed::new());
-    let apps: Vec<&corpus::GeneratedApp> = corpus.apps.iter().collect();
-    clairvoyant::extract::extract_apps_with(&mut engine, apps.iter().copied());
-    let mut last_report = None;
-    group.bench_function("warm_cache", |b| {
-        b.iter(|| {
-            let out = clairvoyant::extract::extract_apps_with(&mut engine, apps.iter().copied());
-            last_report = Some(out.report.clone());
-            black_box(out.features.len())
-        })
-    });
-    if let Some(report) = last_report {
-        println!("BENCH_PIPELINE {}", report.to_json());
     }
     group.finish();
 }

@@ -14,7 +14,7 @@ use bench::{criterion_group, criterion_main};
 use clairvoyant::extract::extract_apps;
 use clairvoyant::hypothesis::standard_battery;
 use clairvoyant::train::TrainerConfig;
-use clairvoyant::{Learner, PipelineConfig, Trainer};
+use clairvoyant::{Learner, Trainer};
 use cvedb::SelectionCriteria;
 use secml::dataset::ColMatrix;
 use secml::eval::cross_validate_classifier_jobs;
@@ -41,7 +41,7 @@ fn prepared_battery(corpus: &corpus::Corpus) -> (Vec<Vec<f64>>, Vec<Vec<usize>>)
                 .expect("app exists")
         })
         .collect();
-    let (_, mut rows) = extract_apps(apps, PipelineConfig::default()).dense_rows();
+    let (_, mut rows) = extract_apps(apps, 0).dense_rows();
     log1p_rows(&mut rows);
     let st = Standardizer::fit(&rows);
     st.transform(&mut rows);

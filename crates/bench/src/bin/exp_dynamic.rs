@@ -5,7 +5,6 @@
 
 use clairvoyant::dynamic::dynamic_features;
 use clairvoyant::extract::extract_apps;
-use clairvoyant::PipelineConfig;
 use cvedb::SelectionCriteria;
 use secml::dataset::ColMatrix;
 use secml::eval::cross_validate_regressor;
@@ -27,7 +26,7 @@ fn main() {
                 .expect("app exists")
         })
         .collect();
-    let extraction = extract_apps(apps.iter().copied(), PipelineConfig::default());
+    let extraction = extract_apps(apps.iter().copied(), 0);
     println!("BENCH_PIPELINE {}", extraction.report.to_json());
 
     let mut static_rows: Vec<Vec<f64>> = Vec::new();

@@ -1,15 +1,15 @@
-//! Corpus-scale feature extraction through the pipeline engine.
+//! Corpus-scale feature extraction through the pipeline driver.
 //!
-//! Every sweep over many applications — training, experiments, benches,
-//! the CLI — goes through [`extract_corpus`] instead of calling
-//! [`Testbed::extract`] in a loop: the pipeline fans programs across
-//! worker threads, serves unchanged programs from the content-addressed
-//! feature cache, survives a panicking collector, and reports per-stage
-//! timings and throughput.
+//! Every sweep over many applications — training, experiments, benches —
+//! goes through [`extract_apps`] instead of calling [`Testbed::extract`]
+//! in a loop: [`pipeline::extract_batch`] fans programs across worker
+//! threads, survives a panicking collector, and reports extraction time
+//! and throughput.
 
 use crate::testbed::Testbed;
 use corpus::{Corpus, GeneratedApp};
-use pipeline::{JobSpec, Pipeline, PipelineConfig, PipelineReport};
+use minilang::ast::Program;
+use pipeline::PipelineReport;
 use static_analysis::FeatureVector;
 
 /// Features for a set of applications, in input order, plus the run
@@ -38,77 +38,45 @@ impl CorpusFeatures {
     }
 }
 
-/// One pipeline job per application.
-pub fn corpus_jobs<'a>(apps: &[&'a GeneratedApp]) -> Vec<JobSpec<'a>> {
-    apps.iter()
-        .map(|app| JobSpec::new(&app.program, &app.files))
-        .collect()
+/// Extract the full testbed vector for every app in the corpus on `jobs`
+/// workers (0 = one per core).
+pub fn extract_corpus(corpus: &Corpus, jobs: usize) -> CorpusFeatures {
+    extract_apps(corpus.apps.iter(), jobs)
 }
 
-/// Extract the full testbed vector for every app in the corpus.
-pub fn extract_corpus(corpus: &Corpus, config: PipelineConfig) -> CorpusFeatures {
-    extract_apps(corpus.apps.iter(), config)
-}
-
-/// Extract the full testbed vector for any selection of applications.
+/// Extract the full testbed vector for any selection of applications on
+/// `jobs` workers (0 = one per core). Vectors are identical for any value.
 pub fn extract_apps<'a>(
     apps: impl IntoIterator<Item = &'a GeneratedApp>,
-    config: PipelineConfig,
+    jobs: usize,
 ) -> CorpusFeatures {
-    let mut engine = Pipeline::with_config(Testbed::new(), config);
-    extract_apps_with(&mut engine, apps)
-}
-
-/// Extract through a caller-owned engine — reusing one engine across
-/// batches keeps its in-memory cache warm (the incremental path for
-/// iterative experiments).
-pub fn extract_apps_with<'a>(
-    engine: &mut Pipeline<Testbed>,
-    apps: impl IntoIterator<Item = &'a GeneratedApp>,
-) -> CorpusFeatures {
-    let apps: Vec<&GeneratedApp> = apps.into_iter().collect();
-    let jobs = corpus_jobs(&apps);
-    let batch = engine.run(&jobs);
+    let programs: Vec<&Program> = apps.into_iter().map(|app| &app.program).collect();
+    let (vectors, report) = pipeline::extract_batch(&Testbed::new(), &programs, jobs);
     CorpusFeatures {
-        features: batch
-            .outputs
-            .into_iter()
-            .map(|o| (o.name, o.features))
+        features: programs
+            .iter()
+            .map(|p| p.name.clone())
+            .zip(vectors)
             .collect(),
-        report: batch.report,
+        report,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::CacheMode;
 
     #[test]
     fn pipeline_matches_direct_testbed_extraction() {
         let corpus = crate::testutil::shared_corpus();
         let testbed = Testbed::new();
-        let out = extract_corpus(
-            corpus,
-            PipelineConfig::default().jobs(4).cache(CacheMode::Off),
-        );
+        let out = extract_corpus(corpus, 4);
         assert_eq!(out.features.len(), corpus.apps.len());
         assert!(out.report.errors.is_empty());
         for (app, (name, fv)) in corpus.apps.iter().zip(&out.features) {
             assert_eq!(&app.spec.name, name);
             assert_eq!(&testbed.extract(&app.program), fv);
         }
-    }
-
-    #[test]
-    fn warm_engine_serves_from_cache() {
-        let corpus = crate::testutil::shared_corpus();
-        let mut engine = Pipeline::new(Testbed::new());
-        let cold = extract_apps_with(&mut engine, &corpus.apps);
-        let warm = extract_apps_with(&mut engine, &corpus.apps);
-        assert_eq!(cold.report.cache_hits, 0);
-        assert_eq!(warm.report.cache_hits, corpus.apps.len());
-        assert_eq!(cold.features, warm.features);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Incremental function-level extraction.
 //!
-//! The pipeline's content-addressed cache (`pipeline::cache`) is
-//! whole-program: touch one function and the program's single entry is
-//! gone. Real codebases change one function at a time — the paper's
+//! Real codebases change one function at a time — the paper's
 //! continuous-evaluation use (gating code changes in CI) re-scores after
-//! exactly such edits — so this module pushes the cache down to
+//! exactly such edits — so this module caches analysis results under
 //! **per-function fingerprints**:
 //!
 //! * each function is keyed by FNV-1a over its raw source slice, salted
@@ -92,14 +90,12 @@ struct TaintMemoEntry {
 
 /// A [`Testbed`] with a resident per-function entry store: repeat
 /// extractions of edited programs only re-analyze changed functions.
-/// Intended to live across many extractions (a serve shard, the `watch`
-/// daemon, an editor loop); for one-shot batch work the plain pipeline
-/// cache is the right tool.
+/// Intended to live across many extractions where edits hit the store
+/// (a serve shard, the `watch` daemon, an editor loop); one-shot batch
+/// work, where nothing repeats, runs a plain [`Testbed`] through
+/// `pipeline::extract_batch`.
 pub struct IncrementalTestbed {
     testbed: Testbed,
-    /// Worker threads for per-function context construction (1 = inline,
-    /// 0 = one per core). Vectors are identical for any value.
-    fn_jobs: usize,
     store: FnStore<FnEntry>,
 }
 
@@ -107,7 +103,6 @@ impl Default for IncrementalTestbed {
     fn default() -> Self {
         IncrementalTestbed {
             testbed: Testbed::new(),
-            fn_jobs: 1,
             store: FnStore::new(0),
         }
     }
@@ -120,16 +115,11 @@ impl IncrementalTestbed {
     }
 
     /// Fan per-function rebuilds out over `jobs` worker threads (0 = one
-    /// per core). Cached entries make this matter less, but a cold first
-    /// extraction is exactly as parallel as `Testbed::with_fn_jobs`.
+    /// per core) — the wrapped testbed's own fan-out
+    /// ([`Testbed::with_fn_jobs`]), so a cold first extraction is exactly
+    /// as parallel as a scratch one.
     pub fn with_fn_jobs(mut self, jobs: usize) -> Self {
-        self.fn_jobs = jobs;
-        self
-    }
-
-    /// Bound the entry store to `capacity` functions (0 = default).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.store = FnStore::new(capacity);
+        self.testbed = self.testbed.with_fn_jobs(jobs);
         self
     }
 
@@ -181,9 +171,9 @@ impl IncrementalTestbed {
         let counters = self.store.take_counters();
 
         // Rebuild: cheap structure for everyone, fixpoints only for
-        // misses. Entries are independent, so this fans out like
-        // `Testbed::with_fn_jobs` — order-preserving merge keeps the
-        // vector bit-identical for any worker count.
+        // misses. Entries are independent, so this fans out on the
+        // testbed's per-function workers — order-preserving merge keeps
+        // the vector bit-identical for any worker count.
         let indices: Vec<usize> = (0..funcs.len()).collect();
         let build = |i: usize| -> FunctionContext<'_> {
             let (_, f) = funcs[i];
@@ -196,16 +186,8 @@ impl IncrementalTestbed {
                 }
             }
         };
-        let functions: Vec<FunctionContext<'_>> = if self.fn_jobs == 1 {
-            indices.iter().map(|&i| build(i)).collect()
-        } else {
-            let workers = if self.fn_jobs == 0 {
-                pipeline::default_workers()
-            } else {
-                self.fn_jobs
-            };
-            pipeline::parallel_map(workers, &indices, |_, &i| build(i))
-        };
+        let functions: Vec<FunctionContext<'_>> =
+            self.testbed.map_functions(&indices, |&i| build(i));
 
         // Cache the rebuilt payloads and line every function up with its
         // (new or resident) entry for the taint memo.

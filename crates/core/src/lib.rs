@@ -69,9 +69,9 @@ pub use hypothesis::{standard_battery, Hypothesis};
 pub use incremental::{IncrReport, IncrementalTestbed};
 pub use longitudinal::{EpochOutcome, LongitudinalConfig, LongitudinalReport};
 pub use metric::SecurityReport;
-// Re-export the engine types so downstream users configure extraction
-// without naming the pipeline crate.
-pub use pipeline::{CacheMode, PipelineConfig, PipelineReport};
+// Re-export the extraction report so downstream users read it without
+// naming the pipeline crate.
+pub use pipeline::PipelineReport;
 pub use score::{CompiledModel, PreparedBatch};
 pub use system::{
     evaluate_system, evaluate_system_compiled, Component, Containment, Exposure, SystemReport,
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::train::{Learner, TrainedModel, Trainer, TrainerConfig};
     pub use corpus::{Corpus, CorpusConfig};
     pub use minilang::{parse_program, Dialect};
-    pub use pipeline::{CacheMode, PipelineConfig, PipelineReport};
+    pub use pipeline::PipelineReport;
 }
 
 #[cfg(test)]

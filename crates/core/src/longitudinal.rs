@@ -4,14 +4,17 @@
 //! it can be *re-estimated* as the application population evolves. This
 //! driver replays simulated epochs over a [`corpus::LongitudinalStream`]:
 //!
-//! 1. **Extract** — each epoch's changed apps run through the incremental
-//!    engine ([`crate::IncrementalTestbed`]); untouched apps keep their
-//!    cached dense feature rows and CVE trajectories, so the per-epoch
-//!    cost is proportional to churn, not population size.
-//! 2. **Retrain** — a sliding ground-truth window (the most recent
-//!    `window_years` of revealed CVE records) is re-selected and the
-//!    model retrained through [`Trainer::train_streaming`], spilling its
-//!    working matrices to disk when `out_of_core` is set.
+//! 1. **Label, then extract** — every app is labelled from its synthesis
+//!    plan ([`LongitudinalStream::epoch_app`], no code generated), and a
+//!    sliding ground-truth window (the most recent `window_years` of
+//!    revealed CVE records) selects the training apps, as §5.1 selects by
+//!    CVE history before measuring code. Only selected apps without a
+//!    cached dense row for their current code are materialized and
+//!    extracted ([`pipeline::extract_batch`] over a [`Testbed`]), so the
+//!    per-epoch cost follows the selected churn, not the population.
+//! 2. **Retrain** — the model is retrained on the selected rows through
+//!    [`Trainer::train_streaming`], spilling its working matrices to disk
+//!    when `out_of_core` is set.
 //! 3. **Measure drift** — the previous epoch's model is scored on the
 //!    *new* epoch's labels (AUC + Brier on the high-severity hypothesis)
 //!    next to the refreshed model; the gap is the cost of serving stale.
@@ -24,17 +27,22 @@
 //! [`LongitudinalReport::drift_json`], the CI equality gate).
 
 use crate::hypothesis::Hypothesis;
-use crate::incremental::IncrementalTestbed;
+use crate::testbed::Testbed;
 use crate::train::{TrainedModel, Trainer, TrainerConfig};
 use corpus::{LongitudinalStream, StreamConfig};
 use cvedb::CveDatabase;
-use cvedb::CveRecord;
+use minilang::ast::Program;
+use pipeline::Extractor as _;
 use secml::eval::{brier_score, roc_auc};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// Apps materialized per extraction batch: bounds how many programs are
+/// resident at once, however large the population.
+const EXTRACT_CHUNK: usize = 64;
 
 /// Configuration for [`replay`].
 #[derive(Debug, Clone)]
@@ -74,11 +82,11 @@ pub struct EpochOutcome {
     pub epoch: usize,
     /// Ground-truth cutoff year for this epoch.
     pub cutoff_year: i32,
-    /// Apps (re)synthesized and (re)extracted this epoch.
+    /// Apps whose code was rewritten this epoch (all of them at epoch 0).
     pub apps_changed: usize,
-    /// Incremental-engine function cache counters for this epoch.
-    pub fn_cache_hits: u64,
-    pub fn_cache_misses: u64,
+    /// Apps materialized and extracted this epoch: selected apps with no
+    /// cached row for their current code.
+    pub apps_extracted: usize,
     /// Apps passing ground-truth selection (= training rows).
     pub trained_apps: usize,
     /// Kept features after selection.
@@ -142,15 +150,13 @@ impl LongitudinalReport {
     }
 }
 
-/// Per-app replay cache: one entry per population index, refreshed only
-/// when the app's last-changed epoch moves.
+/// Per-app replay cache: the raw dense feature row (schema order,
+/// pre-transform) of the code generation it was extracted from. Filled
+/// only for selected apps; refreshed when a selected app's last-changed
+/// epoch moves.
 struct AppCache {
     last_changed: usize,
-    name: String,
-    /// Raw dense feature row in schema order (pre-transform).
     dense: Vec<f64>,
-    /// Full CVE trajectory (no cutoff); filtered per epoch.
-    records: Vec<CveRecord>,
 }
 
 /// An epoch's trained model plus the training-time base rate used when
@@ -186,9 +192,17 @@ pub fn replay(
     std::fs::create_dir_all(&config.work_dir)?;
     let stream = LongitudinalStream::new(config.stream.clone());
     let apps = config.stream.apps;
-    let mut engine = IncrementalTestbed::new();
+    let testbed = Testbed::new();
+    // Feature names are program-independent, so the degraded vector's
+    // sorted names are every extracted vector's schema.
+    let mut schema: Vec<String> = testbed
+        .degraded()
+        .names()
+        .into_iter()
+        .map(str::to_string)
+        .collect();
+    schema.sort();
     let mut cache: Vec<Option<AppCache>> = (0..apps).map(|_| None).collect();
-    let mut schema: Vec<String> = Vec::new();
     let mut prev: Option<EpochModel> = None;
     let mut epochs_out = Vec::new();
 
@@ -196,53 +210,59 @@ pub fn replay(
         let t_extract = Instant::now();
         let cutoff = stream.cutoff_year(epoch);
         let floor = cutoff - config.window_years + 1;
-        let mut apps_changed = 0usize;
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let mut db = CveDatabase::new();
-        for (i, slot) in cache.iter_mut().enumerate() {
-            let last_changed = stream.last_changed(i, epoch);
-            let stale = slot.as_ref().is_none_or(|c| c.last_changed != last_changed);
-            if stale {
-                apps_changed += 1;
-                let (app, records) = stream.materialize(i, last_changed);
-                let (fv, incr) = engine.extract_stats(&app.program);
-                hits += incr.hits;
-                misses += incr.misses;
-                if schema.is_empty() {
-                    schema = fv.iter().map(|(k, _)| k.to_string()).collect();
-                    schema.sort();
-                }
-                let mut dense = Vec::new();
-                fv.fill_dense(&schema, &mut dense);
-                *slot = Some(AppCache {
-                    last_changed,
-                    name: app.spec.name,
-                    dense,
-                    records,
-                });
-            }
-            let entry = slot.as_ref().expect("cache filled above");
-            for r in &entry.records {
-                if r.published.year >= floor && r.published.year <= cutoff {
-                    db.insert(r.clone());
-                }
-            }
-        }
-        let extract_ms = t_extract.elapsed().as_millis();
 
-        // Sliding-window ground truth → training rows aligned to it.
+        // Label every app from its plan; no code is generated.
+        let mut apps_changed = 0usize;
+        let mut index_of: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        let mut db = CveDatabase::new();
+        for i in 0..apps {
+            let labelled = stream.epoch_app(i, epoch);
+            apps_changed += usize::from(labelled.changed);
+            for r in labelled.records {
+                if r.published.year >= floor {
+                    db.insert(r);
+                }
+            }
+            index_of.insert(labelled.app.spec.name, (i, labelled.last_changed));
+        }
+
+        // Sliding-window ground truth → the apps to train on.
         let histories = db.select(&config.trainer.selection);
         assert!(
             !histories.is_empty(),
             "epoch {epoch}: no app passed selection — widen window_years"
         );
-        let by_name: BTreeMap<&str, usize> = cache
+
+        // Materialize and extract only the selected apps whose current
+        // code has no cached row.
+        let stale: Vec<(usize, usize)> = histories
             .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|c| (c.name.as_str(), i)))
+            .map(|h| index_of[h.app.as_str()])
+            .filter(|&(i, last_changed)| {
+                cache[i]
+                    .as_ref()
+                    .is_none_or(|c| c.last_changed != last_changed)
+            })
             .collect();
+        for chunk in stale.chunks(EXTRACT_CHUNK) {
+            let built: Vec<Program> = chunk
+                .iter()
+                .map(|&(i, last_changed)| stream.materialize(i, last_changed).0.program)
+                .collect();
+            let programs: Vec<&Program> = built.iter().collect();
+            let (vectors, _) = pipeline::extract_batch(&testbed, &programs, config.trainer.jobs);
+            for (&(i, last_changed), fv) in chunk.iter().zip(vectors) {
+                let mut dense = Vec::new();
+                fv.fill_dense(&schema, &mut dense);
+                cache[i] = Some(AppCache {
+                    last_changed,
+                    dense,
+                });
+            }
+        }
+        let extract_ms = t_extract.elapsed().as_millis();
         let dense_of = |app: &str| -> &[f64] {
-            cache[by_name[app]]
+            cache[index_of[app].0]
                 .as_ref()
                 .expect("selected app is cached")
                 .dense
@@ -290,8 +310,7 @@ pub fn replay(
             epoch,
             cutoff_year: cutoff,
             apps_changed,
-            fn_cache_hits: hits,
-            fn_cache_misses: misses,
+            apps_extracted: stale.len(),
             trained_apps: histories.len(),
             n_features: fresh.model.feature_names.len(),
             model_path,
@@ -345,9 +364,17 @@ mod tests {
         .unwrap();
         assert_eq!(report.epochs.len(), 3);
         assert_eq!(deployed.len(), 3);
-        // Epoch 0 extracts everything; later epochs only churn.
+        // Epoch 0 rewrites everything; later epochs only churn.
         assert_eq!(report.epochs[0].apps_changed, 24);
         assert!(report.epochs[1].apps_changed < 24);
+        // Label first: epoch 0 extracts exactly the apps it trains on,
+        // and no epoch extracts an app it does not train on.
+        let first = &report.epochs[0];
+        assert_eq!(first.apps_extracted, first.trained_apps);
+        assert!(first.apps_extracted < first.apps_changed);
+        for e in &report.epochs {
+            assert!(e.apps_extracted <= e.trained_apps, "epoch {}", e.epoch);
+        }
         for e in &report.epochs {
             assert!(e.trained_apps > 0);
             assert!(e.fingerprint.len() == 16);

@@ -22,7 +22,7 @@ use crate::metric::{assemble_report, SecurityReport};
 use crate::train::SeverityBand;
 use secml::bytes::{ByteReader, ByteWriter};
 use secml::dataset::ColMatrix;
-use secml::preprocess::Standardizer;
+use secml::preprocess::{signed_log1p, Standardizer};
 use secml::{CompiledClassifier, CompiledRegressor};
 use static_analysis::FeatureVector;
 use std::path::Path;
@@ -87,9 +87,22 @@ pub(crate) fn prepare_row_into(
     // One linear merge over the sorted map instead of a lookup per
     // schema column; identical values either way.
     fv.fill_dense(all_feature_names, full);
+    prepare_dense_into(log_transform, standardizer, kept, full, out);
+}
+
+/// The dense half of [`prepare_row_into`]: a raw schema-width row, in
+/// place through log1p and standardization, then its kept columns into
+/// `out` — the same transform training applied.
+pub(crate) fn prepare_dense_into(
+    log_transform: bool,
+    standardizer: &Standardizer,
+    kept: &[usize],
+    full: &mut [f64],
+    out: &mut Vec<f64>,
+) {
     if log_transform {
         for v in full.iter_mut() {
-            *v = v.signum() * v.abs().ln_1p();
+            *v = signed_log1p(*v);
         }
     }
     standardizer.transform_row(full);

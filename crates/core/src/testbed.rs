@@ -104,19 +104,27 @@ impl Testbed {
     }
 
     fn build_context<'p>(&self, program: &'p Program) -> AnalysisContext<'p> {
-        if self.fn_jobs == 1 {
-            return AnalysisContext::build(program);
-        }
+        AnalysisContext::build_with(program, |symbols, funcs| {
+            self.map_functions(funcs, |&f| {
+                FunctionContext::build(f, symbols, &standard_path_config())
+            })
+        })
+    }
+
+    /// Map `f` over per-function work items on the `fn_jobs` workers,
+    /// in input order (inline when `fn_jobs` is 1). The one per-function
+    /// fan-out: the incremental engine runs its rebuilds through it too.
+    pub(crate) fn map_functions<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
         let workers = if self.fn_jobs == 0 {
             pipeline::default_workers()
         } else {
             self.fn_jobs
         };
-        AnalysisContext::build_with(program, |symbols, funcs| {
-            pipeline::parallel_map(workers, funcs, |_, &f| {
-                FunctionContext::build(f, symbols, &standard_path_config())
-            })
-        })
+        pipeline::parallel_map(workers, items, |_, item| f(item))
     }
 
     fn record(&self, name: &str, took: Duration) {
@@ -195,9 +203,10 @@ impl Testbed {
     }
 }
 
-/// Version of the testbed's collector schema, part of every pipeline
-/// cache key. Bump whenever a collector is added, removed, or changes
-/// meaning — stale cached vectors are invalidated wholesale.
+/// Version of the testbed's collector schema, part of the testbed's
+/// [`fingerprint`](pipeline::Extractor::fingerprint). Bump whenever a
+/// collector is added, removed, or changes meaning — every incremental
+/// function entry built before is invalidated at once.
 /// (v2: single-pass `AnalysisContext` engine. v3: deterministic
 /// program-order duplicate-code detection over per-statement digests.)
 pub const TESTBED_SCHEMA_VERSION: u64 = 3;
@@ -207,13 +216,9 @@ impl pipeline::Extractor for Testbed {
         Testbed::extract(self, program)
     }
 
-    fn schema_version(&self) -> u64 {
-        TESTBED_SCHEMA_VERSION
-    }
-
     /// Digest of the collector set actually wired in (registry collector
     /// names + bugfind tool names + the schema version), so a cached
-    /// vector is only reused by a testbed with the same collectors.
+    /// function entry is only reused by a testbed with the same collectors.
     fn fingerprint(&self) -> u64 {
         let mut h = pipeline::fnv::Fnv1a::new();
         h.write_u64(TESTBED_SCHEMA_VERSION);

@@ -19,7 +19,7 @@ use crate::hypothesis::{standard_battery, Hypothesis};
 use crate::score::CompiledModel;
 use corpus::Corpus;
 use cvedb::{AppHistory, SelectionCriteria};
-use pipeline::{parallel_map, PipelineConfig, PipelineReport};
+use pipeline::{parallel_map, PipelineReport};
 use secml::dataset::{ColMatrix, ColMatrixBuilder};
 use secml::eval::{
     cross_validate_classifier_jobs, cross_validate_regressor_jobs, ClassificationReport,
@@ -30,7 +30,7 @@ use secml::knn::Knn;
 use secml::linreg::LinearRegression;
 use secml::logreg::LogisticRegression;
 use secml::nb::GaussianNb;
-use secml::preprocess::Standardizer;
+use secml::preprocess::{signed_log1p, Standardizer};
 use secml::select::{info_gain_column, label_entropy, pearson_column, pearson_target_stats, top_k};
 use secml::tree::DecisionTree;
 use secml::{Classifier, Regressor};
@@ -140,13 +140,12 @@ pub struct TrainerConfig {
     pub selection: SelectionCriteria,
     /// Restrict features to one name prefix (ablation hook; None = all).
     pub feature_prefix: Option<String>,
-    /// Feature-extraction engine settings: worker count, cache mode,
-    /// per-program budget. Defaults to auto workers with an in-memory
-    /// cache; parallel extraction is byte-identical to sequential, so
-    /// training stays deterministic regardless of `jobs`.
-    pub pipeline: PipelineConfig,
+    /// Feature-extraction worker threads (0 = one per core). Parallel
+    /// extraction is byte-identical to sequential, so training stays
+    /// deterministic regardless of `jobs`.
+    pub jobs: usize,
     /// Worker threads for ML training (hypothesis batteries, CV folds,
-    /// forest trees). 0 = inherit `pipeline.jobs` (whose own 0 means all
+    /// forest trees). 0 = inherit `jobs` (whose own 0 means all
     /// cores). Trained models and reports are byte-identical for every
     /// value.
     pub train_jobs: usize,
@@ -166,7 +165,7 @@ impl Default for TrainerConfig {
             log_transform: true,
             selection: SelectionCriteria::default(),
             feature_prefix: None,
-            pipeline: PipelineConfig::default(),
+            jobs: 0,
             train_jobs: 0,
             forest_trees: DEFAULT_FOREST_TREES,
         }
@@ -197,11 +196,11 @@ impl Trainer {
         }
     }
 
-    /// ML worker count: `train_jobs`, falling back to `pipeline.jobs`,
+    /// ML worker count: `train_jobs`, falling back to `jobs`,
     /// falling back to all cores.
     fn resolved_train_jobs(&self) -> usize {
         let jobs = if self.config.train_jobs == 0 {
-            self.config.pipeline.jobs
+            self.config.jobs
         } else {
             self.config.train_jobs
         };
@@ -252,9 +251,8 @@ impl Trainer {
     }
 
     /// The ground-truth histories this configuration selects, and their
-    /// applications' features extracted through the pipeline engine
-    /// (parallel + cached + fault isolated; output order matches the
-    /// histories).
+    /// applications' features extracted through the pipeline driver
+    /// (parallel + fault isolated; output order matches the histories).
     pub(crate) fn extract_selected(&self, corpus: &Corpus) -> (Vec<AppHistory>, CorpusFeatures) {
         let histories = corpus.db.select(&self.config.selection);
         assert!(
@@ -271,7 +269,7 @@ impl Trainer {
                     .unwrap_or_else(|| panic!("history for unknown app {}", h.app))
             })
             .collect();
-        let extraction = extract::extract_apps(selected, self.config.pipeline.clone());
+        let extraction = extract::extract_apps(selected, self.config.jobs);
         (histories, extraction)
     }
 
@@ -333,7 +331,7 @@ impl Trainer {
             r.extend(proj.iter().map(|&i| row[i]));
             if self.config.log_transform {
                 for v in r.iter_mut() {
-                    *v = v.signum() * v.abs().ln_1p();
+                    *v = signed_log1p(*v);
                 }
             }
             builder.push_row(&r)?;
@@ -622,7 +620,7 @@ pub struct TrainingReport {
     pub learner: Learner,
     pub hypothesis_reports: Vec<HypothesisOutcome>,
     pub count_cv: RegressionReport,
-    /// Feature-extraction engine report (throughput, cache, failures).
+    /// Feature-extraction report (throughput, failures).
     pub extraction: PipelineReport,
 }
 
@@ -635,11 +633,10 @@ impl fmt::Display for TrainingReport {
         )?;
         writeln!(
             f,
-            "extraction: {:.1} programs/sec on {} worker(s), {}/{} cache hits, {} degraded",
+            "extraction: {} programs at {:.1} programs/sec on {} worker(s), {} degraded",
+            self.extraction.programs,
             self.extraction.throughput(),
             self.extraction.jobs,
-            self.extraction.cache_hits,
-            self.extraction.programs,
             self.extraction.errors.len()
         )?;
         writeln!(
@@ -749,13 +746,15 @@ impl TrainedModel {
     /// for callers that cache dense rows instead of feature maps.
     pub fn prepare_dense_row(&self, full: &[f64]) -> Vec<f64> {
         let mut full = full.to_vec();
-        if self.log_transform {
-            for v in full.iter_mut() {
-                *v = v.signum() * v.abs().ln_1p();
-            }
-        }
-        self.standardizer.transform_row(&mut full);
-        self.kept.iter().map(|&i| full[i]).collect()
+        let mut out = Vec::new();
+        crate::score::prepare_dense_into(
+            self.log_transform,
+            &self.standardizer,
+            &self.kept,
+            &mut full,
+            &mut out,
+        );
+        out
     }
 
     /// The full (pre-selection) training schema, in column order.

@@ -1,17 +1,14 @@
 //! Fault isolation for one program's extraction.
 //!
 //! A corpus sweep must survive any single program: a panicking collector
-//! or a pathologically slow one yields a degraded-but-schema-stable
-//! vector plus a recorded [`PipelineError`] — the batch never dies.
+//! yields a degraded-but-schema-stable vector plus a recorded
+//! [`PipelineError`] — the batch never dies. Panics are contained with
+//! `catch_unwind`; the payload message is preserved in the error.
 //!
-//! * **Panics** are contained with `catch_unwind`; the payload message is
-//!   preserved in the error.
-//! * **Budgets** are enforced at the extraction boundary: the elapsed
-//!   wall clock is checked when the extractor returns, and an over-budget
-//!   program is degraded and flagged. (Pre-empting a non-cooperative
-//!   collector mid-flight would need process isolation — a worker thread
-//!   cannot be killed safely; this is the documented trade-off, and the
-//!   hook where a future process-pool backend slots in.)
+//! There is no wall-clock budget: a worker thread cannot be pre-empted
+//! safely, so a check after the extractor returns could not stop a
+//! runaway program. Bounds belong in front of and inside the analyses
+//! (the parser's nesting and expression depth limits are one).
 
 use crate::report::PipelineError;
 use crate::Extractor;
@@ -27,33 +24,19 @@ pub(crate) struct GuardedOutcome {
     pub took: Duration,
 }
 
-/// Run `extractor` over `program` under a panic guard and an optional
-/// wall-clock budget. On failure the extractor's schema-stable
-/// [`Extractor::degraded`] vector is substituted.
-pub(crate) fn guarded_extract<E: Extractor>(
-    extractor: &E,
-    program: &Program,
-    budget: Option<Duration>,
-) -> GuardedOutcome {
+/// Run `extractor` over `program` under a panic guard. On a panic the
+/// extractor's schema-stable [`Extractor::degraded`] vector is
+/// substituted.
+pub(crate) fn guarded_extract<E: Extractor>(extractor: &E, program: &Program) -> GuardedOutcome {
     let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| extractor.extract(program)));
     let took = start.elapsed();
 
     match result {
-        Ok(features) => match budget {
-            Some(limit) if took > limit => GuardedOutcome {
-                features: extractor.degraded(),
-                error: Some(PipelineError::BudgetExceeded {
-                    limit_ms: limit.as_millis() as u64,
-                    took_ms: took.as_millis() as u64,
-                }),
-                took,
-            },
-            _ => GuardedOutcome {
-                features,
-                error: None,
-                took,
-            },
+        Ok(features) => GuardedOutcome {
+            features,
+            error: None,
+            took,
         },
         Err(payload) => GuardedOutcome {
             features: extractor.degraded(),
@@ -88,9 +71,6 @@ mod tests {
             if program.name == "bad" {
                 panic!("injected failure in {}", program.name);
             }
-            if program.name == "slow" {
-                std::thread::sleep(Duration::from_millis(30));
-            }
             [("f.ok".to_string(), 1.0)].into_iter().collect()
         }
 
@@ -110,14 +90,14 @@ mod tests {
 
     #[test]
     fn clean_extraction_passes_through() {
-        let out = guarded_extract(&Flaky, &program("good"), None);
+        let out = guarded_extract(&Flaky, &program("good"));
         assert!(out.error.is_none());
         assert_eq!(out.features.get("f.ok"), Some(1.0));
     }
 
     #[test]
     fn panic_degrades_with_message() {
-        let out = guarded_extract(&Flaky, &program("bad"), None);
+        let out = guarded_extract(&Flaky, &program("bad"));
         assert_eq!(
             out.features.get("f.ok"),
             Some(0.0),
@@ -129,24 +109,5 @@ mod tests {
             }
             other => panic!("expected Panicked, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn over_budget_degrades_and_records_times() {
-        let out = guarded_extract(&Flaky, &program("slow"), Some(Duration::from_millis(1)));
-        assert_eq!(out.features.get("f.ok"), Some(0.0));
-        match out.error {
-            Some(PipelineError::BudgetExceeded { limit_ms, took_ms }) => {
-                assert_eq!(limit_ms, 1);
-                assert!(took_ms >= 20, "slept 30ms but took {took_ms}ms");
-            }
-            other => panic!("expected BudgetExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn generous_budget_is_not_triggered() {
-        let out = guarded_extract(&Flaky, &program("good"), Some(Duration::from_secs(60)));
-        assert!(out.error.is_none());
     }
 }

@@ -1,10 +1,8 @@
 //! fn_cache — a keyed LRU store for per-function analysis entries.
 //!
-//! The whole-program [`FeatureCache`](crate::cache::FeatureCache) is
-//! all-or-nothing: any edit invalidates the program's single entry. The
-//! incremental engine instead caches one entry *per function*, keyed by a
-//! fingerprint of that function's text (plus salt), so an edit invalidates
-//! only the functions it touched. This store is the resident half of that
+//! The incremental engine caches one entry *per function*, keyed by a
+//! fingerprint of that function's text (plus salt), so an edit
+//! invalidates only the functions it touched. This store is the resident half of that
 //! scheme: an in-memory `u64 → Arc<V>` map with approximate
 //! least-recently-used eviction and hit/miss accounting. It is generic
 //! over the entry type because this crate sits below the analysis crates

@@ -1,96 +1,78 @@
-//! clairvoyant-pipeline — the corpus-scale feature-extraction engine.
+//! clairvoyant-pipeline — the corpus-scale feature-extraction driver.
 //!
 //! The paper's testbed must "collect all the code properties from the
-//! sample applications" across a 164-app corpus; this crate is the one
-//! engine through which every such sweep flows. Four layers:
+//! sample applications" across a 164-app corpus; every such sweep goes
+//! through one stateless function, [`extract_batch`]:
 //!
 //! 1. **Parallelism** — a std-only work-stealing thread pool
 //!    ([`pool::parallel_map`]) fans the batch across `jobs` workers while
 //!    preserving input order, so parallel output is byte-identical to
 //!    sequential output.
-//! 2. **Incrementality** — a content-addressed feature cache
-//!    ([`cache::FeatureCache`]): FNV-1a over source + dialect + the
-//!    collector-schema version, with an optional JSONL store on disk.
-//!    Warm re-runs of an unchanged corpus skip extraction entirely.
-//! 3. **Fault isolation** — each program runs under `catch_unwind` with
-//!    an optional per-program wall-clock budget; a panicking or
-//!    over-budget extraction yields the extractor's degraded but
+//! 2. **Fault isolation** — each program runs under `catch_unwind`; a
+//!    panicking extraction yields the extractor's degraded but
 //!    schema-stable vector plus a recorded [`PipelineError`], never a
 //!    dead batch.
-//! 4. **Observability** — per-stage timings, cache hit/miss counters,
-//!    programs/sec and a progress event channel, summarized in a
+//! 3. **Observability** — extraction time, per-collector timings,
+//!    programs/sec and the degraded programs, summarized in a
 //!    [`PipelineReport`] (with one-line JSON for BENCH_* tracking).
 //!
-//! The engine is generic over the [`Extractor`] so it does not depend on
+//! The crate also holds the pieces the incremental engine in `core`
+//! builds on: the per-function entry store ([`fn_cache::FnStore`]) and
+//! FNV-1a hashing ([`fnv`]).
+//!
+//! The driver is generic over the [`Extractor`] so it does not depend on
 //! the `clairvoyant` core crate (which implements `Extractor` for its
 //! `Testbed` and builds its training pipeline on top).
 //!
 //! ```no_run
-//! use pipeline::{Extractor, JobSpec, Pipeline, PipelineConfig};
+//! use pipeline::Extractor;
 //! # struct MyExtractor;
 //! # impl Extractor for MyExtractor {
 //! #     fn extract(&self, _: &minilang::ast::Program) -> static_analysis::FeatureVector {
 //! #         static_analysis::FeatureVector::new()
 //! #     }
 //! # }
-//! # let (program_refs, jobs): (Vec<minilang::ast::Program>, Vec<JobSpec>) = (vec![], vec![]);
-//! let mut engine = Pipeline::with_config(MyExtractor, PipelineConfig::default().jobs(4));
-//! let batch = engine.run(&jobs);
-//! println!("{}", batch.report);
+//! # let programs: Vec<minilang::ast::Program> = vec![];
+//! let refs: Vec<&minilang::ast::Program> = programs.iter().collect();
+//! let (vectors, report) = pipeline::extract_batch(&MyExtractor, &refs, 4);
+//! assert_eq!(vectors.len(), refs.len());
+//! println!("{report}");
 //! ```
 
-pub mod cache;
 pub mod fault;
 pub mod fn_cache;
 pub mod fnv;
 pub mod pool;
 pub mod report;
 
-pub use cache::{cache_key, CacheMode, FeatureCache};
 pub use fn_cache::{FnStore, FnStoreCounters};
 pub use pool::{default_workers, parallel_map};
-pub use report::{PipelineError, PipelineReport, StageTimings};
+pub use report::{PipelineError, PipelineReport};
 
 use minilang::ast::Program;
-use minilang::Dialect;
 use static_analysis::FeatureVector;
-use std::sync::mpsc::Sender;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A feature extractor the pipeline can drive.
+/// A feature extractor the driver can run.
 ///
 /// Implementations must be pure per program (same program → same vector):
-/// the cache and the parallel/sequential-equivalence guarantee both rely
-/// on it.
+/// the parallel/sequential-equivalence guarantee relies on it.
 pub trait Extractor: Sync {
     /// Extract the full feature vector for one program.
     fn extract(&self, program: &Program) -> FeatureVector;
 
-    /// Version of the collector schema. Bump whenever a collector is
-    /// added, removed, or changes meaning — it participates in the cache
-    /// key, so a bump invalidates every cached vector at once.
-    fn schema_version(&self) -> u64 {
-        1
-    }
-
     /// Digest of the collector *set* actually wired into this extractor
-    /// (collector names, engine revision, …). Participates in the cache
-    /// key alongside [`schema_version`], so a vector cached by a testbed
-    /// with one collector set is never served to a testbed with another.
-    /// The default (0) is for extractors whose schema version alone
-    /// describes them.
-    ///
-    /// [`schema_version`]: Extractor::schema_version
+    /// (collector names, engine revision, …). The incremental engine salts
+    /// its per-function keys with it, so an entry built by one collector
+    /// set is never served to another. Default: 0.
     fn fingerprint(&self) -> u64 {
         0
     }
 
     /// Drain the per-collector wall-time breakdown accumulated since the
     /// last call: `(collector name, micros)`, summed across programs and
-    /// workers. The pipeline folds it into
-    /// [`report::PipelineReport::collectors`] after each batch. Default:
-    /// empty (no breakdown).
+    /// workers. [`extract_batch`] folds it into
+    /// [`PipelineReport::collectors`]. Default: empty (no breakdown).
     fn take_collector_timings(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
@@ -114,353 +96,77 @@ where
     }
 }
 
-/// One program to extract: the parsed AST plus the raw sources the cache
-/// key is computed from.
-#[derive(Clone, Copy)]
-pub struct JobSpec<'a> {
-    /// Program name (reporting and events only — not part of the cache
-    /// key, which is content-addressed).
-    pub name: &'a str,
-    pub dialect: Dialect,
-    /// `(path, source)` modules, exactly as fed to the parser.
-    pub files: &'a [(String, String)],
-    pub program: &'a Program,
-}
-
-impl<'a> JobSpec<'a> {
-    /// Build a job from a parsed program plus its sources.
-    pub fn new(program: &'a Program, files: &'a [(String, String)]) -> JobSpec<'a> {
-        JobSpec {
-            name: &program.name,
-            dialect: program.dialect,
-            files,
-            program,
-        }
-    }
-}
-
-/// Progress events, delivered over an optional channel while a batch
-/// runs. Receivers drive progress bars / logs; a dropped receiver is
-/// silently tolerated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PipelineEvent {
-    /// A program began extraction (cache misses only).
-    Started { program: String },
-    /// A program finished, from cache or extraction.
-    Finished {
-        program: String,
-        cache_hit: bool,
-        micros: u64,
-        degraded: bool,
-    },
-    /// The whole batch finished.
-    BatchDone {
-        programs: usize,
-        cache_hits: usize,
-        wall_micros: u64,
-    },
-}
-
-/// Engine configuration.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineConfig {
-    /// Worker threads; 0 = one per available core.
-    pub jobs: usize,
-    /// Cache behaviour (default: in-memory).
-    pub cache: CacheMode,
-    /// Per-program wall-clock budget; over-budget programs degrade.
-    pub budget: Option<Duration>,
-}
-
-impl PipelineConfig {
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    pub fn cache(mut self, cache: CacheMode) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    pub fn budget(mut self, budget: Duration) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-}
-
-/// Result of one program within a batch.
-#[derive(Debug, Clone)]
-pub struct ProgramOutput {
-    pub name: String,
-    pub features: FeatureVector,
-    /// Served from the feature cache?
-    pub cache_hit: bool,
-    /// Present iff the vector is the degraded substitute.
-    pub error: Option<PipelineError>,
-}
-
-/// Result of one batch: per-program outputs (input order) + the report.
-#[derive(Debug, Clone)]
-pub struct BatchResult {
-    pub outputs: Vec<ProgramOutput>,
-    pub report: PipelineReport,
-}
-
-impl BatchResult {
-    /// `(name, features)` pairs in input order — the shape the training
-    /// stage consumes.
-    pub fn named_features(&self) -> Vec<(String, &FeatureVector)> {
-        self.outputs
-            .iter()
-            .map(|o| (o.name.clone(), &o.features))
-            .collect()
-    }
-}
-
-/// The engine: an extractor + cache + pool, reusable across batches (the
-/// in-memory cache stays warm between [`Pipeline::run`] calls).
-pub struct Pipeline<E: Extractor> {
-    extractor: E,
-    config: PipelineConfig,
-    cache: FeatureCache,
-    progress: Option<Sender<PipelineEvent>>,
-}
-
-impl<E: Extractor> Pipeline<E> {
-    /// An engine with the default configuration (auto workers, in-memory
-    /// cache, no budget).
-    pub fn new(extractor: E) -> Pipeline<E> {
-        Pipeline::with_config(extractor, PipelineConfig::default())
-    }
-
-    pub fn with_config(extractor: E, config: PipelineConfig) -> Pipeline<E> {
-        let cache = FeatureCache::open(config.cache.clone());
-        Pipeline {
-            extractor,
-            config,
-            cache,
-            progress: None,
-        }
-    }
-
-    /// Subscribe a progress channel; events from subsequent [`run`]
-    /// calls are sent to it. Returns `self` for chaining.
-    ///
-    /// [`run`]: Pipeline::run
-    pub fn with_progress(mut self, sender: Sender<PipelineEvent>) -> Pipeline<E> {
-        self.progress = Some(sender);
-        self
-    }
-
-    pub fn extractor(&self) -> &E {
-        &self.extractor
-    }
-
-    /// Resident cache entries (loaded + inserted).
-    pub fn cached_entries(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Run one batch. Outputs come back in input order; the batch always
-    /// completes — individual failures degrade, they don't propagate.
-    pub fn run(&mut self, jobs: &[JobSpec]) -> BatchResult {
-        let batch_start = Instant::now();
-        let workers = if self.config.jobs == 0 {
-            pool::default_workers()
-        } else {
-            self.config.jobs
-        };
-
-        // Stage 1: hash sources and probe the cache (cheap, sequential).
-        let lookup_start = Instant::now();
-        let schema_version = self.extractor.schema_version();
-        let fingerprint = self.extractor.fingerprint();
-        let keys: Vec<u64> = jobs
-            .iter()
-            .map(|j| cache_key(schema_version, fingerprint, j.dialect, j.files))
-            .collect();
-        let mut outputs: Vec<Option<ProgramOutput>> = jobs
-            .iter()
-            .zip(&keys)
-            .map(|(job, key)| {
-                self.cache.get(*key).map(|fv| ProgramOutput {
-                    name: job.name.to_string(),
-                    features: fv.clone(),
-                    cache_hit: true,
-                    error: None,
-                })
-            })
-            .collect();
-        let cache_lookup = lookup_start.elapsed();
-
-        let misses: Vec<usize> = (0..jobs.len()).filter(|&i| outputs[i].is_none()).collect();
-        let cache_hits = jobs.len() - misses.len();
-        for out in outputs.iter().flatten() {
-            self.emit(PipelineEvent::Finished {
-                program: out.name.clone(),
-                cache_hit: true,
-                micros: 0,
-                degraded: false,
-            });
-        }
-
-        // Stage 2: extract the misses on the pool, order-preserving.
-        let progress = self.progress.as_ref().map(|s| Mutex::new(s.clone()));
-        let extractor = &self.extractor;
-        let budget = self.config.budget;
-        let extracted: Vec<fault::GuardedOutcome> =
-            pool::parallel_map(workers, &misses, |_, &job_index| {
-                let job = &jobs[job_index];
-                if let Some(p) = &progress {
-                    let _ = p.lock().unwrap().send(PipelineEvent::Started {
-                        program: job.name.to_string(),
-                    });
-                }
-                let outcome = fault::guarded_extract(extractor, job.program, budget);
-                if let Some(p) = &progress {
-                    let _ = p.lock().unwrap().send(PipelineEvent::Finished {
-                        program: job.name.to_string(),
-                        cache_hit: false,
-                        micros: outcome.took.as_micros() as u64,
-                        degraded: outcome.error.is_some(),
-                    });
-                }
-                outcome
-            });
-
-        // Stage 3: fold results back in, fill the cache, persist.
-        let mut errors: Vec<(String, PipelineError)> = Vec::new();
-        let mut extract_time = Duration::ZERO;
-        for (&job_index, outcome) in misses.iter().zip(extracted) {
-            let job = &jobs[job_index];
-            extract_time += outcome.took;
-            if let Some(error) = &outcome.error {
-                errors.push((job.name.to_string(), error.clone()));
-            } else {
-                // Only clean vectors are cacheable: a degraded vector is
-                // a symptom, not a property of the sources.
-                self.cache.insert(keys[job_index], outcome.features.clone());
+/// Extract every program on `jobs` workers (0 = one per available core).
+/// Vectors come back in input order; the batch always completes — a
+/// program whose extraction panics gets [`Extractor::degraded`] and an
+/// entry in [`PipelineReport::errors`].
+pub fn extract_batch<E: Extractor>(
+    extractor: &E,
+    programs: &[&Program],
+    jobs: usize,
+) -> (Vec<FeatureVector>, PipelineReport) {
+    let start = Instant::now();
+    let workers = if jobs == 0 { default_workers() } else { jobs };
+    let outcomes = parallel_map(workers, programs, |_, program| {
+        fault::guarded_extract(extractor, program)
+    });
+    let mut report = PipelineReport {
+        programs: programs.len(),
+        jobs: workers.clamp(1, programs.len().max(1)),
+        ..PipelineReport::default()
+    };
+    let vectors = programs
+        .iter()
+        .zip(outcomes)
+        .map(|(program, outcome)| {
+            report.extract += outcome.took;
+            if let Some(error) = outcome.error {
+                report.errors.push((program.name.clone(), error));
             }
-            outputs[job_index] = Some(ProgramOutput {
-                name: job.name.to_string(),
-                features: outcome.features,
-                cache_hit: false,
-                error: outcome.error,
-            });
-        }
-        let persist_start = Instant::now();
-        // Cache persistence is best-effort: an unwritable directory cost
-        // us the warm start, not the batch.
-        let _ = self.cache.persist();
-        let cache_persist = persist_start.elapsed();
-
-        let wall = batch_start.elapsed();
-        self.emit(PipelineEvent::BatchDone {
-            programs: jobs.len(),
-            cache_hits,
-            wall_micros: wall.as_micros() as u64,
-        });
-
-        let report = PipelineReport {
-            programs: jobs.len(),
-            jobs: workers.clamp(1, jobs.len().max(1)),
-            cache_hits,
-            cache_misses: misses.len(),
-            errors,
-            stages: StageTimings {
-                cache_lookup,
-                extract: extract_time,
-                cache_persist,
-            },
-            collectors: self.extractor.take_collector_timings(),
-            wall,
-        };
-        BatchResult {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("every job resolved"))
-                .collect(),
-            report,
-        }
-    }
-
-    fn emit(&self, event: PipelineEvent) {
-        if let Some(sender) = &self.progress {
-            let _ = sender.send(event);
-        }
-    }
+            outcome.features
+        })
+        .collect();
+    report.collectors = extractor.take_collector_timings();
+    report.wall = start.elapsed();
+    (vectors, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minilang::Dialect;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn program(name: &str, body: &str) -> (Program, Vec<(String, String)>) {
-        let files = vec![("m.c".to_string(), body.to_string())];
-        let program = minilang::parse_program(name, Dialect::C, &files).unwrap();
-        (program, files)
+    fn corpus() -> Vec<Program> {
+        (0..6)
+            .map(|i| {
+                let files = vec![(
+                    "m.c".to_string(),
+                    format!("fn f{i}(a: int) -> int {{ return a + {i}; }}"),
+                )];
+                minilang::parse_program(&format!("app-{i}"), Dialect::C, &files).unwrap()
+            })
+            .collect()
     }
 
     fn toy_extractor(program: &Program) -> FeatureVector {
         [
-            ("toy.functions".to_string(), program.function_count() as f64),
+            ("toy.name_len".to_string(), program.name.len() as f64),
             ("toy.modules".to_string(), program.modules.len() as f64),
         ]
         .into_iter()
         .collect()
     }
 
-    fn corpus() -> Vec<(Program, Vec<(String, String)>)> {
-        (0..6)
-            .map(|i| {
-                program(
-                    &format!("app-{i}"),
-                    &format!("fn f{i}(a: int) -> int {{ return a + {i}; }}"),
-                )
-            })
-            .collect()
-    }
-
     #[test]
     fn batch_outputs_preserve_input_order() {
         let apps = corpus();
-        let jobs: Vec<JobSpec> = apps.iter().map(|(p, f)| JobSpec::new(p, f)).collect();
-        let mut engine = Pipeline::with_config(toy_extractor, PipelineConfig::default().jobs(3));
-        let batch = engine.run(&jobs);
-        let names: Vec<&str> = batch.outputs.iter().map(|o| o.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["app-0", "app-1", "app-2", "app-3", "app-4", "app-5"]
-        );
-        assert!(batch.report.errors.is_empty());
-        assert_eq!(batch.report.cache_misses, 6);
-    }
-
-    #[test]
-    fn second_run_is_all_cache_hits() {
-        let apps = corpus();
-        let jobs: Vec<JobSpec> = apps.iter().map(|(p, f)| JobSpec::new(p, f)).collect();
-        let calls = AtomicUsize::new(0);
-        let counting = |p: &Program| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            toy_extractor(p)
-        };
-        let mut engine = Pipeline::new(&counting as &(dyn Fn(&Program) -> FeatureVector + Sync));
-        let cold = engine.run(&jobs);
-        let warm = engine.run(&jobs);
-        assert_eq!(cold.report.cache_hits, 0);
-        assert_eq!(warm.report.cache_hits, 6);
-        assert_eq!(warm.report.cache_misses, 0);
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            6,
-            "warm run must not re-extract"
-        );
-        for (a, b) in cold.outputs.iter().zip(&warm.outputs) {
-            assert_eq!(a.features, b.features);
-        }
+        let refs: Vec<&Program> = apps.iter().collect();
+        let (vectors, report) = extract_batch(&toy_extractor, &refs, 3);
+        let direct: Vec<FeatureVector> = apps.iter().map(toy_extractor).collect();
+        assert_eq!(vectors, direct);
+        assert!(report.errors.is_empty());
+        assert_eq!((report.programs, report.jobs), (6, 3));
     }
 
     #[test]
@@ -475,7 +181,7 @@ mod tests {
             }
             fn degraded(&self) -> FeatureVector {
                 [
-                    ("toy.functions".to_string(), 0.0),
+                    ("toy.name_len".to_string(), 0.0),
                     ("toy.modules".to_string(), 0.0),
                 ]
                 .into_iter()
@@ -483,20 +189,13 @@ mod tests {
             }
         }
         let apps = corpus();
-        let jobs: Vec<JobSpec> = apps.iter().map(|(p, f)| JobSpec::new(p, f)).collect();
-        let mut engine = Pipeline::with_config(Brittle, PipelineConfig::default().jobs(2));
-        let batch = engine.run(&jobs);
-        assert_eq!(batch.outputs.len(), 6, "batch survives the panic");
-        assert_eq!(batch.report.errors.len(), 1);
-        assert_eq!(batch.report.errors[0].0, "app-3");
-        let bad = &batch.outputs[3];
-        assert!(bad.error.is_some());
-        assert_eq!(
-            bad.features.names(),
-            batch.outputs[0].features.names(),
-            "schema-stable"
-        );
-        assert!(batch.outputs.iter().filter(|o| o.error.is_none()).count() == 5);
+        let refs: Vec<&Program> = apps.iter().collect();
+        let (vectors, report) = extract_batch(&Brittle, &refs, 2);
+        assert_eq!(vectors.len(), 6, "batch survives the panic");
+        assert_eq!(report.errors.len(), 1);
+        assert_eq!(report.errors[0].0, "app-3");
+        assert_eq!(vectors[3], Brittle.degraded());
+        assert_eq!(vectors[3].names(), vectors[0].names(), "schema-stable");
     }
 
     #[test]
@@ -513,61 +212,26 @@ mod tests {
             }
         }
         let apps = corpus();
-        let jobs: Vec<JobSpec> = apps.iter().map(|(p, f)| JobSpec::new(p, f)).collect();
-        let mut engine = Pipeline::with_config(
-            FailOnce {
-                failed: AtomicUsize::new(0),
-            },
-            PipelineConfig::default().jobs(1),
-        );
-        let first = engine.run(&jobs);
-        assert_eq!(first.report.errors.len(), 1);
-        // The transient failure healed: the retry extracts for real.
-        let second = engine.run(&jobs);
-        assert!(second.report.errors.is_empty());
-        assert_eq!(
-            second.report.cache_hits, 5,
-            "only the failed program re-ran"
-        );
-        assert_eq!(second.outputs[0].features.get("toy.functions"), Some(1.0));
-    }
-
-    #[test]
-    fn progress_events_cover_the_batch() {
-        let apps = corpus();
-        let jobs: Vec<JobSpec> = apps.iter().map(|(p, f)| JobSpec::new(p, f)).collect();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut engine = Pipeline::new(toy_extractor).with_progress(tx);
-        engine.run(&jobs);
-        let events: Vec<PipelineEvent> = rx.try_iter().collect();
-        let finished = events
-            .iter()
-            .filter(|e| matches!(e, PipelineEvent::Finished { .. }))
-            .count();
-        assert_eq!(finished, 6);
-        assert!(matches!(
-            events.last(),
-            Some(PipelineEvent::BatchDone { programs: 6, .. })
-        ));
+        let refs: Vec<&Program> = apps.iter().collect();
+        let extractor = FailOnce {
+            failed: AtomicUsize::new(0),
+        };
+        let (first, report) = extract_batch(&extractor, &refs, 1);
+        assert_eq!(report.errors.len(), 1);
+        assert_eq!(first[0], FeatureVector::new());
+        // The driver keeps nothing between batches: the transient failure
+        // heals on the next call.
+        let (second, report) = extract_batch(&extractor, &refs, 1);
+        assert!(report.errors.is_empty());
+        assert_eq!(second[0], toy_extractor(&apps[0]));
     }
 
     #[test]
     fn parallel_equals_sequential() {
         let apps = corpus();
-        let jobs: Vec<JobSpec> = apps.iter().map(|(p, f)| JobSpec::new(p, f)).collect();
-        let sequential = Pipeline::with_config(
-            toy_extractor,
-            PipelineConfig::default().jobs(1).cache(CacheMode::Off),
-        )
-        .run(&jobs);
-        let parallel = Pipeline::with_config(
-            toy_extractor,
-            PipelineConfig::default().jobs(4).cache(CacheMode::Off),
-        )
-        .run(&jobs);
-        for (a, b) in sequential.outputs.iter().zip(&parallel.outputs) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.features, b.features);
-        }
+        let refs: Vec<&Program> = apps.iter().collect();
+        let (sequential, _) = extract_batch(&toy_extractor, &refs, 1);
+        let (parallel, _) = extract_batch(&toy_extractor, &refs, 4);
+        assert_eq!(sequential, parallel);
     }
 }

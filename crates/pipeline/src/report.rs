@@ -1,5 +1,6 @@
-//! Pipeline observability: per-stage timings, cache counters, errors,
-//! throughput — everything a corpus-scale sweep needs to print.
+//! Extraction observability: extraction time, per-collector timings,
+//! degraded programs, throughput — everything a corpus-scale sweep needs
+//! to print.
 
 use std::fmt;
 use std::time::Duration;
@@ -9,30 +10,14 @@ use std::time::Duration;
 pub enum PipelineError {
     /// A collector panicked; the payload message is preserved.
     Panicked(String),
-    /// Extraction finished but blew the per-program wall-clock budget.
-    BudgetExceeded { limit_ms: u64, took_ms: u64 },
 }
 
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Panicked(msg) => write!(f, "collector panicked: {msg}"),
-            PipelineError::BudgetExceeded { limit_ms, took_ms } => {
-                write!(f, "budget exceeded: {took_ms}ms > {limit_ms}ms limit")
-            }
         }
     }
-}
-
-/// Cumulative wall time per pipeline stage, summed across workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTimings {
-    /// Hashing sources + cache probes.
-    pub cache_lookup: Duration,
-    /// Running the extractor over cache misses.
-    pub extract: Duration,
-    /// Writing the on-disk store back out.
-    pub cache_persist: Duration,
 }
 
 /// The summary of one batch run.
@@ -42,16 +27,12 @@ pub struct PipelineReport {
     pub programs: usize,
     /// Worker threads used.
     pub jobs: usize,
-    /// Programs served from the feature cache.
-    pub cache_hits: usize,
-    /// Programs that ran the extractor.
-    pub cache_misses: usize,
     /// Programs that degraded, with why (`(program name, error)`).
     pub errors: Vec<(String, PipelineError)>,
-    /// Per-stage cumulative timings (sum over workers, so `extract` can
+    /// Extractor time summed over programs (and so over workers: it can
     /// exceed `wall` when workers overlap).
-    pub stages: StageTimings,
-    /// Per-collector wall time within the extract stage:
+    pub extract: Duration,
+    /// Per-collector wall time within `extract`:
     /// `(collector name, micros)`, summed across programs and workers.
     /// Empty for extractors without a breakdown.
     pub collectors: Vec<(String, u64)>,
@@ -67,15 +48,6 @@ impl PipelineReport {
             self.programs as f64 / secs
         } else {
             0.0
-        }
-    }
-
-    /// Fraction of the batch served from cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.programs == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.programs as f64
         }
     }
 
@@ -98,19 +70,12 @@ impl PipelineReport {
             .map(|(name, micros)| format!("{}:{micros}", json_str(name)))
             .collect();
         format!(
-            "{{\"programs\":{},\"jobs\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"hit_rate\":{:.4},\"wall_ms\":{:.3},\"cache_lookup_ms\":{:.3},\
-             \"extract_ms\":{:.3},\"cache_persist_ms\":{:.3},\
+            "{{\"programs\":{},\"jobs\":{},\"wall_ms\":{:.3},\"extract_ms\":{:.3},\
              \"programs_per_sec\":{:.3},\"collectors_us\":{{{}}},\"errors\":[{}]}}",
             self.programs,
             self.jobs,
-            self.cache_hits,
-            self.cache_misses,
-            self.hit_rate(),
             self.wall.as_secs_f64() * 1e3,
-            self.stages.cache_lookup.as_secs_f64() * 1e3,
-            self.stages.extract.as_secs_f64() * 1e3,
-            self.stages.cache_persist.as_secs_f64() * 1e3,
+            self.extract.as_secs_f64() * 1e3,
             self.throughput(),
             collectors.join(","),
             errors.join(",")
@@ -120,27 +85,15 @@ impl PipelineReport {
 
 impl fmt::Display for PipelineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        write!(
             f,
-            "pipeline: {} programs on {} worker(s) in {:.1}ms ({:.1} programs/sec)",
+            "pipeline: {} programs on {} worker(s) in {:.1}ms ({:.1} programs/sec), \
+             extract {:.1}ms",
             self.programs,
             self.jobs,
             self.wall.as_secs_f64() * 1e3,
-            self.throughput()
-        )?;
-        writeln!(
-            f,
-            "  cache: {} hits / {} misses ({:.0}% hit rate)",
-            self.cache_hits,
-            self.cache_misses,
-            self.hit_rate() * 100.0
-        )?;
-        write!(
-            f,
-            "  stages: lookup {:.1}ms, extract {:.1}ms, persist {:.1}ms",
-            self.stages.cache_lookup.as_secs_f64() * 1e3,
-            self.stages.extract.as_secs_f64() * 1e3,
-            self.stages.cache_persist.as_secs_f64() * 1e3
+            self.throughput(),
+            self.extract.as_secs_f64() * 1e3
         )?;
         if !self.collectors.is_empty() {
             let parts: Vec<String> = self
@@ -181,17 +134,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn throughput_and_hit_rate() {
+    fn throughput_is_programs_per_wall_second() {
         let report = PipelineReport {
             programs: 10,
             jobs: 2,
-            cache_hits: 9,
-            cache_misses: 1,
             wall: Duration::from_millis(500),
             ..Default::default()
         };
         assert!((report.throughput() - 20.0).abs() < 1e-9);
-        assert!((report.hit_rate() - 0.9).abs() < 1e-9);
+        assert_eq!(PipelineReport::default().throughput(), 0.0);
     }
 
     #[test]
@@ -199,7 +150,6 @@ mod tests {
         let report = PipelineReport {
             programs: 1,
             jobs: 1,
-            cache_misses: 1,
             errors: vec![("we\"ird".into(), PipelineError::Panicked("boom\n".into()))],
             ..Default::default()
         };
@@ -215,7 +165,6 @@ mod tests {
         let report = PipelineReport {
             programs: 1,
             jobs: 1,
-            cache_misses: 1,
             collectors: vec![("context".into(), 1500), ("taint".into(), 250)],
             ..Default::default()
         };
@@ -234,7 +183,6 @@ mod tests {
         let report = PipelineReport {
             programs: 2,
             jobs: 1,
-            cache_misses: 2,
             errors: vec![("app-7".into(), PipelineError::Panicked("x".into()))],
             ..Default::default()
         };

@@ -100,12 +100,18 @@ impl MinMaxScaler {
     }
 }
 
-/// Apply `ln(1 + x)` to every value (negative values pass through the signed
-/// variant `sign(x)·ln(1+|x|)` so the transform stays monotone).
+/// The signed log1p `sign(x)·ln(1+|x|)`: `ln(1 + x)` for non-negative
+/// values, mirrored for negative ones so the transform stays monotone.
+/// Training and scoring both transform rows through this one function.
+pub fn signed_log1p(v: f64) -> f64 {
+    v.signum() * v.abs().ln_1p()
+}
+
+/// Apply [`signed_log1p`] to every value.
 pub fn log1p_rows(rows: &mut [Vec<f64>]) {
     for row in rows {
         for v in row.iter_mut() {
-            *v = v.signum() * v.abs().ln_1p();
+            *v = signed_log1p(*v);
         }
     }
 }

@@ -19,8 +19,8 @@
 //! ```
 //!
 //! Commands that train the metric extract corpus features through the
-//! pipeline engine and run ML training on a worker pool; `--jobs`,
-//! `--train-jobs`, `--cache-dir` and `--no-cache` tune them. `serve`
+//! pipeline driver and run ML training on a worker pool; `--jobs` and
+//! `--train-jobs` size them. `serve`
 //! and `query` speak the length-prefixed JSON protocol of the
 //! `clairvoyant-serve` crate (DESIGN.md §11).
 
@@ -36,7 +36,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let (engine, train_jobs, args) = match parse_engine_flags(std::env::args().skip(1).collect()) {
+    let (jobs, train_jobs, args) = match parse_engine_flags(std::env::args().skip(1).collect()) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("error: {message}");
@@ -49,16 +49,16 @@ fn main() -> ExitCode {
     };
     let result = match command.as_str() {
         "lint" => lint(rest),
-        "features" => features(rest, &engine),
-        "evaluate" => evaluate(rest, &engine, train_jobs),
-        "score" => score(rest, &engine, train_jobs),
-        "explain" => explain(rest, &engine, train_jobs),
-        "compare" => compare(rest, &engine, train_jobs),
-        "gate" => gate(rest, &engine, train_jobs),
-        "watch" => watch(rest, &engine, train_jobs),
-        "serve" => serve_cmd(rest, &engine, train_jobs),
+        "features" => features(rest, jobs),
+        "evaluate" => evaluate(rest, jobs, train_jobs),
+        "score" => score(rest, jobs, train_jobs),
+        "explain" => explain(rest, jobs, train_jobs),
+        "compare" => compare(rest, jobs, train_jobs),
+        "gate" => gate(rest, jobs, train_jobs),
+        "watch" => watch(rest, jobs, train_jobs),
+        "serve" => serve_cmd(rest, jobs, train_jobs),
         "query" => query_cmd(rest),
-        "longitudinal" => longitudinal_cmd(rest, &engine, train_jobs),
+        "longitudinal" => longitudinal_cmd(rest, jobs, train_jobs),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -123,27 +123,25 @@ commands:
   longitudinal [--epochs N] [--apps N] [--seed N] [--window-years N]
                [--work-dir PATH] [--in-ram] [--serve-addr A]… [--json]
                               replay an evolving longitudinal corpus: stream
-                              N apps per epoch (never all resident), extract
-                              only changed apps through the incremental
-                              engine, retrain on a sliding ground-truth
+                              N apps per epoch (never all resident), label
+                              every app, extract only selected apps with
+                              new code, retrain on a sliding ground-truth
                               window (spill-to-disk matrices unless
                               --in-ram), measure model drift (stale vs fresh
                               AUC/Brier), and hot-reload each epoch's CLVY
                               into every --serve-addr daemon; --json prints
                               the deterministic drift report
 
-options (pipeline engine, for commands that train the metric):
+options (worker pools, accepted anywhere on the command line):
   --jobs <N>                  extraction worker threads (0 = all cores)
   --train-jobs <N>            ML training worker threads (default: --jobs;
-                              0 = all cores; output is identical for any N)
-  --cache-dir <PATH>          persist the feature cache under PATH
-  --no-cache                  disable the feature cache entirely";
+                              0 = all cores; output is identical for any N)";
 
-/// Strip the pipeline-engine flags (accepted anywhere on the command line)
-/// and fold them into a [`PipelineConfig`] plus the training worker count
+/// Strip the worker-pool flags (accepted anywhere on the command line):
+/// the extraction worker count (`--jobs`) and the training worker count
 /// (`--train-jobs`, defaulting to `--jobs` when absent).
-fn parse_engine_flags(args: Vec<String>) -> Result<(PipelineConfig, usize, Vec<String>), String> {
-    let mut config = PipelineConfig::default();
+fn parse_engine_flags(args: Vec<String>) -> Result<(usize, usize, Vec<String>), String> {
+    let mut jobs = 0;
     let mut train_jobs = 0;
     let mut rest = Vec::new();
     let mut it = args.into_iter();
@@ -151,10 +149,9 @@ fn parse_engine_flags(args: Vec<String>) -> Result<(PipelineConfig, usize, Vec<S
         match arg.as_str() {
             "--jobs" => {
                 let value = it.next().ok_or("--jobs needs a number")?;
-                let n: usize = value
+                jobs = value
                     .parse()
                     .map_err(|_| format!("--jobs: `{value}` is not a number"))?;
-                config = config.jobs(n);
             }
             "--train-jobs" => {
                 let value = it.next().ok_or("--train-jobs needs a number")?;
@@ -162,15 +159,10 @@ fn parse_engine_flags(args: Vec<String>) -> Result<(PipelineConfig, usize, Vec<S
                     .parse()
                     .map_err(|_| format!("--train-jobs: `{value}` is not a number"))?;
             }
-            "--cache-dir" => {
-                let dir = it.next().ok_or("--cache-dir needs a path")?;
-                config = config.cache(CacheMode::Disk(PathBuf::from(dir)));
-            }
-            "--no-cache" => config = config.cache(CacheMode::Off),
             _ => rest.push(arg),
         }
     }
-    Ok((config, train_jobs, rest))
+    Ok((jobs, train_jobs, rest))
 }
 
 fn dialect_of(path: &str) -> Dialect {
@@ -198,27 +190,18 @@ fn load_program(name: &str, paths: &[String]) -> Result<minilang::ast::Program, 
 
 /// The CLI's trained model: a fixed-seed mid-size corpus, trained once per
 /// invocation (a production deployment would persist the model; retraining
-/// keeps this binary self-contained and deterministic). Corpus features go
-/// through the pipeline engine, so `--cache-dir` makes repeat invocations
-/// skip re-extraction entirely.
-fn trained_model(engine: &PipelineConfig, train_jobs: usize) -> TrainedModel {
+/// keeps this binary self-contained and deterministic; `score
+/// --save-model` persists it and `--model` skips training).
+fn trained_model(jobs: usize, train_jobs: usize) -> TrainedModel {
     let mut config = CorpusConfig::small(20, 20170408);
     config.language_mix = [15, 2, 1, 2];
     let corpus = Corpus::generate(&config);
-    let trainer = Trainer::with_config(TrainerConfig {
-        pipeline: engine.clone(),
+    Trainer::with_config(TrainerConfig {
+        jobs,
         train_jobs,
         ..Default::default()
-    });
-    let (model, report) = trainer.train_with_report(&corpus);
-    eprintln!(
-        "extraction: {:.1} programs/sec on {} worker(s), {}/{} cache hits",
-        report.extraction.throughput(),
-        report.extraction.jobs,
-        report.extraction.cache_hits,
-        report.extraction.programs,
-    );
-    model
+    })
+    .train(&corpus)
 }
 
 fn lint(paths: &[String]) -> Result<ExitCode, String> {
@@ -241,27 +224,23 @@ fn lint(paths: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn features(paths: &[String], engine: &PipelineConfig) -> Result<ExitCode, String> {
+fn features(paths: &[String], jobs: usize) -> Result<ExitCode, String> {
     let program = load_program("input", paths)?;
     // One program, so parallelism comes from fanning its functions
     // across the extraction workers; the vector is identical for any N.
-    let fv = Testbed::new().with_fn_jobs(engine.jobs).extract(&program);
+    let fv = Testbed::new().with_fn_jobs(jobs).extract(&program);
     println!("{fv}");
     Ok(ExitCode::SUCCESS)
 }
 
-fn evaluate(
-    args: &[String],
-    engine: &PipelineConfig,
-    train_jobs: usize,
-) -> Result<ExitCode, String> {
+fn evaluate(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let (json, paths): (bool, Vec<String>) = match args.split_first() {
         Some((flag, rest)) if flag == "--json" => (true, rest.to_vec()),
         _ => (false, args.to_vec()),
     };
     let program = load_program("input", &paths)?;
     eprintln!("training the metric (fixed-seed corpus)…");
-    let model = trained_model(engine, train_jobs);
+    let model = trained_model(jobs, train_jobs);
     let report = model.evaluate(&program);
     if json {
         println!("{}", security_report_json(&report));
@@ -273,9 +252,10 @@ fn evaluate(
 
 /// Batch-score many programs through the compiled inference engine: each
 /// input file is parsed as its own application, features are extracted on
-/// the worker pool, and the whole corpus is scored in one
-/// `evaluate_batch` pass.
-fn score(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<ExitCode, String> {
+/// the worker pool (a file whose extraction panics is scored on the
+/// degraded vector, with a warning), and the whole corpus is scored in
+/// one `evaluate_batch` pass.
+fn score(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let mut json = false;
     let mut model_path: Option<PathBuf> = None;
     let mut save_path: Option<PathBuf> = None;
@@ -305,7 +285,7 @@ fn score(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<
         }
         None => {
             eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(engine, train_jobs).compile()
+            trained_model(jobs, train_jobs).compile()
         }
     };
     // Codegen: quantized kernels for the whole battery, once up front.
@@ -319,11 +299,17 @@ fn score(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<
         .iter()
         .map(|p| load_program(p, std::slice::from_ref(p)))
         .collect::<Result<_, _>>()?;
-    let apps: Vec<(String, static_analysis::FeatureVector)> =
-        pipeline::parallel_map(engine.jobs, &programs, |_, program| {
-            (program.name.clone(), Testbed::new().extract(program))
-        });
-    let reports = compiled.evaluate_batch(&apps, engine.jobs);
+    let refs: Vec<&minilang::ast::Program> = programs.iter().collect();
+    let (vectors, extraction) = pipeline::extract_batch(&Testbed::new(), &refs, jobs);
+    for (name, error) in &extraction.errors {
+        eprintln!("warning: `{name}` scored on degraded features: {error}");
+    }
+    let apps: Vec<(String, static_analysis::FeatureVector)> = programs
+        .iter()
+        .map(|p| p.name.clone())
+        .zip(vectors)
+        .collect();
+    let reports = compiled.evaluate_batch(&apps, jobs);
 
     if json {
         let items: Vec<String> = reports.iter().map(security_report_json).collect();
@@ -353,11 +339,7 @@ fn score(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<
 
 /// Explain each input file through the compiled engine: exact per-model
 /// attributions plus ranked function hotspots.
-fn explain(
-    args: &[String],
-    engine: &PipelineConfig,
-    train_jobs: usize,
-) -> Result<ExitCode, String> {
+fn explain(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let mut json = false;
     let mut model_path: Option<PathBuf> = None;
     let mut top_k = 5usize;
@@ -390,7 +372,7 @@ fn explain(
         }
         None => {
             eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(engine, train_jobs).compile()
+            trained_model(jobs, train_jobs).compile()
         }
     };
     // Codegen: quantized kernels for the whole battery, once up front.
@@ -399,7 +381,7 @@ fn explain(
     let mut rendered = Vec::new();
     for path in &paths {
         let program = load_program(path, std::slice::from_ref(path))?;
-        let explanation = compiled.explain_program(&program, top_k, engine.jobs);
+        let explanation = compiled.explain_program(&program, top_k, jobs);
         if json {
             rendered.push(explanation_json(&explanation));
         } else {
@@ -412,18 +394,14 @@ fn explain(
     Ok(ExitCode::SUCCESS)
 }
 
-fn compare(
-    args: &[String],
-    engine: &PipelineConfig,
-    train_jobs: usize,
-) -> Result<ExitCode, String> {
+fn compare(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let [a, b] = args else {
         return Err("compare needs exactly two files".to_string());
     };
     let pa = load_program(a, std::slice::from_ref(a))?;
     let pb = load_program(b, std::slice::from_ref(b))?;
     eprintln!("training the metric (fixed-seed corpus)…");
-    let model = trained_model(engine, train_jobs);
+    let model = trained_model(jobs, train_jobs);
     let cmp = compare_programs(&model, &pa, &pb);
     println!("{cmp}");
     Ok(ExitCode::SUCCESS)
@@ -433,14 +411,10 @@ fn compare(
 const DEFAULT_ADDR: &str = "127.0.0.1:4747";
 
 /// Run the scoring daemon until a `shutdown` request arrives.
-fn serve_cmd(
-    args: &[String],
-    engine: &PipelineConfig,
-    train_jobs: usize,
-) -> Result<ExitCode, String> {
+fn serve_cmd(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let mut config = ServeConfig {
         addr: DEFAULT_ADDR.to_string(),
-        jobs: engine.jobs,
+        jobs,
         ..ServeConfig::default()
     };
     let mut model_path: Option<PathBuf> = None;
@@ -502,7 +476,7 @@ fn serve_cmd(
         }
         None => {
             eprintln!("training the metric (fixed-seed corpus)…");
-            let state = ModelState::from_model(trained_model(engine, train_jobs).compile());
+            let state = ModelState::from_model(trained_model(jobs, train_jobs).compile());
             eprintln!("serving model {}", state.fingerprint_hex());
             state
         }
@@ -666,16 +640,12 @@ fn query_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Replay an evolving longitudinal corpus: stream → extract (incremental)
-/// → retrain (out-of-core) → hot-redeploy into a fleet of daemons.
-fn longitudinal_cmd(
-    args: &[String],
-    engine: &PipelineConfig,
-    train_jobs: usize,
-) -> Result<ExitCode, String> {
+/// Replay an evolving longitudinal corpus: label → extract the selected
+/// apps → retrain (out-of-core) → hot-redeploy into a fleet of daemons.
+fn longitudinal_cmd(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let mut config = LongitudinalConfig {
         trainer: TrainerConfig {
-            pipeline: engine.clone(),
+            jobs,
             train_jobs,
             ..Default::default()
         },
@@ -749,11 +719,12 @@ fn longitudinal_cmd(
             _ => String::new(),
         };
         let line = format!(
-            "epoch {} (≤{}): {} changed, {} trained, {} features  {}fresh auc {:.3} \
-             brier {:.3}  extract {}ms retrain {}ms  model {}",
+            "epoch {} (≤{}): {} changed, {} extracted, {} trained, {} features  \
+             {}fresh auc {:.3} brier {:.3}  extract {}ms retrain {}ms  model {}",
             e.epoch,
             e.cutoff_year,
             e.apps_changed,
+            e.apps_extracted,
             e.trained_apps,
             e.n_features,
             stale,
@@ -828,7 +799,7 @@ fn print_score_line(path: &str, response: &Json) {
     }
 }
 
-fn gate(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<ExitCode, String> {
+fn gate(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let mut model_path: Option<PathBuf> = None;
     let mut paths = Vec::new();
     let mut it = args.iter();
@@ -852,11 +823,11 @@ fn gate(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<E
             let compiled = CompiledModel::load(path)?;
             eprintln!("loaded compiled model from `{}`", path.display());
             compiled.optimize();
-            version_delta_compiled(&compiled, &pb, &pa, engine.jobs)
+            version_delta_compiled(&compiled, &pb, &pa, jobs)
         }
         None => {
             eprintln!("training the metric (fixed-seed corpus)…");
-            version_delta(&trained_model(engine, train_jobs), &pb, &pa)
+            version_delta(&trained_model(jobs, train_jobs), &pb, &pa)
         }
     };
     println!("{delta}");
@@ -936,7 +907,7 @@ fn verdict_line(before: f64, after: f64) -> (RiskChange, String) {
 /// gate verdict against the previous score and the process exits 1 on
 /// the first RAISED verdict (the CI-gate contract). `--once` does a
 /// single round against the state file instead of looping.
-fn watch(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<ExitCode, String> {
+fn watch(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let mut model_path: Option<PathBuf> = None;
     let mut state_path: Option<PathBuf> = None;
     let mut once = false;
@@ -979,7 +950,7 @@ fn watch(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<
         }
         None => {
             eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(engine, train_jobs).compile()
+            trained_model(jobs, train_jobs).compile()
         }
     };
     compiled.optimize();
@@ -991,7 +962,7 @@ fn watch(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<
         .to_string();
     // The resident incremental engine: the whole point of `watch` — only
     // functions whose fingerprints changed are re-analyzed per poll.
-    let mut incr = IncrementalTestbed::new().with_fn_jobs(engine.jobs);
+    let mut incr = IncrementalTestbed::new().with_fn_jobs(jobs);
     let rescore = |incr: &mut IncrementalTestbed| -> Result<f64, String> {
         let sources = scan_sources(&dir)?;
         let paths: Vec<String> = sources
@@ -1004,7 +975,7 @@ fn watch(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<
             "extracted {} function(s): {} cached, {} rebuilt",
             report.functions, report.hits, report.rebuilt
         );
-        let reports = compiled.evaluate_batch(&[(project.clone(), fv)], engine.jobs);
+        let reports = compiled.evaluate_batch(&[(project.clone(), fv)], jobs);
         Ok(reports[0].risk_score())
     };
 

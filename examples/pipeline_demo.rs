@@ -1,22 +1,21 @@
-//! Pipeline engine acceptance demo: parallel speedup, warm-cache hit
-//! rate, and fault isolation over a 24-application corpus.
+//! Extraction driver demo: parallel speedup and fault isolation over a
+//! 24-application corpus.
 //!
 //! ```text
 //! cargo run --release --example pipeline_demo
 //! ```
 //!
-//! Prints the three acceptance numbers:
+//! Prints the two acceptance numbers:
 //!
 //! 1. 4-worker extraction vs sequential (the ≥2× target needs ≥4 real
 //!    cores — the demo reports the machine's core count alongside);
-//! 2. warm-cache re-run hit rate (target ≥90%);
-//! 3. an injected panicking collector degrading one program while the
+//! 2. an injected panicking collector degrading one program while the
 //!    other 23 extract normally.
 
-use clairvoyant::extract::{corpus_jobs, extract_corpus};
+use clairvoyant::extract::extract_corpus;
 use clairvoyant::prelude::*;
 use minilang::ast::Program;
-use pipeline::{Extractor, Pipeline, PipelineError};
+use pipeline::Extractor;
 use static_analysis::FeatureVector;
 use std::time::Instant;
 
@@ -24,25 +23,19 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("== pipeline engine demo ({cores} core(s) available) ==\n");
+    println!("== extraction driver demo ({cores} core(s) available) ==\n");
 
     let mut config = CorpusConfig::small(24, 20177);
     config.max_kloc = 2.0;
     let corpus = Corpus::generate(&config);
     println!("corpus: {} applications\n", corpus.apps.len());
 
-    // 1. Sequential vs 4 workers (cache off: raw extraction).
+    // 1. Sequential vs 4 workers.
     let start = Instant::now();
-    let seq = extract_corpus(
-        &corpus,
-        PipelineConfig::default().jobs(1).cache(CacheMode::Off),
-    );
+    let seq = extract_corpus(&corpus, 1);
     let seq_time = start.elapsed();
     let start = Instant::now();
-    let par = extract_corpus(
-        &corpus,
-        PipelineConfig::default().jobs(4).cache(CacheMode::Off),
-    );
+    let par = extract_corpus(&corpus, 4);
     let par_time = start.elapsed();
     assert_eq!(
         seq.features, par.features,
@@ -74,28 +67,7 @@ fn main() {
     );
     println!("   BENCH_PIPELINE {}\n", par.report.to_json());
 
-    // 2. Warm cache: same sources, new run — everything is a hit.
-    let mut engine = Pipeline::new(Testbed::new());
-    let apps: Vec<&corpus::GeneratedApp> = corpus.apps.iter().collect();
-    clairvoyant::extract::extract_apps_with(&mut engine, apps.iter().copied());
-    let start = Instant::now();
-    let warm = clairvoyant::extract::extract_apps_with(&mut engine, apps.iter().copied());
-    let warm_time = start.elapsed();
-    println!("2. warm-cache re-run");
-    println!(
-        "   {}/{} hits ({:.0}%) in {warm_time:.2?} — {}",
-        warm.report.cache_hits,
-        warm.report.programs,
-        warm.report.hit_rate() * 100.0,
-        if warm.report.hit_rate() >= 0.9 {
-            "meets the ≥90% target"
-        } else {
-            "BELOW the ≥90% target"
-        }
-    );
-    println!("   BENCH_PIPELINE {}\n", warm.report.to_json());
-
-    // 3. Fault isolation: one collector panics; the batch survives.
+    // 2. Fault isolation: one collector panics; the batch survives.
     let victim = corpus.apps[3].spec.name.clone();
     struct Sabotaged(Testbed, String);
     impl Extractor for Sabotaged {
@@ -105,47 +77,33 @@ fn main() {
             }
             self.0.extract(program)
         }
-        fn schema_version(&self) -> u64 {
-            Extractor::schema_version(&self.0)
-        }
         fn degraded(&self) -> FeatureVector {
             self.0.degraded()
         }
     }
-    let mut engine = Pipeline::with_config(
-        Sabotaged(Testbed::new(), victim.clone()),
-        PipelineConfig::default().jobs(4).cache(CacheMode::Off),
-    );
+    let sabotaged = Sabotaged(Testbed::new(), victim.clone());
+    let programs: Vec<&Program> = corpus.apps.iter().map(|a| &a.program).collect();
     // The injected panic is expected; keep its backtrace out of the demo
-    // output (the engine still records it in the report).
+    // output (the driver still records it in the report).
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let batch = engine.run(&corpus_jobs(&apps));
+    let (vectors, report) = pipeline::extract_batch(&sabotaged, &programs, 4);
     std::panic::set_hook(default_hook);
-    let degraded: Vec<&str> = batch
-        .outputs
-        .iter()
-        .filter(|o| o.error.is_some())
-        .map(|o| o.name.as_str())
-        .collect();
-    println!("3. fault isolation (collector panics on `{victim}`)");
+    let degraded: Vec<&str> = report.errors.iter().map(|(n, _)| n.as_str()).collect();
+    println!("2. fault isolation (collector panics on `{victim}`)");
     println!(
         "   batch completed: {}/{} programs, {} degraded: {degraded:?}",
-        batch.outputs.len(),
+        vectors.len(),
         corpus.apps.len(),
         degraded.len()
     );
-    for (name, error) in &batch.report.errors {
-        let kind = match error {
-            PipelineError::Panicked(_) => "panic",
-            PipelineError::BudgetExceeded { .. } => "budget",
-        };
-        println!("   recorded error on `{name}`: {kind} — {error}");
+    for (name, error) in &report.errors {
+        println!("   recorded error on `{name}`: {error}");
     }
     assert_eq!(
         degraded,
         vec![victim.as_str()],
         "exactly the sabotaged program degrades"
     );
-    println!("\nall three acceptance checks ran to completion");
+    println!("\nboth acceptance checks ran to completion");
 }

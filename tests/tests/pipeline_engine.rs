@@ -1,18 +1,14 @@
-//! End-to-end tests for the pipeline engine (parallel, incremental,
-//! fault-isolated corpus extraction) against the acceptance criteria:
-//! parallel extraction is byte-identical to sequential, the disk cache
-//! invalidates exactly the edited program, a warm cache serves ≥90% of a
-//! re-run, and one panicking collector degrades one program without
+//! End-to-end tests for the extraction driver (`pipeline::extract_batch`)
+//! over a generated corpus: parallel extraction is byte-identical to
+//! sequential, and one panicking collector degrades one program without
 //! killing the batch.
 
-use clairvoyant::extract::{corpus_jobs, extract_corpus};
+use clairvoyant::extract::extract_corpus;
 use clairvoyant::testbed::Testbed;
 use corpus::{Corpus, CorpusConfig};
 use minilang::ast::Program;
-use pipeline::{CacheMode, Extractor, JobSpec, Pipeline, PipelineConfig, PipelineError};
+use pipeline::{Extractor, PipelineError};
 use static_analysis::FeatureVector;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 fn corpus() -> &'static Corpus {
@@ -24,31 +20,14 @@ fn corpus() -> &'static Corpus {
     })
 }
 
-/// A unique scratch directory per test invocation.
-fn scratch_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU32 = AtomicU32::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "clairvoyant-pipeline-test-{}-{tag}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 #[test]
 fn parallel_extraction_is_byte_identical_to_sequential() {
     let corpus = corpus();
-    let sequential = extract_corpus(
-        corpus,
-        PipelineConfig::default().jobs(1).cache(CacheMode::Off),
-    );
-    let parallel = extract_corpus(
-        corpus,
-        PipelineConfig::default().jobs(4).cache(CacheMode::Off),
-    );
+    let sequential = extract_corpus(corpus, 1);
+    let parallel = extract_corpus(corpus, 4);
     assert_eq!(sequential.features, parallel.features);
     assert!(parallel.report.errors.is_empty());
+    assert_eq!(parallel.report.programs, corpus.apps.len());
 
     // And both agree exactly with the direct, single-threaded testbed.
     let testbed = Testbed::new();
@@ -58,71 +37,10 @@ fn parallel_extraction_is_byte_identical_to_sequential() {
     }
 }
 
-#[test]
-fn warm_cache_serves_at_least_90_percent() {
-    let dir = scratch_dir("warm");
-    let config = PipelineConfig::default().cache(CacheMode::Disk(dir.clone()));
-    let cold = extract_corpus(corpus(), config.clone());
-    assert_eq!(cold.report.cache_hits, 0);
-
-    // A fresh engine, same disk store: everything is served from cache.
-    let warm = extract_corpus(corpus(), config);
-    let n = corpus().apps.len();
-    assert!(
-        warm.report.hit_rate() >= 0.9,
-        "warm hit rate {:.2} below 0.9 ({} of {n})",
-        warm.report.hit_rate(),
-        warm.report.cache_hits
-    );
-    assert_eq!(
-        warm.report.cache_hits, n,
-        "unchanged corpus should hit on every program"
-    );
-    assert_eq!(cold.features, warm.features);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn editing_one_source_invalidates_exactly_that_program() {
-    let corpus = corpus();
-    let dir = scratch_dir("edit");
-    let config = PipelineConfig::default().cache(CacheMode::Disk(dir.clone()));
-    extract_corpus(corpus, config.clone());
-
-    // Edit one application's first source file and re-parse it.
-    let victim = &corpus.apps[7];
-    let mut edited_files = victim.files.clone();
-    edited_files[0]
-        .1
-        .push_str("\nfn pipeline_test_touch() { }\n");
-    let edited_program =
-        minilang::parse_program(&victim.spec.name, victim.program.dialect, &edited_files)
-            .expect("edited source still parses");
-
-    let mut engine = Pipeline::with_config(Testbed::new(), config);
-    let mut jobs: Vec<JobSpec> = corpus_jobs(&corpus.apps.iter().collect::<Vec<_>>());
-    jobs[7] = JobSpec::new(&edited_program, &edited_files);
-    let batch = engine.run(&jobs);
-
-    let n = corpus.apps.len();
-    assert_eq!(
-        batch.report.cache_misses, 1,
-        "only the edited program re-extracts"
-    );
-    assert_eq!(batch.report.cache_hits, n - 1);
-    assert!(batch.outputs[7].features.get("loc.total").is_some());
-    assert_eq!(
-        batch.outputs[7].features,
-        Testbed::new().extract(&edited_program),
-        "the edited program's vector reflects the new sources"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A testbed whose collector panics on one named program.
 struct Sabotaged {
     inner: Testbed,
-    victim: &'static str,
+    victim: String,
 }
 
 impl Extractor for Sabotaged {
@@ -131,10 +49,6 @@ impl Extractor for Sabotaged {
             panic!("injected collector failure");
         }
         self.inner.extract(program)
-    }
-
-    fn schema_version(&self) -> u64 {
-        self.inner.schema_version()
     }
 
     fn degraded(&self) -> FeatureVector {
@@ -148,42 +62,34 @@ fn panicking_collector_degrades_one_program_not_the_batch() {
     let victim = corpus.apps[3].spec.name.clone();
     let sabotaged = Sabotaged {
         inner: Testbed::new(),
-        victim: Box::leak(victim.clone().into_boxed_str()),
+        victim: victim.clone(),
     };
-    let mut engine = Pipeline::with_config(
-        sabotaged,
-        PipelineConfig::default().jobs(4).cache(CacheMode::Off),
-    );
-    let jobs = corpus_jobs(&corpus.apps.iter().collect::<Vec<_>>());
-    let batch = engine.run(&jobs);
+    let programs: Vec<&Program> = corpus.apps.iter().map(|a| &a.program).collect();
+    let (vectors, report) = pipeline::extract_batch(&sabotaged, &programs, 4);
 
-    // The batch completed with every program present, in order.
-    assert_eq!(batch.outputs.len(), corpus.apps.len());
-    for (app, out) in corpus.apps.iter().zip(&batch.outputs) {
-        assert_eq!(app.spec.name, out.name);
-    }
+    // The batch completed with every program present.
+    assert_eq!(vectors.len(), corpus.apps.len());
+    assert_eq!(report.programs, corpus.apps.len());
 
     // Exactly the sabotaged program failed, with a recorded error and the
     // schema-stable degraded vector.
-    assert_eq!(batch.report.errors.len(), 1);
-    let (failed, error) = &batch.report.errors[0];
+    assert_eq!(report.errors.len(), 1);
+    let (failed, error) = &report.errors[0];
     assert_eq!(failed, &victim);
     assert!(matches!(error, PipelineError::Panicked(msg) if msg.contains("injected")));
-    let degraded = &batch.outputs[3];
-    assert!(degraded.error.is_some());
-    assert!(degraded.features.iter().all(|(_, v)| v == 0.0));
+    let degraded = &vectors[3];
+    assert!(degraded.iter().all(|(_, v)| v == 0.0));
     assert_eq!(
-        degraded.features.names(),
-        batch.outputs[0].features.names(),
+        degraded.names(),
+        vectors[0].names(),
         "degraded vector keeps the schema"
     );
 
-    // Everyone else extracted normally.
+    // Everyone else extracted normally, in input order.
     let testbed = Testbed::new();
-    for (i, (app, out)) in corpus.apps.iter().zip(&batch.outputs).enumerate() {
+    for (i, (app, fv)) in corpus.apps.iter().zip(&vectors).enumerate() {
         if i != 3 {
-            assert!(out.error.is_none());
-            assert_eq!(testbed.extract(&app.program), out.features);
+            assert_eq!(&testbed.extract(&app.program), fv, "{}", app.spec.name);
         }
     }
 }

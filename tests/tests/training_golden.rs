@@ -169,7 +169,7 @@ fn train_and_streaming_match_golden_models() {
         .iter()
         .map(|h| corpus.apps.iter().find(|a| a.spec.name == h.app).unwrap())
         .collect();
-    let (schema, rows) = extract_apps(selected, PipelineConfig::default()).dense_rows();
+    let (schema, rows) = extract_apps(selected, 0).dense_rows();
 
     let dir = std::env::temp_dir().join(format!("clvy-train-golden-{}", std::process::id()));
     for (label, config) in cases() {
