@@ -44,11 +44,7 @@ fn bench_explain(_c: &mut Criterion) {
     let mut score_config = CorpusConfig::small(n_apps, 5);
     score_config.max_kloc = 2.0;
     let score_corpus = Corpus::generate(&score_config);
-    let testbed = Testbed::new();
-    let apps: Vec<(String, static_analysis::FeatureVector)> =
-        pipeline::parallel_map(0, &score_corpus.apps, |_, app| {
-            (app.spec.name.clone(), testbed.extract(&app.program))
-        });
+    let apps = extract_corpus(&score_corpus, 0).features;
 
     // Equality gates before timing: explained reports must equal scored
     // reports bitwise, and every attribution must fold back to its score

@@ -1,31 +1,27 @@
-//! BENCH-INFER: the compiled batch engine vs the boxed per-row path.
+//! BENCH-INFER: throughput of the compiled batch scoring engine.
 //!
 //! The §5.3 workflow scores whole corpora ("for any application"), so
 //! serving throughput matters as much as training time. This bench trains
-//! a serving-scale random-forest battery (200 trees per forest — the
-//! regime where the boxed trees' pointer-chasing working set falls out of
-//! cache), compiles it
-//! ([`TrainedModel::compile`](clairvoyant::TrainedModel)) and runs
+//! a serving-scale random-forest battery (200 trees per forest), compiles
+//! it ([`TrainedModel::compile`](clairvoyant::TrainedModel)) and runs
 //! [`CompiledModel::optimize`](clairvoyant::CompiledModel) as serve's
-//! load path does, then races the boxed per-row reference path
-//! (`TrainedModel::evaluate_features`, one pointer-chasing tree walk per
-//! row per model) against `CompiledModel::evaluate_batch` (quantized,
-//! feature-pruned programs — see `secml::kernel` — and pool fan-out)
-//! over a 150-app corpus.
+//! load path does, then times `CompiledModel::evaluate_batch` (quantized,
+//! feature-pruned programs — see `secml::kernel` — and pool fan-out) over
+//! a 150-app corpus.
 //!
-//! Before anything is timed, two equality gates run at 1 and 4 workers:
-//! batched reports must equal the boxed reference reports bit-for-bit,
-//! and batched explanations (`explain_batch`) must equal the scalar
-//! per-row attribution walk (`explain_features`) bit-for-bit.
+//! Before anything is timed, two equality gates run: batched reports at
+//! 1 and 4 workers must be bit-identical, and batched explanations
+//! (`explain_batch`, at 1 and 4 workers) must equal the scalar per-row
+//! attribution walk (`explain_features`) bit-for-bit. Equality with the
+//! boxed scorer the engine replaced is tier-1's `scoring_golden.rs`.
 //!
 //! The result prints as one `BENCH_INFER` JSON line (snapshot:
-//! `results/BENCH_INFER.json`). `speedup` compares the boxed path
-//! against the best batched worker count, so single-core machines are
-//! not penalized for thread overhead; CI fails the job if it regresses
-//! more than 10% below the snapshot. The same line reports the battery
-//! scoring stage alone (`score_battery` over one prepared batch, as
-//! `score_ms`) and end-to-end `explain_batch` (`explain_ms`), both on
-//! one worker.
+//! `results/BENCH_INFER.json`, with the machine's `cores`). `rows_per_s`
+//! is 1-worker `evaluate_batch` throughput; CI fails the job if it
+//! regresses more than 10% below the snapshot. The same line reports
+//! the battery scoring stage alone (`score_battery` over one prepared
+//! batch, as `score_ms`) and end-to-end `explain_batch` (`explain_ms`),
+//! both on one worker.
 //!
 //! `CLAIRVOYANT_BENCH_SMOKE=1` shrinks the corpus, forest and iteration
 //! count to a CI-sized equality smoke test.
@@ -106,55 +102,40 @@ fn bench_inference(_c: &mut Criterion) {
     // Train the forest battery on its own corpus, then score a disjoint
     // one — serving and training sets need not match.
     let train_corpus = Corpus::generate(&CorpusConfig::small(n_train, 20170408));
-    let model = Trainer::with_config(TrainerConfig {
+    let compiled = Trainer::with_config(TrainerConfig {
         learner: Learner::RandomForest,
         forest_trees: trees,
         ..Default::default()
     })
-    .train(&train_corpus);
-    let compiled = model.compile();
+    .train(&train_corpus)
+    .compile();
     let programs = compiled.optimize();
 
     let mut score_config = CorpusConfig::small(n_apps, 5);
     score_config.max_kloc = 2.0;
     let score_corpus = Corpus::generate(&score_config);
-    let testbed = Testbed::new();
-    let apps: Vec<(String, static_analysis::FeatureVector)> =
-        pipeline::parallel_map(0, &score_corpus.apps, |_, app| {
-            (app.spec.name.clone(), testbed.extract(&app.program))
-        });
+    let apps = extract_corpus(&score_corpus, 0).features;
 
-    // Equality gates before timing: batched reports against the boxed
-    // reference, batched explanations against the scalar attribution
-    // walk, at 1 and 4 workers.
-    let boxed_reports: Vec<SecurityReport> = apps
-        .iter()
-        .map(|(name, fv)| model.evaluate_features(name.clone(), fv))
-        .collect();
+    // Equality gates before timing: batched reports at 1 worker against
+    // 4 workers, batched explanations against the scalar attribution
+    // walk at 1 and 4 workers.
+    let one = compiled.evaluate_batch(&apps, 1);
+    let four = compiled.evaluate_batch(&apps, 4);
+    assert_eq!(one.len(), four.len());
+    for (a, b) in one.iter().zip(&four) {
+        assert_reports_identical(a, b, "1 vs 4 workers");
+    }
     let scalar_explanations: Vec<Explanation> = apps
         .iter()
         .map(|(name, fv)| compiled.explain_features(name.clone(), fv))
         .collect();
     for (jobs, context) in [(1, "1 worker"), (4, "4 workers")] {
-        let batched = compiled.evaluate_batch(&apps, jobs);
-        assert_eq!(batched.len(), boxed_reports.len());
-        for (a, b) in boxed_reports.iter().zip(&batched) {
-            assert_reports_identical(a, b, context);
-        }
         let explained = compiled.explain_batch(&apps, jobs);
         assert_eq!(explained.len(), scalar_explanations.len());
         for (a, b) in scalar_explanations.iter().zip(&explained) {
             assert_explanations_identical(a, b, context);
         }
     }
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        for (name, fv) in &apps {
-            black_box(model.evaluate_features(name.clone(), fv).hypotheses.len());
-        }
-    }
-    let boxed_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -182,24 +163,24 @@ fn bench_inference(_c: &mut Criterion) {
     }
     let explain_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
-    let speedup = boxed_ms / batched_1w_ms.min(batched_ms).max(1e-9);
+    let rows_per_s = apps.len() as f64 / (batched_1w_ms / 1e3).max(1e-12);
+    let cores = pipeline::default_workers();
     println!(
         "BENCH_INFER {{\"rows\":{},\"trees\":{trees},\"iters\":{iters},\"programs\":{programs},\
-         \"boxed_ms\":{:.2},\"batched_1w_ms\":{:.2},\"batched_4w_ms\":{:.2},\"speedup\":{:.2},\
-         \"score_ms\":{:.2},\"explain_ms\":{:.2},\"reports_identical\":true,\
-         \"explanations_identical\":true}}",
+         \"cores\":{cores},\"batched_1w_ms\":{:.2},\"batched_4w_ms\":{:.2},\
+         \"rows_per_s\":{:.1},\"score_ms\":{:.2},\"explain_ms\":{:.2},\
+         \"reports_identical\":true,\"explanations_identical\":true}}",
         apps.len(),
-        boxed_ms,
         batched_1w_ms,
         batched_ms,
-        speedup,
+        rows_per_s,
         score_ms,
         explain_ms
     );
     eprintln!(
-        "inference engine: boxed {boxed_ms:.1} ms, batched {batched_1w_ms:.1} ms (1w) / \
-         {batched_ms:.1} ms (4w), speedup {speedup:.1}×; battery scoring {score_ms:.1} ms, \
-         explain {explain_ms:.1} ms over {} apps × {trees}-tree forests ({programs} programs)",
+        "inference engine: batched {batched_1w_ms:.1} ms (1w, {rows_per_s:.0} rows/s) / \
+         {batched_ms:.1} ms (4w); battery scoring {score_ms:.1} ms, explain {explain_ms:.1} ms \
+         over {} apps × {trees}-tree forests ({programs} programs, {cores} cores)",
         apps.len()
     );
 }

@@ -6,9 +6,8 @@
 //! JSON protocol. Three gates run before anything is timed:
 //!
 //! 1. **Equality** — every app's wire-scored report must be string-equal
-//!    to the offline [`evaluate_batch`] report (which is itself
-//!    bit-identical to the boxed path), and must carry the served model's
-//!    fingerprint.
+//!    to the offline [`evaluate_batch`] report, and must carry the
+//!    served model's fingerprint.
 //! 2. **Overload** — a second daemon with `max_inflight = 1` and an
 //!    artificial batch delay must answer a typed `busy` error, not queue
 //!    unboundedly or drop the connection.
@@ -33,7 +32,6 @@ use clairvoyant::report::{security_report_value, Json};
 use serve::client::{error_type, is_ok};
 use serve::protocol::{frame_into, ok_response};
 use serve::{Client, ModelState, ServeConfig};
-use static_analysis::FeatureVector;
 use std::time::{Duration, Instant};
 
 /// Pull `(model_fingerprint, report_json)` out of a score response.
@@ -70,11 +68,7 @@ fn bench_serve(_c: &mut bench::harness::Criterion) {
     let mut score_config = CorpusConfig::small(n_apps, 5);
     score_config.max_kloc = 2.0;
     let score_corpus = Corpus::generate(&score_config);
-    let testbed = Testbed::new();
-    let apps: Vec<(String, FeatureVector)> =
-        pipeline::parallel_map(0, &score_corpus.apps, |_, app| {
-            (app.spec.name.clone(), testbed.extract(&app.program))
-        });
+    let apps = extract_corpus(&score_corpus, 0).features;
 
     // Offline reference reports, serialized exactly as the server does.
     let reports = compiled.evaluate_batch(&apps, 1);

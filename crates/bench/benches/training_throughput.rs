@@ -156,12 +156,13 @@ fn bench_evaluation(c: &mut Criterion) {
     // gate (§5.3).
     let config = corpus::CorpusConfig::small(10, 5);
     let corpus = corpus::Corpus::generate(&config);
-    let model = clairvoyant::Trainer::new().train(&corpus);
+    let model = clairvoyant::Trainer::new().train(&corpus).compile();
+    model.optimize();
     let program = &corpus.apps[0].program;
     let mut group = c.benchmark_group("evaluate");
     group.sample_size(20);
     group.bench_function("security_report", |b| {
-        b.iter(|| black_box(model.evaluate(program).risk_score()))
+        b.iter(|| black_box(model.evaluate_program(program, 1).risk_score()))
     });
     group.finish();
 }

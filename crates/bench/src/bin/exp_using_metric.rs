@@ -20,6 +20,7 @@ fn main() {
 
     let (model, train_report) = Trainer::new().train_with_report(&corpus);
     println!("BENCH_PIPELINE {}", train_report.extraction.to_json());
+    let model = model.compile();
 
     println!("--- held-out application reports ---");
     for name in &holdout {
@@ -29,7 +30,7 @@ fn main() {
             .find(|a| a.spec.name == *name)
             .expect("app exists");
         let truth = corpus.db.history(name).expect("history exists");
-        let report = model.evaluate(&app.program);
+        let report = model.evaluate_program(&app.program, 1);
         println!(
             "{name}: predicted {:.1} vulns (actual {}), risk {:.0}/100",
             report.predicted_vulnerabilities,
@@ -63,13 +64,16 @@ fn main() {
         )],
     )
     .expect("parses");
-    let cmp = compare_programs(&model, &risky, &safe);
+    let cmp = compare_programs(&model, &risky, &safe, 1);
     println!("{cmp}");
 
     println!("\n--- CI gate on a code change ---");
-    let delta = version_delta(&model, &safe, &risky);
+    let delta = version_delta(&model, &safe, &risky, 1);
     println!("{delta}");
 
     println!("\n--- machine-readable output ---");
-    println!("{}", security_report_json(&model.evaluate(&safe)));
+    println!(
+        "{}",
+        security_report_json(&model.evaluate_program(&safe, 1))
+    );
 }

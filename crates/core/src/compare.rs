@@ -11,7 +11,6 @@ use crate::explain::Explanation;
 use crate::metric::SecurityReport;
 use crate::score::CompiledModel;
 use crate::testbed::Testbed;
-use crate::train::TrainedModel;
 use minilang::ast::Program;
 use std::fmt;
 
@@ -133,16 +132,9 @@ impl fmt::Display for Comparison {
 }
 
 /// Evaluate two candidate programs and compare, with attribution-backed
-/// per-feature deltas. Routed through the compiled batched engine; the
-/// reports (and hence [`Comparison::preferred`] / [`Comparison::delta`])
-/// are bit-identical to the old boxed per-program path.
-pub fn compare_programs(model: &TrainedModel, a: &Program, b: &Program) -> Comparison {
-    compare_programs_compiled(&model.compile(), a, b, 1)
-}
-
-/// [`compare_programs`] against an already-compiled model: both programs
-/// are extracted and explained in one batch over `jobs` workers.
-pub fn compare_programs_compiled(
+/// per-feature deltas: both programs are extracted and explained in one
+/// batch over `jobs` workers.
+pub fn compare_programs(
     model: &CompiledModel,
     a: &Program,
     b: &Program,
@@ -206,17 +198,9 @@ pub fn classify_delta(score_delta: f64) -> RiskChange {
     }
 }
 
-/// Evaluate a code change: `before` vs `after` versions of one application.
-pub fn version_delta(model: &TrainedModel, before: &Program, after: &Program) -> VersionDelta {
-    let before_report = model.evaluate(before);
-    let after_report = model.evaluate(after);
-    delta_from_reports(before_report, after_report)
-}
-
-/// [`version_delta`] against an already-compiled model (the CI-gate path:
-/// load a `.clvy` file instead of retraining): both versions are extracted
-/// and scored in one batch over `jobs` workers.
-pub fn version_delta_compiled(
+/// Evaluate a code change: `before` vs `after` versions of one
+/// application, extracted and scored in one batch over `jobs` workers.
+pub fn version_delta(
     model: &CompiledModel,
     before: &Program,
     after: &Program,
@@ -249,11 +233,11 @@ pub fn delta_from_reports(before: SecurityReport, after: SecurityReport) -> Vers
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::shared_model;
+    use crate::testutil::{shared_compiled, shared_model};
     use minilang::{parse_program, Dialect};
 
-    fn model() -> &'static TrainedModel {
-        shared_model()
+    fn model() -> &'static CompiledModel {
+        shared_compiled()
     }
 
     fn program(name: &str, src: &str) -> Program {
@@ -283,11 +267,11 @@ mod tests {
         let m = model();
         let risky = program("libfast", RISKY);
         let safe = program("libsafe", SAFE);
-        let cmp = compare_programs(m, &risky, &safe);
+        let cmp = compare_programs(m, &risky, &safe, 1);
         assert_eq!(cmp.preferred(), "libsafe", "\n{cmp}");
         assert!(cmp.delta() < 0.0);
         // Symmetric call agrees.
-        let cmp2 = compare_programs(m, &safe, &risky);
+        let cmp2 = compare_programs(m, &safe, &risky, 1);
         assert_eq!(cmp2.preferred(), "libsafe");
     }
 
@@ -296,7 +280,7 @@ mod tests {
         let m = model();
         let before = program("app", RISKY);
         let after = program("app", SAFE);
-        let delta = version_delta(m, &before, &after);
+        let delta = version_delta(m, &before, &after, 1);
         assert_eq!(delta.verdict, RiskChange::Lowered, "\n{delta}");
         assert!(delta.score_delta < 0.0);
     }
@@ -305,7 +289,7 @@ mod tests {
     fn identity_change_is_unchanged() {
         let m = model();
         let v = program("app", SAFE);
-        let delta = version_delta(m, &v, &v);
+        let delta = version_delta(m, &v, &v, 1);
         assert_eq!(delta.verdict, RiskChange::Unchanged);
         assert_eq!(delta.score_delta, 0.0);
     }
@@ -313,23 +297,23 @@ mod tests {
     #[test]
     fn regression_change_raises_risk() {
         let m = model();
-        let delta = version_delta(m, &program("app", SAFE), &program("app", RISKY));
+        let delta = version_delta(m, &program("app", SAFE), &program("app", RISKY), 1);
         assert_eq!(delta.verdict, RiskChange::Raised, "\n{delta}");
     }
 
     #[test]
     fn display_formats() {
         let m = model();
-        let cmp = compare_programs(m, &program("a", SAFE), &program("b", RISKY));
+        let cmp = compare_programs(m, &program("a", SAFE), &program("b", RISKY), 1);
         assert!(cmp.to_string().contains("prefer"));
-        let delta = version_delta(m, &program("a", SAFE), &program("a", RISKY));
+        let delta = version_delta(m, &program("a", SAFE), &program("a", RISKY), 1);
         assert!(delta.to_string().contains("RAISED"));
     }
 
     #[test]
     fn comparison_carries_attribution_deltas() {
         let m = model();
-        let cmp = compare_programs(m, &program("a", SAFE), &program("b", RISKY));
+        let cmp = compare_programs(m, &program("a", SAFE), &program("b", RISKY), 1);
         assert!(!cmp.deltas.is_empty(), "distinct programs must differ");
         assert!(cmp.deltas.len() <= 10);
         // Ranked by |delta| descending, and each delta is exact b − a.
@@ -341,19 +325,23 @@ mod tests {
         }
         assert!(cmp.to_string().contains("riskier because"));
         // Identical inputs produce no deltas.
-        let same = compare_programs(m, &program("x", SAFE), &program("x", SAFE));
+        let same = compare_programs(m, &program("x", SAFE), &program("x", SAFE), 1);
         assert!(same.deltas.is_empty());
         assert!(!same.to_string().contains("riskier because"));
     }
 
+    /// The shared model round-tripped through `CLVY` bytes: what
+    /// `gate --model` scores with instead of retraining.
+    fn loaded_model() -> CompiledModel {
+        CompiledModel::from_bytes(&shared_model().compile().to_bytes()).expect("model decodes")
+    }
+
     #[test]
     fn compiled_gate_matches_trained_gate() {
-        let m = model();
-        let compiled = m.compile();
         let before = program("app", SAFE);
         let after = program("app", RISKY);
-        let trained = version_delta(m, &before, &after);
-        let loaded = version_delta_compiled(&compiled, &before, &after, 2);
+        let trained = version_delta(model(), &before, &after, 1);
+        let loaded = version_delta(&loaded_model(), &before, &after, 2);
         assert_eq!(trained.verdict, loaded.verdict);
         assert_eq!(trained.score_delta.to_bits(), loaded.score_delta.to_bits());
         assert_eq!(
@@ -373,19 +361,17 @@ mod tests {
 
     #[test]
     fn compiled_route_matches_trained_route() {
-        let m = model();
-        let compiled = m.compile();
         let a = program("a", SAFE);
         let b = program("b", RISKY);
-        let via_model = compare_programs(m, &a, &b);
-        let via_compiled = compare_programs_compiled(&compiled, &a, &b, 4);
+        let via_model = compare_programs(model(), &a, &b, 1);
+        let via_compiled = compare_programs(&loaded_model(), &a, &b, 4);
         assert_eq!(via_model.preferred(), via_compiled.preferred());
         assert_eq!(via_model.delta().to_bits(), via_compiled.delta().to_bits());
         assert_eq!(via_model.deltas, via_compiled.deltas);
-        // And the reports equal the boxed per-program reference bitwise.
-        let boxed = m.evaluate(&a);
+        // And the compared reports equal the per-program reports bitwise.
+        let alone = model().evaluate_program(&a, 1);
         assert_eq!(
-            boxed.risk_score().to_bits(),
+            alone.risk_score().to_bits(),
             via_compiled.a.risk_score().to_bits()
         );
     }

@@ -23,12 +23,12 @@
 
 use crate::hypothesis::Hypothesis;
 use crate::metric::{assemble_report, SecurityReport};
-use crate::score::CompiledModel;
+use crate::score::{BatteryModel, CompiledModel};
 use crate::testbed::Testbed;
 use crate::train::SeverityBand;
 use minilang::ast::Program;
 use secml::dataset::ColMatrix;
-use secml::{CompiledClassifier, CompiledRegressor, RowAttribution};
+use secml::RowAttribution;
 use static_analysis::{AnalysisContext, FeatureVector, FunctionContext};
 use std::fmt;
 
@@ -162,33 +162,14 @@ impl CompiledModel {
     /// explained report equals the scored report exactly, for any
     /// worker count.
     pub fn explain_batch(&self, apps: &[(String, FeatureVector)], jobs: usize) -> Vec<Explanation> {
-        let jobs = if apps.len() < crate::score::PARALLEL_MIN_ROWS {
-            // Same small-batch clamp as `evaluate_batch`: fan-out loses
-            // below this row count, and outputs are jobs-invariant.
-            1
-        } else if jobs == 0 {
-            pipeline::default_workers()
-        } else {
-            jobs
-        };
+        // Same small-batch clamp as `evaluate_batch`.
+        let jobs = self.clamp_jobs(apps.len(), jobs);
         let rows = self.prepared_rows(apps, jobs);
         let matrix = ColMatrix::from_rows(&rows);
-
-        enum Task<'a> {
-            Classify(&'a CompiledClassifier),
-            Regress(&'a CompiledRegressor),
-        }
-        let mut tasks: Vec<Task> = self
-            .hypotheses
-            .iter()
-            .map(|(_, m)| Task::Classify(m))
-            .collect();
-        tasks.push(Task::Regress(&self.count_model));
-        tasks.extend(self.severity_models.iter().map(|(_, m)| Task::Regress(m)));
         let attributions: Vec<Vec<RowAttribution>> =
-            pipeline::parallel_map(jobs, &tasks, |_, task| match task {
-                Task::Classify(model) => model.attribute_batch(&matrix),
-                Task::Regress(model) => model.attribute_batch(&matrix),
+            pipeline::parallel_map(jobs, &self.battery(), |_, model| match model {
+                BatteryModel::Classify(m) => m.attribute_batch(&matrix),
+                BatteryModel::Regress(m) => m.attribute_batch(&matrix),
             });
 
         pipeline::parallel_map(jobs, apps, |i, (name, fv)| {
@@ -202,17 +183,14 @@ impl CompiledModel {
     /// entry.
     pub fn explain_features(&self, app: String, fv: &FeatureVector) -> Explanation {
         let row = self.prepare_row(fv);
-        let mut attributions: Vec<RowAttribution> = self
-            .hypotheses
+        let attributions: Vec<RowAttribution> = self
+            .battery()
             .iter()
-            .map(|(_, m)| m.attribute_row(&row))
+            .map(|model| match model {
+                BatteryModel::Classify(m) => m.attribute_row(&row),
+                BatteryModel::Regress(m) => m.attribute_row(&row),
+            })
             .collect();
-        attributions.push(self.count_model.attribute_row(&row));
-        attributions.extend(
-            self.severity_models
-                .iter()
-                .map(|(_, m)| m.attribute_row(&row)),
-        );
         self.assemble_explanation(app, fv, &row, |t| &attributions[t])
     }
 
@@ -228,9 +206,9 @@ impl CompiledModel {
         explanation
     }
 
-    /// Shared assembly: task index `t` runs over hypotheses (battery
-    /// order), then the count model, then severity bands — the same
-    /// order `evaluate_batch` fans out.
+    /// Shared assembly: model index `t` follows
+    /// [`battery`](CompiledModel::battery) order — hypotheses, then the
+    /// count model, then severity bands.
     fn assemble_explanation<'a>(
         &self,
         name: String,

@@ -18,6 +18,9 @@
 //!                      │
 //!                      ▼
 //!            TrainedModel (inspectable weights)
+//!                      │ compile
+//!                      ▼
+//!            CompiledModel (the one scorer; CLVY bytes)
 //!                      │
 //!                      ▼
 //!   SecurityReport for any new codebase: predicted vulnerability count,
@@ -32,12 +35,12 @@
 //! // 1. Generate the training corpus (offline stand-in for CVE + GitHub).
 //! let corpus = Corpus::generate(&CorpusConfig::small(12, 42));
 //!
-//! // 2. Train the unified model.
-//! let model = Trainer::new().train(&corpus);
+//! // 2. Train the unified model and compile it for scoring.
+//! let model = Trainer::new().train(&corpus).compile();
 //!
-//! // 3. Evaluate any program.
+//! // 3. Evaluate any program (on one worker).
 //! let app = &corpus.apps[0].program;
-//! let report = model.evaluate(app);
+//! let report = model.evaluate_program(app, 1);
 //! println!("{report}");
 //! ```
 
@@ -60,8 +63,8 @@ pub mod testbed;
 pub mod train;
 
 pub use compare::{
-    classify_delta, compare_programs, compare_programs_compiled, delta_from_reports, version_delta,
-    version_delta_compiled, Comparison, FeatureDelta, RiskChange, VersionDelta,
+    classify_delta, compare_programs, delta_from_reports, version_delta, Comparison, FeatureDelta,
+    RiskChange, VersionDelta,
 };
 pub use explain::{rank_hotspots, rank_hotspots_cx, Explanation, Hotspot, ModelExplanation};
 pub use extract::{extract_corpus, CorpusFeatures};
@@ -73,16 +76,13 @@ pub use metric::SecurityReport;
 // naming the pipeline crate.
 pub use pipeline::PipelineReport;
 pub use score::{CompiledModel, PreparedBatch};
-pub use system::{
-    evaluate_system, evaluate_system_compiled, Component, Containment, Exposure, SystemReport,
-    SystemSpec,
-};
+pub use system::{evaluate_system, Component, Containment, Exposure, SystemReport, SystemSpec};
 pub use testbed::Testbed;
 pub use train::{Learner, TrainedModel, Trainer, TrainingReport};
 
 /// Convenient re-exports for examples and benches.
 pub mod prelude {
-    pub use crate::compare::{compare_programs, compare_programs_compiled, version_delta};
+    pub use crate::compare::{compare_programs, version_delta};
     pub use crate::explain::{rank_hotspots, Explanation, Hotspot, ModelExplanation};
     pub use crate::extract::{extract_corpus, CorpusFeatures};
     pub use crate::hypothesis::{standard_battery, Hypothesis};
@@ -99,8 +99,9 @@ pub mod prelude {
 pub(crate) mod testutil {
     //! Shared, lazily-built test fixtures: corpus generation plus training
     //! is the expensive part of this crate's tests, so every test module
-    //! reuses one mid-size corpus and one trained model.
+    //! reuses one mid-size corpus, one trained model and its compiled form.
 
+    use crate::score::CompiledModel;
     use crate::train::{TrainedModel, Trainer, TrainerConfig};
     use corpus::{Corpus, CorpusConfig};
     use std::sync::OnceLock;
@@ -124,5 +125,10 @@ pub(crate) mod testutil {
             })
             .train(shared_corpus())
         })
+    }
+
+    pub fn shared_compiled() -> &'static CompiledModel {
+        static COMPILED: OnceLock<CompiledModel> = OnceLock::new();
+        COMPILED.get_or_init(|| shared_model().compile())
     }
 }

@@ -14,12 +14,13 @@
 //!    per-epoch cost follows the selected churn, not the population.
 //! 2. **Retrain** — the model is retrained on the selected rows through
 //!    [`Trainer::train_streaming`], spilling its working matrices to disk
-//!    when `out_of_core` is set.
+//!    when `out_of_core` is set, and compiled once: the one
+//!    [`CompiledModel`] both measures drift and is deployed.
 //! 3. **Measure drift** — the previous epoch's model is scored on the
 //!    *new* epoch's labels (AUC + Brier on the high-severity hypothesis)
 //!    next to the refreshed model; the gap is the cost of serving stale.
-//! 4. **Hot-redeploy** — the refreshed model is compiled to `CLVY` bytes,
-//!    written under the work dir, and handed to the `deploy` hook, which
+//! 4. **Hot-redeploy** — the refreshed model's `CLVY` bytes are written
+//!    under the work dir, and handed to the `deploy` hook, which
 //!    a serving fleet implements with the existing `reload` op.
 //!
 //! Everything is deterministic: the same config produces byte-identical
@@ -27,8 +28,9 @@
 //! [`LongitudinalReport::drift_json`], the CI equality gate).
 
 use crate::hypothesis::Hypothesis;
+use crate::score::CompiledModel;
 use crate::testbed::Testbed;
-use crate::train::{TrainedModel, Trainer, TrainerConfig};
+use crate::train::{Trainer, TrainerConfig};
 use corpus::{LongitudinalStream, StreamConfig};
 use cvedb::CveDatabase;
 use minilang::ast::Program;
@@ -159,25 +161,22 @@ struct AppCache {
     dense: Vec<f64>,
 }
 
-/// An epoch's trained model plus the training-time base rate used when
-/// the high-severity hypothesis was degenerate.
+/// An epoch's compiled model plus the training-time base rate used when
+/// the high-severity hypothesis was degenerate. The one model both
+/// measures drift and is written out as the epoch's `CLVY` bytes.
 struct EpochModel {
-    model: TrainedModel,
+    model: CompiledModel,
     base_rate: f64,
 }
 
 impl EpochModel {
-    /// AUC + Brier of this model on the given labelled dense rows.
+    /// AUC + Brier of this model on the given labelled dense rows, scored
+    /// in one batch.
     fn score(&self, rows: &[&[f64]], labels: &[usize]) -> (f64, f64) {
-        let probs: Vec<f64> = rows
-            .iter()
-            .map(|dense| {
-                let row = self.model.prepare_dense_row(dense);
-                self.model
-                    .hypothesis_probability(Hypothesis::AnyHighSeverity, &row)
-                    .unwrap_or(self.base_rate)
-            })
-            .collect();
+        let probs = self
+            .model
+            .hypothesis_batch_dense(Hypothesis::AnyHighSeverity, rows)
+            .unwrap_or_else(|| vec![self.base_rate; rows.len()]);
         (roc_auc(labels, &probs), brier_score(labels, &probs))
     }
 }
@@ -289,7 +288,10 @@ pub fn replay(
             .collect();
         let base_rate = labels.iter().sum::<usize>() as f64 / labels.len() as f64;
         let rows: Vec<&[f64]> = histories.iter().map(|h| dense_of(&h.app)).collect();
-        let fresh = EpochModel { model, base_rate };
+        let fresh = EpochModel {
+            model: model.compile(),
+            base_rate,
+        };
         let (fresh_auc, fresh_brier) = fresh.score(&rows, &labels);
         let (stale_auc, stale_brier) = match &prev {
             Some(p) => {
@@ -300,7 +302,7 @@ pub fn replay(
         };
 
         // Persist the compiled model and hand it to the fleet.
-        let bytes = fresh.model.compile().to_bytes();
+        let bytes = fresh.model.to_bytes();
         let fingerprint = format!("{:016x}", pipeline::fnv::hash_bytes(&bytes));
         let model_path = config.work_dir.join(format!("epoch-{epoch}.clvy"));
         std::fs::write(&model_path, &bytes)?;

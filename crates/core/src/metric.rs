@@ -7,12 +7,14 @@
 //! output: predicted count, per-hypothesis risks, the top contributing
 //! code properties, and the actionable hints the paper sketches (bounds
 //! checking for buffer-overflow risk, firewalling for network risk).
+//! [`CompiledModel`](crate::score::CompiledModel) produces it:
+//! [`evaluate_program`](crate::score::CompiledModel::evaluate_program) for
+//! one program, [`evaluate_batch`](crate::score::CompiledModel::evaluate_batch)
+//! for a corpus.
 
 use crate::hypothesis::Hypothesis;
-use crate::testbed::Testbed;
-use crate::train::{SeverityBand, TrainedModel};
+use crate::train::SeverityBand;
 use cvedb::Cwe;
-use minilang::ast::Program;
 use std::fmt;
 
 /// One feature's contribution to the predicted risk.
@@ -122,40 +124,10 @@ impl fmt::Display for SecurityReport {
     }
 }
 
-/// Evaluate `program` with a trained model.
-pub fn evaluate(model: &TrainedModel, program: &Program) -> SecurityReport {
-    let fv = Testbed::new().extract(program);
-    evaluate_features(model, program.name.clone(), &fv)
-}
-
-/// Score a pre-extracted feature vector through the boxed per-row models.
-/// This is the reference path the batched engine
-/// ([`CompiledModel::evaluate_batch`](crate::score::CompiledModel::evaluate_batch))
-/// must match bit-for-bit.
-pub fn evaluate_features(
-    model: &TrainedModel,
-    app: String,
-    fv: &static_analysis::FeatureVector,
-) -> SecurityReport {
-    let row = model.prepare_row(fv);
-    let hypotheses = model.all_hypotheses(&row);
-    let predicted = model.predicted_count(&row);
-    let severity = model.predicted_severity_counts(&row);
-    assemble_report(
-        app,
-        fv,
-        &row,
-        &model.feature_names,
-        &model.risk_weights,
-        hypotheses,
-        predicted,
-        severity,
-    )
-}
-
 /// Assemble a [`SecurityReport`] from precomputed model outputs. Shared by
-/// the boxed per-row path above and the batched scoring engine in
-/// [`crate::score`], so the two report shapes cannot drift apart.
+/// the scoring engine ([`crate::score`]) and the explanation engine
+/// ([`crate::explain`]), so a scored and an explained report cannot drift
+/// apart.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_report(
     app: String,
@@ -289,18 +261,19 @@ fn derive_hints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{shared_corpus, shared_model};
+    use crate::score::CompiledModel;
+    use crate::testutil::{shared_compiled, shared_corpus};
     use corpus::Corpus;
     use minilang::{parse_program, Dialect};
 
-    fn trained() -> (&'static Corpus, &'static TrainedModel) {
-        (shared_corpus(), shared_model())
+    fn trained() -> (&'static Corpus, &'static CompiledModel) {
+        (shared_corpus(), shared_compiled())
     }
 
     #[test]
     fn report_has_all_sections() {
         let (corpus, model) = trained();
-        let report = model.evaluate(&corpus.apps[0].program);
+        let report = model.evaluate_program(&corpus.apps[0].program, 1);
         assert_eq!(report.app, corpus.apps[0].spec.name);
         assert!(report.predicted_vulnerabilities.is_finite());
         assert!(!report.attributions.is_empty());
@@ -313,7 +286,7 @@ mod tests {
     #[test]
     fn attributions_sorted_by_magnitude() {
         let (corpus, model) = trained();
-        let report = model.evaluate(&corpus.apps[1].program);
+        let report = model.evaluate_program(&corpus.apps[1].program, 1);
         for w in report.attributions.windows(2) {
             assert!(w[0].contribution.abs() >= w[1].contribution.abs());
         }
@@ -337,7 +310,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let report = model.evaluate(&p);
+        let report = model.evaluate_program(&p, 1);
         assert!(
             report
                 .hints
@@ -356,7 +329,7 @@ mod tests {
     fn risk_score_bounds() {
         let (corpus, model) = trained();
         for app in corpus.apps.iter().take(3) {
-            let r = model.evaluate(&app.program);
+            let r = model.evaluate_program(&app.program, 1);
             let score = r.risk_score();
             assert!((0.0..=100.0).contains(&score), "{score}");
         }
@@ -365,7 +338,7 @@ mod tests {
     #[test]
     fn cwe_risk_lookup() {
         let (corpus, model) = trained();
-        let report = model.evaluate(&corpus.apps[0].program);
+        let report = model.evaluate_program(&corpus.apps[0].program, 1);
         // The battery always includes CWE-121; probability present iff the
         // hypothesis was trainable on this corpus.
         let p = report.cwe_risk(Cwe::StackBufferOverflow);

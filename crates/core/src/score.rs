@@ -1,16 +1,18 @@
-//! High-throughput risk scoring: the compiled serving path.
+//! Risk scoring: the one engine every scoring path runs.
 //!
-//! Training produces a [`TrainedModel`] of boxed per-row models;
-//! [`TrainedModel::compile`] lowers the whole battery into a
-//! [`CompiledModel`] of flattened `secml` models ([`CompiledClassifier`] /
-//! [`CompiledRegressor`]). [`CompiledModel::evaluate_batch`] then scores a
-//! whole corpus at once: feature rows are prepared into one reused
-//! scratch buffer (no per-app allocation), assembled into a single
-//! columnar [`ColMatrix`], and every model in the battery scores the full
-//! matrix with its compiled `predict_batch` engine, fanned out over the
-//! pipeline work-stealing pool. Reports are bit-identical to the boxed
-//! per-row path ([`crate::metric::evaluate_features`]) for any worker
-//! count.
+//! Training produces a [`TrainedModel`](crate::train::TrainedModel), a
+//! builder of boxed per-row models;
+//! [`TrainedModel::compile`](crate::train::TrainedModel::compile) lowers
+//! the whole battery into a [`CompiledModel`] of flattened `secml` models
+//! ([`CompiledClassifier`] / [`CompiledRegressor`]), and that is the only
+//! type that scores. [`CompiledModel::evaluate_batch`] scores a whole
+//! corpus at once: feature rows are prepared into one reused scratch
+//! buffer (no per-app allocation), assembled into a single columnar
+//! [`ColMatrix`], and every model in the battery scores the full matrix
+//! with its compiled `predict_batch` engine, fanned out over the pipeline
+//! work-stealing pool. Reports are identical for any worker count, and
+//! equal bit for bit the reports of the boxed row-by-row scorer this
+//! engine replaced (frozen in `tests/fixtures/scoring.golden`).
 //!
 //! Compiled models also persist: [`CompiledModel::save`] /
 //! [`CompiledModel::load`] write a versioned, serde-free binary format
@@ -19,7 +21,9 @@
 
 use crate::hypothesis::{standard_battery, Hypothesis};
 use crate::metric::{assemble_report, SecurityReport};
+use crate::testbed::Testbed;
 use crate::train::SeverityBand;
+use minilang::ast::Program;
 use secml::bytes::{ByteReader, ByteWriter};
 use secml::dataset::ColMatrix;
 use secml::preprocess::{signed_log1p, Standardizer};
@@ -34,13 +38,20 @@ const VERSION: u32 = 1;
 
 /// Batches below this many apps run sequentially even when `jobs > 1`:
 /// pool fan-out (task dispatch, cross-core cache traffic, per-chunk
-/// scratch) costs more than it saves on small corpora — the measured
-/// inversion in `results/BENCH_INFER.json` had 4 workers *slower* than
-/// 1 at 117 rows. Outputs are bit-identical either way (the worker-count
+/// scratch) costs more than it saves on small corpora — an earlier
+/// `BENCH_INFER` snapshot measured 4 workers *slower* than 1 at 117
+/// rows. Outputs are bit-identical either way (the worker-count
 /// invariance the tests prove), so the clamp is purely a scheduling
 /// decision. Shared by [`CompiledModel::evaluate_batch`] and the
 /// explanation engine ([`crate::explain`]).
 pub(crate) const PARALLEL_MIN_ROWS: usize = 128;
+
+/// One model of a compiled battery; [`CompiledModel::battery`] lists them
+/// in scoring order.
+pub(crate) enum BatteryModel<'a> {
+    Classify(&'a CompiledClassifier),
+    Regress(&'a CompiledRegressor),
+}
 
 /// A trained battery compiled for batched scoring and persistence.
 pub struct CompiledModel {
@@ -93,7 +104,7 @@ pub(crate) fn prepare_row_into(
 /// The dense half of [`prepare_row_into`]: a raw schema-width row, in
 /// place through log1p and standardization, then its kept columns into
 /// `out` — the same transform training applied.
-pub(crate) fn prepare_dense_into(
+fn prepare_dense_into(
     log_transform: bool,
     standardizer: &Standardizer,
     kept: &[usize],
@@ -129,6 +140,21 @@ impl CompiledModel {
 
     pub fn n_hypotheses(&self) -> usize {
         self.hypotheses.len()
+    }
+
+    /// Every model of the battery in scoring order: the hypothesis
+    /// classifiers (battery order), the count regressor, then the
+    /// severity regressors. Prediction vectors, attributions and report
+    /// assembly all index models in this order.
+    pub(crate) fn battery(&self) -> Vec<BatteryModel<'_>> {
+        let classifiers = self
+            .hypotheses
+            .iter()
+            .map(|(_, m)| BatteryModel::Classify(m));
+        let regressors = std::iter::once(&self.count_model)
+            .chain(self.severity_models.iter().map(|(_, m)| m))
+            .map(BatteryModel::Regress);
+        classifiers.chain(regressors).collect()
     }
 
     /// Compile every tree-shaped model in the battery to its quantized,
@@ -213,26 +239,15 @@ impl CompiledModel {
     /// prediction vector per model, rows in corpus order.
     pub fn score_battery(&self, batch: &PreparedBatch, jobs: usize) -> Vec<Vec<f64>> {
         let jobs = self.clamp_jobs(batch.rows.len(), jobs);
-        enum Task<'a> {
-            Classify(&'a CompiledClassifier),
-            Regress(&'a CompiledRegressor),
-        }
-        let mut tasks: Vec<Task> = self
-            .hypotheses
-            .iter()
-            .map(|(_, m)| Task::Classify(m))
-            .collect();
-        tasks.push(Task::Regress(&self.count_model));
-        tasks.extend(self.severity_models.iter().map(|(_, m)| Task::Regress(m)));
-        pipeline::parallel_map(jobs, &tasks, |_, task| match task {
-            Task::Classify(model) => model.predict_batch(&batch.matrix),
-            Task::Regress(model) => model.predict_batch(&batch.matrix),
+        pipeline::parallel_map(jobs, &self.battery(), |_, model| match model {
+            BatteryModel::Classify(m) => m.predict_batch(&batch.matrix),
+            BatteryModel::Regress(m) => m.predict_batch(&batch.matrix),
         })
     }
 
     /// Small batches run sequentially regardless of `jobs`; see
     /// [`PARALLEL_MIN_ROWS`].
-    fn clamp_jobs(&self, rows: usize, jobs: usize) -> usize {
+    pub(crate) fn clamp_jobs(&self, rows: usize, jobs: usize) -> usize {
         if rows < PARALLEL_MIN_ROWS {
             1
         } else if jobs == 0 {
@@ -248,8 +263,7 @@ impl CompiledModel {
     /// [`prepare_batch`](CompiledModel::prepare_batch), then
     /// [`score_battery`](CompiledModel::score_battery), then per-app
     /// report assembly — all three stages fan out over `jobs` pool
-    /// workers (0 = all cores). Output is bit-identical to calling
-    /// [`crate::metric::evaluate_features`] per app, for any `jobs`.
+    /// workers (0 = all cores). Output is bit-identical for any `jobs`.
     pub fn evaluate_batch(
         &self,
         apps: &[(String, FeatureVector)],
@@ -269,8 +283,8 @@ impl CompiledModel {
                 .zip(&predictions)
                 .map(|((h, _), scores)| (*h, scores[i]))
                 .collect();
-            // Same back-transforms as the boxed `predicted_count` /
-            // `predicted_severity_counts`.
+            // Back-transforms: the count model predicts log10(n), the
+            // severity models log10(1 + n).
             let predicted = 10f64.powf(predictions[n_hyp][i]).max(0.0);
             let severity: Vec<(SeverityBand, f64)> = self
                 .severity_models
@@ -294,6 +308,45 @@ impl CompiledModel {
                 severity,
             )
         })
+    }
+
+    /// `hypothesis`'s probabilities for raw dense rows in training-schema
+    /// order, prepared as training prepared them and scored in one batch;
+    /// `None` when the hypothesis was degenerate at training time.
+    pub(crate) fn hypothesis_batch_dense(
+        &self,
+        hypothesis: Hypothesis,
+        rows: &[&[f64]],
+    ) -> Option<Vec<f64>> {
+        let (_, classifier) = self.hypotheses.iter().find(|(h, _)| *h == hypothesis)?;
+        let mut full = Vec::new();
+        let prepared: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|dense| {
+                full.clear();
+                full.extend_from_slice(dense);
+                let mut row = Vec::with_capacity(self.kept.len());
+                prepare_dense_into(
+                    self.log_transform,
+                    &self.standardizer,
+                    &self.kept,
+                    &mut full,
+                    &mut row,
+                );
+                row
+            })
+            .collect();
+        Some(classifier.predict_batch(&ColMatrix::from_rows(&prepared)))
+    }
+
+    /// Evaluate one program end to end: extract its features, then
+    /// score them through [`evaluate_batch`](CompiledModel::evaluate_batch).
+    /// The report names the program.
+    pub fn evaluate_program(&self, program: &Program, jobs: usize) -> SecurityReport {
+        let fv = Testbed::new().extract(program);
+        self.evaluate_batch(&[(program.name.clone(), fv)], jobs)
+            .pop()
+            .expect("one app in, one report out")
     }
 
     /// Serialize to the versioned binary format.
@@ -396,6 +449,11 @@ impl CompiledModel {
             severity_models.push((band, CompiledRegressor::decode(&mut r)?));
         }
         let risk_weights = r.get_f64s()?;
+        // Bytes past the model (a longer old file overwritten in place)
+        // would load under a fingerprint no `to_bytes` reproduces.
+        if !r.is_done() {
+            return Err(format!("{} trailing bytes after the model", r.remaining()));
+        }
         Ok(CompiledModel {
             feature_names,
             log_transform,
@@ -442,7 +500,7 @@ fn get_strings(r: &mut ByteReader) -> Result<Vec<String>, String> {
 mod tests {
     use super::*;
     use crate::testbed::Testbed;
-    use crate::testutil::{shared_corpus, shared_model};
+    use crate::testutil::{shared_compiled, shared_corpus, shared_model};
     use crate::train::{Learner, Trainer, TrainerConfig};
 
     fn corpus_features() -> Vec<(String, FeatureVector)> {
@@ -485,22 +543,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_reports_match_boxed_path_bitwise() {
-        let model = shared_model();
-        let compiled = model.compile();
+    fn batch_reports_match_scalar_path_bitwise() {
+        // The per-row reference: `explain_features` walks each compiled
+        // model one row at a time, and its report must equal the batch
+        // kernels' report exactly.
+        let compiled = shared_compiled();
         let apps = corpus_features();
         let batch = compiled.evaluate_batch(&apps, 1);
         assert_eq!(batch.len(), apps.len());
         for ((name, fv), report) in apps.iter().zip(&batch) {
-            let boxed = crate::metric::evaluate_features(model, name.clone(), fv);
-            reports_bit_identical(&boxed, report);
+            let scalar = compiled.explain_features(name.clone(), fv).report;
+            reports_bit_identical(&scalar, report);
         }
     }
 
     #[test]
     fn worker_count_does_not_change_reports() {
-        let model = shared_model();
-        let compiled = model.compile();
+        let compiled = shared_compiled();
         let apps = corpus_features();
         let one = compiled.evaluate_batch(&apps, 1);
         let four = compiled.evaluate_batch(&apps, 4);
@@ -514,7 +573,7 @@ mod tests {
         // Small corpora are clamped to one worker, so tile past
         // PARALLEL_MIN_ROWS to exercise real pool fan-out in all three
         // stages — and prove it still changes nothing.
-        let compiled = shared_model().compile();
+        let compiled = shared_compiled();
         let seed = corpus_features();
         let apps: Vec<(String, FeatureVector)> = (0..PARALLEL_MIN_ROWS + 5)
             .map(|i| {
@@ -532,8 +591,8 @@ mod tests {
     #[test]
     fn optimized_battery_reports_are_bit_identical() {
         // An eagerly optimized, linked battery against one that compiles
-        // its programs unlinked on first use, and both against the boxed
-        // per-row reference.
+        // its programs unlinked on first use, and both against the
+        // scalar per-row walk.
         let model = shared_model();
         let lazy = model.compile();
         let optimized = model.compile();
@@ -545,15 +604,14 @@ mod tests {
             reports_bit_identical(a, b);
         }
         for ((name, fv), report) in apps.iter().zip(&linked) {
-            let boxed = crate::metric::evaluate_features(model, name.clone(), fv);
-            reports_bit_identical(&boxed, report);
+            let scalar = lazy.explain_features(name.clone(), fv).report;
+            reports_bit_identical(&scalar, report);
         }
     }
 
     #[test]
     fn byte_roundtrip_preserves_predictions() {
-        let model = shared_model();
-        let compiled = model.compile();
+        let compiled = shared_compiled();
         let bytes = compiled.to_bytes();
         let loaded = CompiledModel::from_bytes(&bytes).expect("roundtrip");
         let apps = corpus_features();
@@ -568,8 +626,7 @@ mod tests {
     fn malformed_bytes_are_rejected() {
         assert!(CompiledModel::from_bytes(b"nope").is_err());
         assert!(CompiledModel::from_bytes(b"CLVY\xFF\xFF\xFF\xFF").is_err());
-        let model = shared_model();
-        let bytes = model.compile().to_bytes();
+        let bytes = shared_compiled().to_bytes();
         assert!(CompiledModel::from_bytes(&bytes[..bytes.len() / 2]).is_err());
     }
 
@@ -619,7 +676,7 @@ mod tests {
         assert!(CompiledModel::load(&empty).is_err());
 
         // Truncated file: a real model cut mid-stream must error too.
-        let bytes = shared_model().compile().to_bytes();
+        let bytes = shared_compiled().to_bytes();
         let truncated = dir.join(format!("clairvoyant-truncated-model-{pid}.clvy"));
         std::fs::write(&truncated, &bytes[..bytes.len() - 9]).unwrap();
         assert!(CompiledModel::load(&truncated).is_err());
@@ -667,6 +724,17 @@ mod tests {
                 CompiledModel::from_bytes(&bytes[..cut]).is_err(),
                 "a {cut}-byte truncation decoded"
             );
+        }
+        // Bytes past the end — a longer old file overwritten in place
+        // without truncation — would be served under a fingerprint that
+        // no `to_bytes` reproduces.
+        for tail in [vec![0u8], bytes.clone()] {
+            let mut appended = bytes.clone();
+            appended.extend_from_slice(&tail);
+            let err = CompiledModel::from_bytes(&appended)
+                .err()
+                .unwrap_or_else(|| panic!("{} appended bytes decoded", tail.len()));
+            assert!(err.contains("trailing"), "{err}");
         }
         let mut panicked = Vec::new();
         for value in [1u64 << 20, u64::MAX] {

@@ -20,7 +20,6 @@
 use crate::metric::SecurityReport;
 use crate::score::CompiledModel;
 use crate::testbed::Testbed;
-use crate::train::TrainedModel;
 use minilang::ast::{PrivLevel, Program};
 use static_analysis::FeatureVector;
 use std::fmt;
@@ -154,41 +153,19 @@ impl fmt::Display for SystemReport {
     }
 }
 
-/// Evaluate a whole system with the trained per-application metric.
+/// Evaluate a whole system with the per-application metric, components
+/// on `jobs` workers (0 = all cores).
+///
+/// Feature extraction fans out per component on the pool, then the whole
+/// system is scored in one batched pass — the same engine the CLI `score`
+/// subcommand uses. Components are independent and the report assembles
+/// them in spec order, so the output is identical for any worker count.
 ///
 /// Aggregation: `score = max(weighted component risks) + chain bonus`,
 /// where the weakest-link max implements the paper's expectation and the
 /// chain bonus captures network-facing → privileged lateral movement that
 /// containment boundaries dampen.
-pub fn evaluate_system(model: &TrainedModel, system: &SystemSpec) -> SystemReport {
-    evaluate_system_jobs(model, system, 0)
-}
-
-/// [`evaluate_system`] with components evaluated on `jobs` workers
-/// (0 = all cores). Components are independent and the report assembles
-/// them in spec order, so the output is identical for any worker count.
-pub fn evaluate_system_jobs(
-    model: &TrainedModel,
-    system: &SystemSpec,
-    jobs: usize,
-) -> SystemReport {
-    let compiled = model.compile();
-    // Compile and link the battery's programs before scoring, so every
-    // component shares one quantization of the matrix.
-    compiled.optimize();
-    evaluate_system_compiled(&compiled, system, jobs)
-}
-
-/// [`evaluate_system_jobs`] against an already-compiled model (e.g. one
-/// loaded from disk). Feature extraction fans out per component on the
-/// pool, then the whole system is scored in one batched pass — the same
-/// engine the CLI `score` subcommand uses. Reports are bit-identical to
-/// the boxed per-component path for any worker count.
-pub fn evaluate_system_compiled(
-    model: &CompiledModel,
-    system: &SystemSpec,
-    jobs: usize,
-) -> SystemReport {
+pub fn evaluate_system(model: &CompiledModel, system: &SystemSpec, jobs: usize) -> SystemReport {
     assert!(
         !system.components.is_empty(),
         "a system needs at least one component"
@@ -200,7 +177,7 @@ pub fn evaluate_system_compiled(
     };
     // Extraction dominates the wall clock; one task per component. The
     // report keeps the program name (not the component name) as the app
-    // label, matching `TrainedModel::evaluate`.
+    // label, matching `CompiledModel::evaluate_program`.
     let extracted: Vec<(String, FeatureVector)> =
         pipeline::parallel_map(jobs, &system.components, |_, c| {
             (c.program.name.clone(), Testbed::new().extract(&c.program))
@@ -295,7 +272,7 @@ pub fn evaluate_system_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::shared_model;
+    use crate::testutil::shared_compiled;
     use minilang::{parse_program, Dialect};
 
     fn component(name: &str, src: &str, exposure: Exposure, containment: Containment) -> Component {
@@ -331,8 +308,8 @@ mod tests {
 
     #[test]
     fn weakest_link_drives_the_score() {
-        let model = shared_model();
-        let report = evaluate_system(model, &sys(Containment::None));
+        let model = shared_compiled();
+        let report = evaluate_system(model, &sys(Containment::None), 1);
         assert_eq!(report.weakest, "frontend");
         let front = report
             .components
@@ -345,8 +322,8 @@ mod tests {
 
     #[test]
     fn escalation_chain_found_when_uncontained() {
-        let model = shared_model();
-        let report = evaluate_system(model, &sys(Containment::None));
+        let model = shared_compiled();
+        let report = evaluate_system(model, &sys(Containment::None), 1);
         assert_eq!(
             report.escalation_chain,
             Some(("frontend".to_string(), "agent".to_string())),
@@ -356,9 +333,9 @@ mod tests {
 
     #[test]
     fn vm_containment_lowers_system_risk() {
-        let model = shared_model();
-        let open = evaluate_system(model, &sys(Containment::None));
-        let contained = evaluate_system(model, &sys(Containment::Vm));
+        let model = shared_compiled();
+        let open = evaluate_system(model, &sys(Containment::None), 1);
+        let contained = evaluate_system(model, &sys(Containment::Vm), 1);
         assert!(
             contained.score <= open.score,
             "VM containment must not raise risk: {} vs {}",
@@ -369,7 +346,7 @@ mod tests {
 
     #[test]
     fn single_component_system_matches_app_risk_weighting() {
-        let model = shared_model();
+        let model = shared_compiled();
         let system = SystemSpec {
             name: "solo".into(),
             components: vec![component(
@@ -379,7 +356,7 @@ mod tests {
                 Containment::None,
             )],
         };
-        let report = evaluate_system(model, &system);
+        let report = evaluate_system(model, &system, 1);
         assert_eq!(report.weakest, "app");
         assert!(report.escalation_chain.is_none());
         let app = &report.components[0];
@@ -388,20 +365,20 @@ mod tests {
 
     #[test]
     fn internal_exposure_weighs_less_than_network() {
-        let model = shared_model();
+        let model = shared_compiled();
         let mk = |exposure| SystemSpec {
             name: "x".into(),
             components: vec![component("app", RISKY_FRONT, exposure, Containment::None)],
         };
-        let net = evaluate_system(model, &mk(Exposure::NetworkFacing));
-        let internal = evaluate_system(model, &mk(Exposure::Internal));
+        let net = evaluate_system(model, &mk(Exposure::NetworkFacing), 1);
+        let internal = evaluate_system(model, &mk(Exposure::Internal), 1);
         assert!(net.score > internal.score);
     }
 
     #[test]
     fn display_renders_components_and_chain() {
-        let model = shared_model();
-        let text = evaluate_system(model, &sys(Containment::None)).to_string();
+        let model = shared_compiled();
+        let text = evaluate_system(model, &sys(Containment::None), 1).to_string();
         assert!(text.contains("weakest link"));
         assert!(text.contains("frontend"));
         assert!(text.contains("system risk"));

@@ -667,7 +667,10 @@ impl fmt::Display for TrainingReport {
     }
 }
 
-/// A trained, applicable model — the §5.3 deliverable.
+/// The training phase's product: the fitted battery with its inspectable
+/// weights. It does not score; [`compile`](TrainedModel::compile) lowers
+/// it into the [`CompiledModel`] that every scoring path runs — the §5.3
+/// deliverable.
 pub struct TrainedModel {
     /// Names of the kept features, in column order.
     pub feature_names: Vec<String>,
@@ -724,93 +727,10 @@ impl SeverityBand {
 }
 
 impl TrainedModel {
-    /// Transform a raw feature vector into the model's input row.
-    pub fn prepare_row(&self, fv: &static_analysis::FeatureVector) -> Vec<f64> {
-        let mut full = Vec::new();
-        let mut out = Vec::new();
-        crate::score::prepare_row_into(
-            &self.all_feature_names,
-            self.log_transform,
-            &self.standardizer,
-            &self.kept,
-            fv,
-            &mut full,
-            &mut out,
-        );
-        out
-    }
-
-    /// Transform a raw dense feature row — already in training-schema
-    /// order (see [`TrainedModel::schema`]) — into the model's input row.
-    /// The streaming twin of [`prepare_row`](TrainedModel::prepare_row)
-    /// for callers that cache dense rows instead of feature maps.
-    pub fn prepare_dense_row(&self, full: &[f64]) -> Vec<f64> {
-        let mut full = full.to_vec();
-        let mut out = Vec::new();
-        crate::score::prepare_dense_into(
-            self.log_transform,
-            &self.standardizer,
-            &self.kept,
-            &mut full,
-            &mut out,
-        );
-        out
-    }
-
-    /// The full (pre-selection) training schema, in column order.
-    pub fn schema(&self) -> &[String] {
-        &self.all_feature_names
-    }
-
-    /// Predicted probability for one hypothesis (None if it was degenerate
-    /// at training time).
-    pub fn hypothesis_probability(&self, hypothesis: Hypothesis, row: &[f64]) -> Option<f64> {
-        self.hypotheses
-            .iter()
-            .find(|(h, _)| *h == hypothesis)
-            .map(|(_, m)| m.predict_proba(row))
-    }
-
-    /// All trained hypotheses with their probabilities for `row`.
-    pub fn all_hypotheses(&self, row: &[f64]) -> Vec<(Hypothesis, f64)> {
-        self.hypotheses
-            .iter()
-            .map(|(h, m)| (*h, m.predict_proba(row)))
-            .collect()
-    }
-
-    /// Predicted vulnerability count (back-transformed from log10).
-    pub fn predicted_count(&self, row: &[f64]) -> f64 {
-        10f64.powf(self.count_model.predict(row)).max(0.0)
-    }
-
-    /// Predicted report counts per severity band.
-    pub fn predicted_severity_counts(&self, row: &[f64]) -> Vec<(SeverityBand, f64)> {
-        self.severity_models
-            .iter()
-            .map(|(band, model)| (*band, (10f64.powf(model.predict(row)) - 1.0).max(0.0)))
-            .collect()
-    }
-
-    /// Evaluate a program end-to-end into a [`crate::SecurityReport`].
-    pub fn evaluate(&self, program: &minilang::ast::Program) -> crate::SecurityReport {
-        crate::metric::evaluate(self, program)
-    }
-
-    /// Evaluate pre-extracted features into a [`crate::SecurityReport`]
-    /// (the per-row reference path the batched engine is checked against).
-    pub fn evaluate_features(
-        &self,
-        app: String,
-        fv: &static_analysis::FeatureVector,
-    ) -> crate::SecurityReport {
-        crate::metric::evaluate_features(self, app, fv)
-    }
-
     /// Lower the whole battery into a [`CompiledModel`]: every boxed
     /// model becomes its flattened `secml` compiled form for batched
-    /// scoring and serde-free persistence. Predictions are bit-identical
-    /// to this model's row-at-a-time path.
+    /// scoring and serde-free persistence. Its predictions are
+    /// bit-identical to each boxed model's `predict_proba` / `predict`.
     pub fn compile(&self) -> CompiledModel {
         CompiledModel {
             feature_names: self.feature_names.clone(),
@@ -842,7 +762,6 @@ impl TrainedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::Testbed;
 
     fn corpus() -> &'static Corpus {
         crate::testutil::shared_corpus()
@@ -869,12 +788,11 @@ mod tests {
     #[test]
     fn prediction_is_finite_and_positive() {
         let corpus = corpus();
-        let model = Trainer::new().train(corpus);
-        let fv = Testbed::new().extract(&corpus.apps[0].program);
-        let row = model.prepare_row(&fv);
-        let count = model.predicted_count(&row);
+        let model = Trainer::new().train(corpus).compile();
+        let report = model.evaluate_program(&corpus.apps[0].program, 1);
+        let count = report.predicted_vulnerabilities;
         assert!(count.is_finite() && count >= 0.0);
-        for (_, p) in model.all_hypotheses(&row) {
+        for (_, p) in report.hypotheses {
             assert!((0.0..=1.0).contains(&p));
         }
     }
@@ -925,11 +843,9 @@ mod tests {
     fn all_learners_train() {
         let corpus = corpus();
         for learner in Learner::ALL {
-            let model = Trainer::with_learner(learner).train(corpus);
-            let fv = Testbed::new().extract(&corpus.apps[0].program);
-            let row = model.prepare_row(&fv);
-            let p = model.hypothesis_probability(Hypothesis::AnyHighSeverity, &row);
-            if let Some(p) = p {
+            let model = Trainer::with_learner(learner).train(corpus).compile();
+            let report = model.evaluate_program(&corpus.apps[0].program, 1);
+            if let Some(p) = report.high_severity_risk {
                 assert!((0.0..=1.0).contains(&p), "{learner}: {p}");
             }
         }
@@ -967,13 +883,16 @@ mod tests {
             "spilled streaming differs"
         );
 
-        // The dense-row scorer matches the feature-map scorer.
-        let fv = &extraction.features[0].1;
-        let a = spilled.prepare_row(fv);
-        let b = spilled.prepare_dense_row(&rows[0]);
+        // Replay's dense-row scorer matches the feature-map scorer.
+        let compiled = spilled.compile();
+        let report = compiled
+            .evaluate_batch(&extraction.features[..1], 1)
+            .remove(0);
+        let dense = compiled.hypothesis_batch_dense(Hypothesis::AnyHighSeverity, &[&rows[0]]);
+        assert!(dense.is_some(), "high-severity hypothesis is trainable");
         assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            report.high_severity_risk.map(f64::to_bits),
+            dense.map(|p| p[0].to_bits())
         );
     }
 

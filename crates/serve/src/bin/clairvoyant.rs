@@ -27,12 +27,10 @@
 use clairvoyant::longitudinal::{replay, LongitudinalConfig};
 use clairvoyant::prelude::*;
 use clairvoyant::report::{explanation_json, security_report_json, Json};
-use clairvoyant::{
-    classify_delta, version_delta_compiled, IncrementalTestbed, RiskChange, Testbed,
-};
+use clairvoyant::{classify_delta, IncrementalTestbed, RiskChange, Testbed};
 use serve::client::{error_type, is_ok, Client, Fleet};
 use serve::server::{ModelState, ServeConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -188,11 +186,13 @@ fn load_program(name: &str, paths: &[String]) -> Result<minilang::ast::Program, 
     minilang::parse_program(name, dialect, &files).map_err(|e| format!("parse error: {e}"))
 }
 
-/// The CLI's trained model: a fixed-seed mid-size corpus, trained once per
-/// invocation (a production deployment would persist the model; retraining
-/// keeps this binary self-contained and deterministic; `score
-/// --save-model` persists it and `--model` skips training).
-fn trained_model(jobs: usize, train_jobs: usize) -> TrainedModel {
+/// The CLI's trained model: a fixed-seed mid-size corpus, trained and
+/// compiled once per invocation (a production deployment would persist
+/// the model; retraining keeps this binary self-contained and
+/// deterministic; `score --save-model` persists it and `--model` skips
+/// training).
+fn trained_model(jobs: usize, train_jobs: usize) -> CompiledModel {
+    eprintln!("training the metric (fixed-seed corpus)…");
     let mut config = CorpusConfig::small(20, 20170408);
     config.language_mix = [15, 2, 1, 2];
     let corpus = Corpus::generate(&config);
@@ -202,6 +202,26 @@ fn trained_model(jobs: usize, train_jobs: usize) -> TrainedModel {
         ..Default::default()
     })
     .train(&corpus)
+    .compile()
+}
+
+/// The model a scoring command runs: loaded from `model_path` when given,
+/// else trained, with its kernels compiled for the whole battery up front.
+fn scoring_model(
+    model_path: Option<&Path>,
+    jobs: usize,
+    train_jobs: usize,
+) -> Result<CompiledModel, String> {
+    let model = match model_path {
+        Some(path) => {
+            let model = CompiledModel::load(path)?;
+            eprintln!("loaded compiled model from `{}`", path.display());
+            model
+        }
+        None => trained_model(jobs, train_jobs),
+    };
+    model.optimize();
+    Ok(model)
 }
 
 fn lint(paths: &[String]) -> Result<ExitCode, String> {
@@ -239,9 +259,8 @@ fn evaluate(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode,
         _ => (false, args.to_vec()),
     };
     let program = load_program("input", &paths)?;
-    eprintln!("training the metric (fixed-seed corpus)…");
-    let model = trained_model(jobs, train_jobs);
-    let report = model.evaluate(&program);
+    let model = scoring_model(None, jobs, train_jobs)?;
+    let report = model.evaluate_program(&program, jobs);
     if json {
         println!("{}", security_report_json(&report));
     } else {
@@ -277,19 +296,7 @@ fn score(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, St
         return Err("no input files".to_string());
     }
 
-    let compiled = match &model_path {
-        Some(path) => {
-            let model = CompiledModel::load(path)?;
-            eprintln!("loaded compiled model from `{}`", path.display());
-            model
-        }
-        None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(jobs, train_jobs).compile()
-        }
-    };
-    // Codegen: quantized kernels for the whole battery, once up front.
-    compiled.optimize();
+    let compiled = scoring_model(model_path.as_deref(), jobs, train_jobs)?;
     if let Some(path) = &save_path {
         compiled.save(path)?;
         eprintln!("saved compiled model to `{}`", path.display());
@@ -364,19 +371,7 @@ fn explain(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, 
         return Err("no input files".to_string());
     }
 
-    let compiled = match &model_path {
-        Some(path) => {
-            let model = CompiledModel::load(path)?;
-            eprintln!("loaded compiled model from `{}`", path.display());
-            model
-        }
-        None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(jobs, train_jobs).compile()
-        }
-    };
-    // Codegen: quantized kernels for the whole battery, once up front.
-    compiled.optimize();
+    let compiled = scoring_model(model_path.as_deref(), jobs, train_jobs)?;
 
     let mut rendered = Vec::new();
     for path in &paths {
@@ -400,9 +395,8 @@ fn compare(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, 
     };
     let pa = load_program(a, std::slice::from_ref(a))?;
     let pb = load_program(b, std::slice::from_ref(b))?;
-    eprintln!("training the metric (fixed-seed corpus)…");
-    let model = trained_model(jobs, train_jobs);
-    let cmp = compare_programs(&model, &pa, &pb);
+    let model = scoring_model(None, jobs, train_jobs)?;
+    let cmp = compare_programs(&model, &pa, &pb, jobs);
     println!("{cmp}");
     Ok(ExitCode::SUCCESS)
 }
@@ -475,8 +469,7 @@ fn serve_cmd(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode
             state
         }
         None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            let state = ModelState::from_model(trained_model(jobs, train_jobs).compile());
+            let state = ModelState::from_model(trained_model(jobs, train_jobs));
             eprintln!("serving model {}", state.fingerprint_hex());
             state
         }
@@ -818,18 +811,8 @@ fn gate(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, Str
     let pa = load_program("after", std::slice::from_ref(after))?;
     // CI shape: load a persisted compiled model (`score --save-model`)
     // instead of retraining the fixed-seed corpus on every push.
-    let delta = match &model_path {
-        Some(path) => {
-            let compiled = CompiledModel::load(path)?;
-            eprintln!("loaded compiled model from `{}`", path.display());
-            compiled.optimize();
-            version_delta_compiled(&compiled, &pb, &pa, jobs)
-        }
-        None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            version_delta(&trained_model(jobs, train_jobs), &pb, &pa)
-        }
-    };
+    let model = scoring_model(model_path.as_deref(), jobs, train_jobs)?;
+    let delta = version_delta(&model, &pb, &pa, jobs);
     println!("{delta}");
     Ok(match delta.verdict {
         RiskChange::Raised => ExitCode::FAILURE,
@@ -942,18 +925,7 @@ fn watch(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, St
     }
     let state_path = state_path.unwrap_or_else(|| dir.join(".clairvoyant-watch"));
 
-    let compiled = match &model_path {
-        Some(path) => {
-            let model = CompiledModel::load(path)?;
-            eprintln!("loaded compiled model from `{}`", path.display());
-            model
-        }
-        None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(jobs, train_jobs).compile()
-        }
-    };
-    compiled.optimize();
+    let compiled = scoring_model(model_path.as_deref(), jobs, train_jobs)?;
 
     let project = dir
         .file_name()

@@ -55,7 +55,7 @@ fn main() {
     let mut config = CorpusConfig::small(20, 23);
     config.language_mix = [15, 2, 1, 2];
     let corpus = Corpus::generate(&config);
-    let model = Trainer::new().train(&corpus);
+    let model = Trainer::new().train(&corpus).compile();
 
     let versions = [
         ("v1 → v2 (hardening)", V1, V2),
@@ -75,7 +75,7 @@ fn main() {
             &[("src/main.c".to_string(), after_src.to_string())],
         )
         .expect("parses");
-        let delta = version_delta(&model, &before, &after);
+        let delta = version_delta(&model, &before, &after, 1);
         println!("\n== {label} ==");
         println!("{delta}");
         if delta.verdict == RiskChange::Raised {

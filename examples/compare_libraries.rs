@@ -61,7 +61,7 @@ fn main() {
     let mut config = CorpusConfig::small(20, 11);
     config.language_mix = [15, 2, 1, 2];
     let corpus = Corpus::generate(&config);
-    let model = Trainer::new().train(&corpus);
+    let model = Trainer::new().train(&corpus).compile();
 
     let turbo = parse_program(
         "libturbo",
@@ -76,7 +76,7 @@ fn main() {
     )
     .expect("libsteady parses");
 
-    let comparison = compare_programs(&model, &turbo, &steady);
+    let comparison = compare_programs(&model, &turbo, &steady, 1);
     println!("\n{comparison}\n");
     println!("--- full report for each candidate ---");
     println!("{}", comparison.a);

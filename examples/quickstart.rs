@@ -27,6 +27,8 @@ fn main() {
     let trainer = Trainer::new();
     let (model, training_report) = trainer.train_with_report(&corpus);
     println!("{training_report}");
+    // Compile the trained battery: the compiled model is what scores.
+    let model = model.compile();
 
     // 3. Evaluate a new program the model has never seen.
     let source = r#"
@@ -49,7 +51,7 @@ fn main() {
     )
     .expect("example program parses");
 
-    let report = model.evaluate(&program);
+    let report = model.evaluate_program(&program, 1);
     println!("{report}");
     println!("JSON: {}", security_report_json(&report));
 }

@@ -55,7 +55,7 @@ fn main() {
     let mut config = CorpusConfig::small(20, 1999);
     config.language_mix = [15, 2, 1, 2];
     let corpus = Corpus::generate(&config);
-    let model = Trainer::new().train(&corpus);
+    let model = Trainer::new().train(&corpus).compile();
 
     for (label, containment) in [
         ("flat deployment (no containment)", Containment::None),
@@ -74,7 +74,7 @@ fn main() {
                 component("config-agent", AGENT, Exposure::Infrastructure, containment),
             ],
         };
-        let report = evaluate_system(&model, &system);
+        let report = evaluate_system(&model, &system, 0);
         println!("\n== {label} ==");
         println!("{report}");
     }

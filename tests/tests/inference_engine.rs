@@ -1,11 +1,13 @@
 //! Cross-crate checks for the batched inference engine: for every
 //! learner and across dialect-skewed corpora, compile → serialize →
-//! deserialize → `evaluate_batch` must reproduce the boxed per-row
-//! reference path bit-for-bit at any worker count, on disk as well as in
-//! memory, and system evaluation must not depend on workers either.
+//! deserialize → `evaluate_batch` must reproduce the scalar per-row
+//! reference path (each compiled model walked one row at a time)
+//! bit-for-bit at any worker count, on disk as well as in memory, and
+//! system evaluation must not depend on workers either. Equality with
+//! the boxed scorer the engine replaced is `scoring_golden.rs`.
 
 use clairvoyant::prelude::*;
-use clairvoyant::system::{evaluate_system_jobs, Containment, Exposure};
+use clairvoyant::system::{evaluate_system, Containment, Exposure};
 use clairvoyant::SecurityReport;
 use clairvoyant::{Component, SystemSpec};
 use static_analysis::FeatureVector;
@@ -95,22 +97,24 @@ fn assert_reports_identical(a: &SecurityReport, b: &SecurityReport, context: &st
     );
 }
 
-/// Boxed per-row reference reports for a corpus.
-fn boxed_reports(model: &TrainedModel, apps: &[(String, FeatureVector)]) -> Vec<SecurityReport> {
+/// Scalar per-row reference reports for a corpus: every compiled model
+/// walked one row at a time (`explain_features`), no batch kernel.
+fn scalar_reports(model: &CompiledModel, apps: &[(String, FeatureVector)]) -> Vec<SecurityReport> {
     apps.iter()
-        .map(|(name, fv)| model.evaluate_features(name.clone(), fv))
+        .map(|(name, fv)| model.explain_features(name.clone(), fv).report)
         .collect()
 }
 
 /// The full journey — compile, serialize, deserialize, batch-score at 1
-/// and 4 workers — compared against the boxed reference path.
-fn assert_roundtrip_matches_boxed(
+/// and 4 workers — compared against the scalar reference path.
+fn assert_roundtrip_matches_scalar(
     model: &TrainedModel,
     apps: &[(String, FeatureVector)],
     context: &str,
 ) {
-    let reference = boxed_reports(model, apps);
-    let bytes = model.compile().to_bytes();
+    let compiled = model.compile();
+    let reference = scalar_reports(&compiled, apps);
+    let bytes = compiled.to_bytes();
     let decoded = CompiledModel::from_bytes(&bytes).expect("roundtrip decodes");
     for jobs in [1, 4] {
         let batched = decoded.evaluate_batch(apps, jobs);
@@ -132,7 +136,7 @@ fn every_learner_roundtrips_bit_identically() {
             ..Default::default()
         })
         .train(&train_corpus);
-        assert_roundtrip_matches_boxed(&model, &apps, &format!("learner {learner}"));
+        assert_roundtrip_matches_scalar(&model, &apps, &format!("learner {learner}"));
     }
 }
 
@@ -151,7 +155,7 @@ fn dialect_skewed_corpora_score_identically() {
         let mut config = CorpusConfig::small(12, 7 + i as u64);
         config.language_mix = language_mix;
         let apps = extract_apps(&Corpus::generate(&config));
-        assert_roundtrip_matches_boxed(&model, &apps, &format!("dialect mix {language_mix:?}"));
+        assert_roundtrip_matches_scalar(&model, &apps, &format!("dialect mix {language_mix:?}"));
     }
 }
 
@@ -163,10 +167,11 @@ fn saved_model_scores_identically_after_reload() {
     })
     .train(&Corpus::generate(&CorpusConfig::small(16, 20177)));
     let apps = extract_apps(&Corpus::generate(&CorpusConfig::small(10, 41)));
-    let reference = boxed_reports(&model, &apps);
+    let compiled = model.compile();
+    let reference = scalar_reports(&compiled, &apps);
 
     let path = std::env::temp_dir().join(format!("clairvoyant-model-{}.clvy", std::process::id()));
-    model.compile().save(&path).expect("model saves");
+    compiled.save(&path).expect("model saves");
     let loaded = CompiledModel::load(&path).expect("model loads");
     let _ = std::fs::remove_file(&path);
 
@@ -518,11 +523,11 @@ mod kernel_fuzz {
 
 /// Serve's wire responses come from programs compiled and linked at
 /// load (`ModelState` runs `optimize()` before the state is published);
-/// they must be bitwise the JSON rendered from the boxed per-row
-/// reference (`TrainedModel::evaluate_features`) — the end-to-end
-/// closure of the program equality gates.
+/// they must be bitwise the JSON rendered from the scalar per-row
+/// reference (`CompiledModel::explain_features`, no batch kernel) — the
+/// end-to-end closure of the program equality gates.
 #[test]
-fn served_scores_are_bit_identical_to_the_boxed_reference() {
+fn served_scores_are_bit_identical_to_the_scalar_reference() {
     use clairvoyant::report::{security_report_value, Json};
     use serve::client::{is_ok, Client};
     use serve::server::{ModelState, ServeConfig};
@@ -534,8 +539,8 @@ fn served_scores_are_bit_identical_to_the_boxed_reference() {
     .train(&Corpus::generate(&CorpusConfig::small(14, 20177)));
     let apps = extract_apps(&Corpus::generate(&CorpusConfig::small(8, 53)));
 
-    // Offline reference: the boxed battery, one pointer walk per row.
-    let expected: Vec<String> = boxed_reports(&model, &apps)
+    // Offline reference: the unlinked battery, one scalar walk per row.
+    let expected: Vec<String> = scalar_reports(&model.compile(), &apps)
         .iter()
         .map(|r| security_report_value(r).to_string())
         .collect();
@@ -594,8 +599,10 @@ fn system_reports_do_not_depend_on_worker_count() {
             })
             .collect(),
     };
-    let one = evaluate_system_jobs(&model, &system, 1);
-    let four = evaluate_system_jobs(&model, &system, 4);
+    let compiled = model.compile();
+    compiled.optimize();
+    let one = evaluate_system(&compiled, &system, 1);
+    let four = evaluate_system(&compiled, &system, 4);
     assert_eq!(one.score.to_bits(), four.score.to_bits());
     assert_eq!(one.weakest, four.weakest);
     assert_eq!(one.escalation_chain, four.escalation_chain);

@@ -7,25 +7,23 @@ use corpus::{Corpus, CorpusConfig};
 use cvedb::SelectionCriteria;
 use std::sync::OnceLock;
 
-fn shared() -> &'static (Corpus, TrainedModel) {
-    static SHARED: OnceLock<(Corpus, TrainedModel)> = OnceLock::new();
+fn shared() -> &'static (Corpus, CompiledModel) {
+    static SHARED: OnceLock<(Corpus, CompiledModel)> = OnceLock::new();
     SHARED.get_or_init(|| {
         let mut config = CorpusConfig::small(20, 90210);
         config.language_mix = [14, 2, 2, 2];
         config.max_kloc = 2.5;
         let corpus = Corpus::generate(&config);
-        let model = Trainer::new().train(&corpus);
+        let model = Trainer::new().train(&corpus).compile();
         (corpus, model)
     })
 }
-
-use clairvoyant::train::TrainedModel;
 
 #[test]
 fn full_pipeline_produces_reports_for_every_app() {
     let (corpus, model) = shared();
     for app in corpus.apps.iter().take(5) {
-        let report = model.evaluate(&app.program);
+        let report = model.evaluate_program(&app.program, 1);
         assert!(report.predicted_vulnerabilities.is_finite());
         assert!((0.0..=100.0).contains(&report.risk_score()));
         assert!(!report.attributions.is_empty());
@@ -41,7 +39,7 @@ fn predictions_track_ground_truth_ordering() {
     let mut pairs: Vec<(f64, f64)> = Vec::new();
     for h in &histories {
         let app = corpus.apps.iter().find(|a| a.spec.name == h.app).unwrap();
-        let report = model.evaluate(&app.program);
+        let report = model.evaluate_program(&app.program, 1);
         pairs.push((report.predicted_vulnerabilities, h.total as f64));
     }
     let xs: Vec<f64> = pairs.iter().map(|p| p.0.ln_1p()).collect();
@@ -105,8 +103,8 @@ fn comparison_and_gate_work_on_corpus_apps() {
     let (corpus, model) = shared();
     let a = &corpus.apps[0].program;
     let b = &corpus.apps[1].program;
-    let cmp = clairvoyant::compare_programs(model, a, b);
+    let cmp = clairvoyant::compare_programs(model, a, b, 1);
     assert!(cmp.preferred() == cmp.a.app || cmp.preferred() == cmp.b.app);
-    let delta = clairvoyant::version_delta(model, a, a);
+    let delta = clairvoyant::version_delta(model, a, a, 1);
     assert_eq!(delta.score_delta, 0.0);
 }

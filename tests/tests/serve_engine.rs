@@ -385,11 +385,11 @@ fn explain_and_compare_wire_responses_match_offline() {
         &[("libsafe.src".to_string(), safer.to_string())],
     )
     .unwrap();
-    let offline = comparison_value(&compare_programs_compiled(&model, &pa, &pb, 1)).to_string();
+    let offline = comparison_value(&compare_programs(&model, &pa, &pb, 1)).to_string();
     assert_eq!(
         response_part(&response, "comparison"),
         offline,
-        "served comparison diverged from offline compare_programs_compiled"
+        "served comparison diverged from offline compare_programs"
     );
 
     // The stats endpoint accounts for both new ops.
@@ -806,6 +806,35 @@ fn reloading_a_model_that_indexes_past_its_schema_is_refused() {
         assert_eq!(fp, fx.fp_a, "the damaged model was published");
         assert_eq!(&report, &fx.expected_a[name]);
     }
+    std::fs::remove_file(&bad).ok();
+    handle.shutdown();
+}
+
+#[test]
+fn a_model_file_with_trailing_bytes_is_refused() {
+    // Model B with one byte appended (a longer file overwritten in place
+    // without truncation) would serve under a fingerprint that no
+    // `to_bytes` reproduces: loading and reloading it must fail typed.
+    let fx = fixture();
+    let mut bytes = std::fs::read(&fx.path_b).expect("read model B");
+    bytes.push(0);
+    let bad = std::env::temp_dir().join(format!(
+        "clairvoyant-serve-trailing-{}.clvy",
+        std::process::id()
+    ));
+    std::fs::write(&bad, &bytes).expect("write padded model");
+    let err = ModelState::load(&bad)
+        .err()
+        .expect("a padded model file loaded");
+    assert!(err.contains("trailing"), "{err}");
+
+    let handle = start_server(ServeConfig::default());
+    let mut client = connect(handle.addr());
+    let response = client.reload(Some(bad.to_str().unwrap())).expect("reload");
+    assert_eq!(error_type(&response), Some("bad_request"), "{response}");
+    let (name, fv) = &fx.apps[0];
+    let (fp, _) = score_parts(&client.score_features(name, fv).expect("score"));
+    assert_eq!(fp, fx.fp_a, "the padded model was published");
     std::fs::remove_file(&bad).ok();
     handle.shutdown();
 }

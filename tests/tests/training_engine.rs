@@ -178,13 +178,12 @@ fn trainer_output_is_bit_identical_across_worker_counts() {
                 ..Default::default()
             });
             let (model, report) = trainer.train_with_report(&corpus);
-            let row = model.prepare_row(&probe);
-            let mut bits: Vec<u64> = model
-                .all_hypotheses(&row)
-                .iter()
-                .map(|(_, p)| p.to_bits())
-                .collect();
-            bits.push(model.predicted_count(&row).to_bits());
+            let scored = model
+                .compile()
+                .evaluate_batch(&[("probe".to_string(), probe.clone())], 1)
+                .remove(0);
+            let mut bits: Vec<u64> = scored.hypotheses.iter().map(|(_, p)| p.to_bits()).collect();
+            bits.push(scored.predicted_vulnerabilities.to_bits());
             bits.extend(model.risk_weights.iter().map(|w| w.to_bits()));
             bits.push(report.count_cv.r_squared.to_bits());
             for h in &report.hypothesis_reports {
