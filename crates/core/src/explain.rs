@@ -197,12 +197,12 @@ impl CompiledModel {
     /// Explain a program: extract features, explain them, and attach the
     /// top-`top_k` function hotspots.
     pub fn explain_program(&self, program: &Program, top_k: usize, jobs: usize) -> Explanation {
-        let fv = Testbed::new().extract(program);
+        let (fv, hotspots) = Testbed::new().extract_with(program, |cx| rank_hotspots_cx(cx, top_k));
         let mut explanation = self
             .explain_batch(&[(program.name.clone(), fv)], jobs)
             .pop()
             .expect("one app in, one explanation out");
-        explanation.hotspots = rank_hotspots(program, top_k);
+        explanation.hotspots = hotspots;
         explanation
     }
 

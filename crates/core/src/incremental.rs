@@ -19,11 +19,16 @@
 //!   for free — a changed callee changes its callers' summary digests, so
 //!   stale memo entries simply stop matching.
 //!
-//! The merged [`FeatureVector`] is **bit-identical** to a from-scratch
-//! build: the cheap structural half of every function context
-//! ([`FnStructure`]) is rebuilt from the current AST each time, cached
-//! payloads are pure functions of the fingerprinted inputs, and the final
-//! merge goes through literally the same `Testbed::run_families` path.
+//! The engine builds no context of its own: it hands
+//! [`AnalysisContext::build_with`] — the one context builder, which
+//! interns, orders functions, runs taint and counts lines for every
+//! caller — a `run` closure that joins each hit's cached payload to a
+//! freshly built structure, plus the taint memo. The merged
+//! [`FeatureVector`] is **bit-identical** to a from-scratch build: the
+//! cheap structural half of every function context ([`FnStructure`]) is
+//! rebuilt from the current AST each time, cached payloads are pure
+//! functions of the fingerprinted inputs, and the final merge goes
+//! through literally the same `Testbed::run_families` path.
 //! `tests/tests/incremental_engine.rs` asserts this under seeded random
 //! edits; the `incremental_throughput` bench races it against scratch.
 
@@ -33,10 +38,8 @@ use minilang::{Dialect, Span};
 use pipeline::fn_cache::FnStore;
 use pipeline::fnv::Fnv1a;
 use pipeline::Extractor as _;
-use static_analysis::context::{
-    standard_path_config, AnalysisContext, FnPayload, FnStructure, FunctionContext, ProgramSymbols,
-};
-use static_analysis::taint::{self, IntraMemo, IntraResult};
+use static_analysis::context::{AnalysisContext, FnPayload, FnStructure, FunctionContext};
+use static_analysis::taint::{IntraMemo, IntraResult};
 use static_analysis::FeatureVector;
 use std::sync::{Arc, Mutex};
 
@@ -73,11 +76,17 @@ pub struct IncrReport {
 #[derive(Debug)]
 struct FnEntry {
     payload: FnPayload,
-    /// Memoized intraprocedural taint passes. Spans inside each result
-    /// are absolute for the function position recorded in its `anchor`;
-    /// they are rebased to the function's current position on every hit.
-    taint_memo: Mutex<Vec<TaintMemoEntry>>,
+    /// Memoized intraprocedural taint passes. Its own `Arc` because an
+    /// extraction hands the slot to the taint pass before a missed
+    /// function's entry exists.
+    taint_memo: Arc<TaintMemo>,
 }
+
+/// One function's memoized intraprocedural taint passes. Spans inside
+/// each result are absolute for the function position recorded in its
+/// `anchor`; they are rebased to the function's current position on
+/// every hit.
+type TaintMemo = Mutex<Vec<TaintMemoEntry>>;
 
 #[derive(Debug)]
 struct TaintMemoEntry {
@@ -146,82 +155,71 @@ impl IncrementalTestbed {
     }
 
     /// [`extract_stats`](IncrementalTestbed::extract_stats) plus
-    /// `inspect` run over the assembled analysis context — what hotspot
-    /// ranking reads, without building a second context.
+    /// `inspect` run over the analysis context extraction built — what
+    /// hotspot ranking reads, without building a second context.
     pub fn extract_stats_with<R>(
         &mut self,
         program: &Program,
         inspect: impl FnOnce(&AnalysisContext<'_>) -> R,
     ) -> (FeatureVector, IncrReport, R) {
+        // Probe the store sequentially (it needs `&mut`), one key per
+        // function in `program.functions()` order.
         let salt = self.salt(program);
-        let symbols = ProgramSymbols::intern(program);
-
-        // Probe the store sequentially (it needs `&mut`), collecting the
-        // per-function job list in `program.functions()` order.
-        let funcs: Vec<(&Module, &Function)> = program
+        let keys: Vec<u64> = program
             .modules
             .iter()
-            .flat_map(|m| m.functions.iter().map(move |f| (m, f)))
+            .flat_map(|m| m.functions.iter().map(move |f| function_key(salt, m, f)))
             .collect();
         self.store.take_counters();
-        let cached: Vec<Option<Arc<FnEntry>>> = funcs
-            .iter()
-            .map(|&(m, f)| self.store.get(function_key(salt, m, f)))
-            .collect();
+        let cached: Vec<Option<Arc<FnEntry>>> =
+            keys.iter().map(|&key| self.store.get(key)).collect();
         let counters = self.store.take_counters();
 
-        // Rebuild: cheap structure for everyone, fixpoints only for
-        // misses. Entries are independent, so this fans out on the
-        // testbed's per-function workers — order-preserving merge keeps
-        // the vector bit-identical for any worker count.
-        let indices: Vec<usize> = (0..funcs.len()).collect();
-        let build = |i: usize| -> FunctionContext<'_> {
-            let (_, f) = funcs[i];
-            let structure = FnStructure::build(f, &symbols);
-            match &cached[i] {
-                Some(entry) => structure.assemble(entry.payload.clone()),
-                None => {
-                    let payload = structure.compute_payload(&standard_path_config());
-                    structure.assemble(payload)
-                }
-            }
-        };
-        let functions: Vec<FunctionContext<'_>> =
-            self.testbed.map_functions(&indices, |&i| build(i));
-
-        // Cache the rebuilt payloads and line every function up with its
-        // (new or resident) entry for the taint memo.
-        let entries: Vec<Arc<FnEntry>> = funcs
+        // Every function's taint memo slot exists before the build: a
+        // resident entry brings its own, a miss starts an empty one that
+        // its entry takes over once the payload is built.
+        let memos: Vec<Arc<TaintMemo>> = cached
             .iter()
-            .zip(&cached)
-            .zip(&functions)
-            .map(|((&(m, f), slot), fcx)| match slot {
-                Some(entry) => Arc::clone(entry),
-                None => {
-                    let entry = Arc::new(FnEntry {
-                        payload: fcx.payload(),
-                        taint_memo: Mutex::new(Vec::new()),
-                    });
-                    self.store
-                        .insert(function_key(salt, m, f), Arc::clone(&entry));
-                    entry
-                }
+            .map(|entry| {
+                entry
+                    .as_ref()
+                    .map_or_else(Arc::default, |e| Arc::clone(&e.taint_memo))
             })
             .collect();
-
-        // The interprocedural fixpoint re-runs every extraction (it is
-        // where cross-function invalidation lives), but its per-function
-        // passes are memoized on the entries.
         let memo = SessionMemo {
-            entries: &entries,
-            spans: funcs.iter().map(|&(_, f)| f.span).collect(),
+            memos: &memos,
+            spans: program.functions().map(|f| f.span).collect(),
         };
-        let taint = taint::analyze_contexts_memo(program, &functions, &memo);
 
-        let cx = AnalysisContext::assemble(program, symbols, functions, taint);
+        // Cheap structure for everyone, fixpoints only for misses, fanned
+        // out on the testbed's per-function workers; the interprocedural
+        // fixpoint re-runs every extraction (it is where cross-function
+        // invalidation lives), but its per-function passes are memoized.
+        let cx = AnalysisContext::build_with(
+            program,
+            |symbols, funcs| {
+                self.testbed.map_functions(funcs, |i, &f| match &cached[i] {
+                    Some(entry) => FnStructure::build(f, symbols).assemble(entry.payload.clone()),
+                    None => FunctionContext::build(f, symbols),
+                })
+            },
+            Some(&memo),
+        );
+
+        // Cache the rebuilt payloads, each joined with its memo slot.
+        for (i, fcx) in cx.functions.iter().enumerate() {
+            if cached[i].is_none() {
+                let entry = FnEntry {
+                    payload: fcx.payload(),
+                    taint_memo: Arc::clone(&memos[i]),
+                };
+                self.store.insert(keys[i], Arc::new(entry));
+            }
+        }
+
         let fv = self.testbed.run_families(program, &cx);
         let report = IncrReport {
-            functions: funcs.len(),
+            functions: keys.len(),
             hits: counters.hits,
             misses: counters.misses,
             rebuilt: counters.misses,
@@ -277,20 +275,20 @@ fn dialect_code(d: Dialect) -> u64 {
     }
 }
 
-/// The [`IntraMemo`] for one extraction: per-function entries aligned to
-/// the context slice, plus each function's *current* span so cached spans
-/// can be rebased. A function whose text is unchanged but which moved
+/// The [`IntraMemo`] for one extraction: per-function memo slots aligned
+/// to the context slice, plus each function's *current* span so cached
+/// spans can be rebased. A function whose text is unchanged but which moved
 /// within its file shifts every internal span by a constant byte/line
 /// delta (columns are pinned by keying the start column), so translating
 /// the cached sink spans reproduces a fresh run exactly.
 struct SessionMemo<'a> {
-    entries: &'a [Arc<FnEntry>],
+    memos: &'a [Arc<TaintMemo>],
     spans: Vec<Span>,
 }
 
 impl IntraMemo for SessionMemo<'_> {
     fn get(&self, idx: usize, params_tainted: bool, digest: u64) -> Option<IntraResult> {
-        let memo = self.entries[idx].taint_memo.lock().unwrap();
+        let memo = self.memos[idx].lock().unwrap();
         let hit = memo
             .iter()
             .find(|e| e.params_tainted == params_tainted && e.digest == digest)?;
@@ -298,7 +296,7 @@ impl IntraMemo for SessionMemo<'_> {
     }
 
     fn put(&self, idx: usize, params_tainted: bool, digest: u64, result: &IntraResult) {
-        let mut memo = self.entries[idx].taint_memo.lock().unwrap();
+        let mut memo = self.memos[idx].lock().unwrap();
         if memo.len() >= TAINT_MEMO_CAP {
             memo.remove(0);
         }
@@ -356,6 +354,22 @@ fn pure(a: int, b: int) -> int { return a + b; }";
         assert_eq!(report.functions, 3);
         assert_eq!(report.hits, 0);
         assert_eq!(report.misses, 3);
+    }
+
+    #[test]
+    fn cold_taint_passes_land_in_the_stored_entries() {
+        // A miss's memo slot exists before taint runs and is joined to
+        // its entry afterwards, so a warm repeat replays the cold passes.
+        let p = program(BASE);
+        let mut engine = IncrementalTestbed::new();
+        engine.extract(&p);
+        let salt = engine.salt(&p);
+        let m = &p.modules[0];
+        for f in &m.functions {
+            let entry = engine.store.get(function_key(salt, m, f)).unwrap();
+            let passes = entry.taint_memo.lock().unwrap().len();
+            assert!(passes > 0, "{} kept no taint pass", f.name);
+        }
     }
 
     #[test]

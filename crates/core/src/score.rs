@@ -44,7 +44,7 @@ const VERSION: u32 = 1;
 /// invariance the tests prove), so the clamp is purely a scheduling
 /// decision. Shared by [`CompiledModel::evaluate_batch`] and the
 /// explanation engine ([`crate::explain`]).
-pub(crate) const PARALLEL_MIN_ROWS: usize = 128;
+pub const PARALLEL_MIN_ROWS: usize = 128;
 
 /// One model of a compiled battery; [`CompiledModel::battery`] lists them
 /// in scoring order.

@@ -21,7 +21,7 @@
 use attack_graph::{interaction_facts, AttackGraph, AttackSurface, VectorKind};
 use bugfind::{DiagSeverity, MetaReport, MetaTool};
 use minilang::ast::Program;
-use static_analysis::context::{standard_path_config, AnalysisContext, FunctionContext};
+use static_analysis::context::{AnalysisContext, FunctionContext};
 use static_analysis::taint::TaintReport;
 use static_analysis::{standard_registry, FeatureVector, Registry};
 use std::collections::BTreeMap;
@@ -68,17 +68,32 @@ impl Testbed {
 
     /// Extract the full feature vector for one program.
     pub fn extract(&self, program: &Program) -> FeatureVector {
-        let start = Instant::now();
-        let cx = self.build_context(program);
-        self.record("context", start.elapsed());
-        self.run_families(program, &cx)
+        self.extract_with(program, |_| ()).0
     }
 
-    /// Run every collector family over a prebuilt context and merge the
+    /// [`extract`](Testbed::extract) plus `inspect` run over the analysis
+    /// context extraction built — what hotspot ranking reads, without
+    /// building a second context.
+    pub fn extract_with<R>(
+        &self,
+        program: &Program,
+        inspect: impl FnOnce(&AnalysisContext<'_>) -> R,
+    ) -> (FeatureVector, R) {
+        let start = Instant::now();
+        let cx = AnalysisContext::build_with(
+            program,
+            |symbols, funcs| self.map_functions(funcs, |_, &f| FunctionContext::build(f, symbols)),
+            None,
+        );
+        self.record("context", start.elapsed());
+        (self.run_families(program, &cx), inspect(&cx))
+    }
+
+    /// Run every collector family over a built context and merge the
     /// results. This is the whole of [`extract`](Testbed::extract) minus
-    /// context construction — the incremental engine assembles its own
-    /// context from cached per-function entries and joins back here, so
-    /// the merged vector is produced by literally the same code path.
+    /// context construction — the incremental engine builds its context
+    /// from cached per-function entries and joins back here, so the
+    /// merged vector is produced by literally the same code path.
     pub(crate) fn run_families(
         &self,
         program: &Program,
@@ -103,28 +118,21 @@ impl Testbed {
         fv
     }
 
-    fn build_context<'p>(&self, program: &'p Program) -> AnalysisContext<'p> {
-        AnalysisContext::build_with(program, |symbols, funcs| {
-            self.map_functions(funcs, |&f| {
-                FunctionContext::build(f, symbols, &standard_path_config())
-            })
-        })
-    }
-
-    /// Map `f` over per-function work items on the `fn_jobs` workers,
-    /// in input order (inline when `fn_jobs` is 1). The one per-function
-    /// fan-out: the incremental engine runs its rebuilds through it too.
+    /// Map `f(index, item)` over per-function work items on the `fn_jobs`
+    /// workers, in input order (inline when `fn_jobs` is 1). The one
+    /// per-function fan-out: the incremental engine runs its rebuilds
+    /// through it too.
     pub(crate) fn map_functions<T: Sync, R: Send>(
         &self,
         items: &[T],
-        f: impl Fn(&T) -> R + Sync,
+        f: impl Fn(usize, &T) -> R + Sync,
     ) -> Vec<R> {
         let workers = if self.fn_jobs == 0 {
             pipeline::default_workers()
         } else {
             self.fn_jobs
         };
-        pipeline::parallel_map(workers, items, |_, item| f(item))
+        pipeline::parallel_map(workers, items, f)
     }
 
     fn record(&self, name: &str, took: Duration) {

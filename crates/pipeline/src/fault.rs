@@ -1,52 +1,34 @@
-//! Fault isolation for one program's extraction.
+//! The one panic guard.
 //!
-//! A corpus sweep must survive any single program: a panicking collector
-//! yields a degraded-but-schema-stable vector plus a recorded
-//! [`PipelineError`] — the batch never dies. Panics are contained with
-//! `catch_unwind`; the payload message is preserved in the error.
+//! [`guard`] runs a closure under `catch_unwind` and turns a panic into a
+//! [`PipelineError`] carrying the payload message. Every long-lived or
+//! batch caller that must survive one bad input goes through it:
+//! [`crate::extract_batch`] (a panicking program gets the extractor's
+//! degraded-but-schema-stable vector and a recorded error — the batch
+//! never dies), the serve shard's per-job input resolution and its
+//! per-batch scoring, and `clairvoyant watch`'s rescore loop.
+//!
+//! One-shot commands (`evaluate`, `explain`, `compare`, `gate`,
+//! `features`) are deliberately not guarded: a panic there ends the
+//! process with a nonzero exit. Degrading instead would score the
+//! all-zero vector, and a CI gate could pass a broken version.
 //!
 //! There is no wall-clock budget: a worker thread cannot be pre-empted
-//! safely, so a check after the extractor returns could not stop a
+//! safely, so a check after the closure returns could not stop a
 //! runaway program. Bounds belong in front of and inside the analyses
 //! (the parser's nesting and expression depth limits are one).
 
 use crate::report::PipelineError;
-use crate::Extractor;
-use minilang::ast::Program;
-use static_analysis::FeatureVector;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
 
-/// The outcome of one guarded extraction.
-pub(crate) struct GuardedOutcome {
-    pub features: FeatureVector,
-    pub error: Option<PipelineError>,
-    pub took: Duration,
-}
-
-/// Run `extractor` over `program` under a panic guard. On a panic the
-/// extractor's schema-stable [`Extractor::degraded`] vector is
-/// substituted.
-pub(crate) fn guarded_extract<E: Extractor>(extractor: &E, program: &Program) -> GuardedOutcome {
-    let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| extractor.extract(program)));
-    let took = start.elapsed();
-
-    match result {
-        Ok(features) => GuardedOutcome {
-            features,
-            error: None,
-            took,
-        },
-        Err(payload) => GuardedOutcome {
-            features: extractor.degraded(),
-            // `&*payload`, not `&payload`: a `&Box<dyn Any>` would unsize
-            // to a `&dyn Any` wrapping the box itself and every downcast
-            // would miss.
-            error: Some(PipelineError::Panicked(panic_message(&*payload))),
-            took,
-        },
-    }
+/// Run `f`, returning its value, or the panic it raised as a
+/// [`PipelineError::Panicked`] with the payload message. The caller owns
+/// recovery: state `f` may have left half-updated must be replaced.
+pub fn guard<T>(f: impl FnOnce() -> T) -> Result<T, PipelineError> {
+    // `&*payload`, not `&payload`: a `&Box<dyn Any>` would unsize to a
+    // `&dyn Any` wrapping the box itself and every downcast would miss.
+    catch_unwind(AssertUnwindSafe(f))
+        .map_err(|payload| PipelineError::Panicked(panic_message(&*payload)))
 }
 
 /// Best-effort extraction of the panic payload message.
@@ -63,6 +45,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Extractor;
+    use minilang::ast::Program;
+    use static_analysis::FeatureVector;
 
     struct Flaky;
 
@@ -90,24 +75,31 @@ mod tests {
 
     #[test]
     fn clean_extraction_passes_through() {
-        let out = guarded_extract(&Flaky, &program("good"));
-        assert!(out.error.is_none());
-        assert_eq!(out.features.get("f.ok"), Some(1.0));
+        let features = guard(|| Flaky.extract(&program("good"))).unwrap();
+        assert_eq!(features.get("f.ok"), Some(1.0));
     }
 
     #[test]
     fn panic_degrades_with_message() {
-        let out = guarded_extract(&Flaky, &program("bad"));
+        let injected = PipelineError::Panicked("injected failure in bad".into());
         assert_eq!(
-            out.features.get("f.ok"),
+            guard(|| Flaky.extract(&program("bad"))),
+            Err(injected.clone())
+        );
+        assert_eq!(
+            guard(|| -> u32 { panic!("static payload") }),
+            Err(PipelineError::Panicked("static payload".into()))
+        );
+
+        // The batch driver substitutes the schema-stable degraded vector.
+        let (good, bad) = (program("good"), program("bad"));
+        let (vectors, report) = crate::extract_batch(&Flaky, &[&good, &bad], 1);
+        assert_eq!(vectors[0].get("f.ok"), Some(1.0));
+        assert_eq!(
+            vectors[1].get("f.ok"),
             Some(0.0),
             "degraded vector is schema-stable"
         );
-        match out.error {
-            Some(PipelineError::Panicked(msg)) => {
-                assert!(msg.contains("injected failure"), "got: {msg:?}")
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
+        assert_eq!(report.errors, vec![("bad".to_string(), injected)]);
     }
 }

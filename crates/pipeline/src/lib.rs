@@ -8,10 +8,10 @@
 //!    ([`pool::parallel_map`]) fans the batch across `jobs` workers while
 //!    preserving input order, so parallel output is byte-identical to
 //!    sequential output.
-//! 2. **Fault isolation** — each program runs under `catch_unwind`; a
-//!    panicking extraction yields the extractor's degraded but
-//!    schema-stable vector plus a recorded [`PipelineError`], never a
-//!    dead batch.
+//! 2. **Fault isolation** — each program runs under [`fault::guard`],
+//!    the workspace's one panic guard; a panicking extraction yields the
+//!    extractor's degraded but schema-stable vector plus a recorded
+//!    [`PipelineError`], never a dead batch.
 //! 3. **Observability** — extraction time, per-collector timings,
 //!    programs/sec and the degraded programs, summarized in a
 //!    [`PipelineReport`] (with one-line JSON for BENCH_* tracking).
@@ -108,7 +108,9 @@ pub fn extract_batch<E: Extractor>(
     let start = Instant::now();
     let workers = if jobs == 0 { default_workers() } else { jobs };
     let outcomes = parallel_map(workers, programs, |_, program| {
-        fault::guarded_extract(extractor, program)
+        let start = Instant::now();
+        let features = fault::guard(|| extractor.extract(program));
+        (features, start.elapsed())
     });
     let mut report = PipelineReport {
         programs: programs.len(),
@@ -118,12 +120,12 @@ pub fn extract_batch<E: Extractor>(
     let vectors = programs
         .iter()
         .zip(outcomes)
-        .map(|(program, outcome)| {
-            report.extract += outcome.took;
-            if let Some(error) = outcome.error {
+        .map(|(program, (features, took))| {
+            report.extract += took;
+            features.unwrap_or_else(|error| {
                 report.errors.push((program.name.clone(), error));
-            }
-            outcome.features
+                extractor.degraded()
+            })
         })
         .collect();
     report.collectors = extractor.take_collector_timings();

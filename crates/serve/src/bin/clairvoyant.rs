@@ -889,7 +889,10 @@ fn verdict_line(before: f64, after: f64) -> (RiskChange, String) {
 /// in a large project re-analyzes one function; each re-score prints the
 /// gate verdict against the previous score and the process exits 1 on
 /// the first RAISED verdict (the CI-gate contract). `--once` does a
-/// single round against the state file instead of looping.
+/// single round against the state file instead of looping. Each rescore
+/// runs under the pipeline's panic guard: a panic prints an error line
+/// and replaces the engine; the loop keeps polling, while a failed
+/// baseline or `--once` round exits 1.
 fn watch(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let mut model_path: Option<PathBuf> = None;
     let mut state_path: Option<PathBuf> = None;
@@ -950,9 +953,24 @@ fn watch(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, St
         let reports = compiled.evaluate_batch(&[(project.clone(), fv)], jobs);
         Ok(reports[0].risk_score())
     };
+    // A panic inside one rescore prints an error line and replaces the
+    // engine, whose entry store may be half-updated; `None` tells the
+    // caller no score came out.
+    let guarded = |incr: &mut IncrementalTestbed| -> Result<Option<f64>, String> {
+        match pipeline::fault::guard(|| rescore(&mut *incr)) {
+            Ok(score) => score.map(Some),
+            Err(e) => {
+                eprintln!("error: rescore failed: {e}");
+                *incr = IncrementalTestbed::new().with_fn_jobs(jobs);
+                Ok(None)
+            }
+        }
+    };
 
     if once {
-        let score = rescore(&mut incr)?;
+        let Some(score) = guarded(&mut incr)? else {
+            return Ok(ExitCode::FAILURE);
+        };
         let previous = std::fs::read_to_string(&state_path)
             .ok()
             .and_then(|s| u64::from_str_radix(s.trim(), 16).ok())
@@ -976,7 +994,9 @@ fn watch(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, St
     }
 
     let mut stamps = scan_sources(&dir)?;
-    let mut score = rescore(&mut incr)?;
+    let Some(mut score) = guarded(&mut incr)? else {
+        return Ok(ExitCode::FAILURE);
+    };
     println!("baseline risk {score:.1}");
     loop {
         std::thread::sleep(interval);
@@ -985,7 +1005,10 @@ fn watch(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, St
             continue;
         }
         stamps = current;
-        let next = rescore(&mut incr)?;
+        // After a failed rescore, keep polling: the next change retries.
+        let Some(next) = guarded(&mut incr)? else {
+            continue;
+        };
         let (verdict, line) = verdict_line(score, next);
         println!("{line}");
         let _ = std::fs::write(&state_path, format!("{:016x}\n", next.to_bits()));

@@ -215,32 +215,13 @@ impl FrameBuffer {
     }
 }
 
-/// Read one frame, tolerating read timeouts: on `WouldBlock`/`TimedOut`
-/// the `keep_waiting` callback decides whether to keep blocking (server
-/// shutdown wants handler threads to notice the flag even while idle).
-/// Returning `false` mid-frame counts as a desync, between frames as a
-/// clean close.
-pub fn read_frame(
-    stream: &mut impl Read,
-    keep_waiting: &mut impl FnMut() -> bool,
-) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; 4];
-    read_exactly(stream, &mut header, true, keep_waiting)?;
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::Desync(format!(
-            "frame length {len} exceeds the {MAX_FRAME}-byte limit"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    read_exactly(stream, &mut payload, false, keep_waiting)?;
-    Ok(payload)
-}
-
-/// Like [`read_frame`], but lands the payload in a caller-owned reused
-/// buffer (resized, not reallocated, once warm) and returns its length.
-/// The pipelined client reads hundreds of responses per connection; this
-/// keeps that loop allocation-free.
+/// Read one frame into a caller-owned reused buffer (resized, not
+/// reallocated, once warm) and return the payload length, tolerating read
+/// timeouts: on `WouldBlock`/`TimedOut` the `keep_waiting` callback
+/// decides whether to keep blocking. Returning `false` mid-frame counts
+/// as a desync, between frames as a clean close. The pipelined client
+/// reads hundreds of responses per connection; the reused buffer keeps
+/// that loop allocation-free.
 pub fn read_frame_into(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
@@ -476,22 +457,23 @@ pub fn ok_response(op: &str, mut fields: Vec<(&str, Json)>) -> Json {
 mod tests {
     use super::*;
 
+    /// One blocking read, the payload copied out.
+    fn read_one(cursor: &mut std::io::Cursor<Vec<u8>>) -> Result<Vec<u8>, FrameError> {
+        let mut buf = Vec::new();
+        let n = read_frame_into(cursor, &mut buf, &mut || true)?;
+        buf.truncate(n);
+        Ok(buf)
+    }
+
     #[test]
     fn frames_round_trip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"{\"op\":\"health\"}").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut cursor = std::io::Cursor::new(buf);
-        let mut wait = || true;
-        assert_eq!(
-            read_frame(&mut cursor, &mut wait).unwrap(),
-            b"{\"op\":\"health\"}"
-        );
-        assert_eq!(read_frame(&mut cursor, &mut wait).unwrap(), b"");
-        assert!(matches!(
-            read_frame(&mut cursor, &mut wait),
-            Err(FrameError::Closed)
-        ));
+        assert_eq!(read_one(&mut cursor).unwrap(), b"{\"op\":\"health\"}");
+        assert_eq!(read_one(&mut cursor).unwrap(), b"");
+        assert!(matches!(read_one(&mut cursor), Err(FrameError::Closed)));
     }
 
     #[test]
@@ -499,10 +481,7 @@ mod tests {
         let mut buf = Vec::from(u32::MAX.to_le_bytes());
         buf.extend_from_slice(b"xx");
         let mut cursor = std::io::Cursor::new(buf);
-        assert!(matches!(
-            read_frame(&mut cursor, &mut || true),
-            Err(FrameError::Desync(_))
-        ));
+        assert!(matches!(read_one(&mut cursor), Err(FrameError::Desync(_))));
     }
 
     #[test]
@@ -510,10 +489,7 @@ mod tests {
         let mut buf = Vec::from(10u32.to_le_bytes());
         buf.extend_from_slice(b"abc");
         let mut cursor = std::io::Cursor::new(buf);
-        assert!(matches!(
-            read_frame(&mut cursor, &mut || true),
-            Err(FrameError::Desync(_))
-        ));
+        assert!(matches!(read_one(&mut cursor), Err(FrameError::Desync(_))));
     }
 
     #[test]

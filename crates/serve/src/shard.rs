@@ -20,12 +20,12 @@
 //! connections produces bit-identical responses to scoring them one by
 //! one — the property the equality gates in the bench and harness pin.
 //!
-//! Panic isolation is preserved from the old batcher: a poisoned row
-//! answers every job in its batch with a typed `internal` error instead
-//! of wedging the shard, and `batch_panics` ticks for the alert. Input
-//! resolution (parse, extraction, hotspot ranking) is isolated per job:
-//! a panic there answers that one job with `internal` and replaces the
-//! shard's engine.
+//! Panic isolation runs through the pipeline's one guard
+//! (`pipeline::fault::guard`): a poisoned row answers every job in its
+//! batch with a typed `internal` error instead of wedging the shard, and
+//! `batch_panics` ticks for the alert. Input resolution (parse,
+//! extraction, hotspot ranking) is isolated per job: a panic there
+//! answers that one job with `internal` and replaces the shard's engine.
 //!
 //! Exit protocol: a shard parks until `shutting_down && inflight == 0`.
 //! The SeqCst handshake in [`crate::server::reserve_slot`] guarantees
@@ -194,15 +194,13 @@ fn isolated<T>(
     engine: &mut IncrementalTestbed,
     resolve: impl FnOnce(&mut IncrementalTestbed) -> Result<T, Json>,
 ) -> Result<T, Json> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| resolve(&mut *engine))).unwrap_or_else(
-        |_| {
-            *engine = IncrementalTestbed::new();
-            Err(error_response(
-                "internal",
-                "input resolution failed on this request",
-            ))
-        },
-    )
+    pipeline::fault::guard(|| resolve(&mut *engine)).unwrap_or_else(|_| {
+        *engine = IncrementalTestbed::new();
+        Err(error_response(
+            "internal",
+            "input resolution failed on this request",
+        ))
+    })
 }
 
 fn model_field(fingerprint: u64) -> (&'static str, Json) {
@@ -304,7 +302,7 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard_id: usize) {
         // in-flight slots. On panic, answer each scoring job in the
         // failed batch with a typed internal error and keep serving.
         let rows = score_apps.len() + explain_apps.len();
-        let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let scored = pipeline::fault::guard(|| {
             let reports = if score_apps.is_empty() {
                 Vec::new()
             } else {
@@ -320,7 +318,7 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard_id: usize) {
                     .explain_batch(&explain_apps, shared.config.jobs)
             };
             (reports, explanations)
-        }));
+        });
         if !shared.config.debug_batch_delay.is_zero() {
             std::thread::sleep(shared.config.debug_batch_delay);
         }

@@ -17,10 +17,15 @@
 //! * one [`LocCounts`] per module, read by the `loc` features and the
 //!   sparse-comment smell.
 //!
-//! Function contexts are independent once interning is done, so
-//! [`AnalysisContext::build_with`] lets callers fan their construction out
-//! over a thread pool — results merge back in program order, keeping every
-//! downstream feature bit-identical for any worker count.
+//! [`AnalysisContext::build_with`] is the only code that puts a context
+//! together: it interns, orders the functions, runs taint and counts
+//! module lines for every caller. Function contexts are independent once
+//! interning is done, so its `run` closure lets callers fan their
+//! construction out over a thread pool — results merge back in program
+//! order, keeping every downstream feature bit-identical for any worker
+//! count — or join a cached [`FnPayload`] to a freshly built
+//! [`FnStructure`], as the incremental engine does. That engine also
+//! passes its cross-extraction taint memo ([`IntraMemo`]) through.
 
 use crate::bitset::BitSet;
 use crate::cfg::{Cfg, NodeId};
@@ -30,7 +35,7 @@ use crate::interval::{self, BoundsReport, Interval};
 use crate::loc::{self, LocCounts};
 use crate::paths::{self, PathConfig, PathReport};
 use crate::symbols::{SymbolId, SymbolTable};
-use crate::taint::{self, TaintReport};
+use crate::taint::{self, IntraMemo, TaintReport};
 use minilang::ast::{Function, Program};
 use minilang::visit;
 use std::collections::HashMap;
@@ -261,11 +266,12 @@ impl<'p> FnStructure<'p> {
     }
 
     /// Run the expensive fixpoints over this structure. Everything the
-    /// result depends on — the structure itself, the global names folded
-    /// into `global_set`, and `path_config` — is covered by the
-    /// incremental engine's fingerprint salt, which is what makes the
-    /// payload safely cacheable.
-    pub fn compute_payload(&self, path_config: &PathConfig) -> FnPayload {
+    /// result depends on — the structure itself and the global names
+    /// folded into `global_set` — is covered by the incremental engine's
+    /// fingerprint salt, and the path limits are the fixed
+    /// [`STANDARD_PATH_CONFIG`], which is what makes the payload safely
+    /// cacheable.
+    pub fn compute_payload(&self) -> FnPayload {
         let (dataflow, dead_store_sites) = dataflow::dataflow_stats_sym_sites(
             &self.cfg,
             &self.rpo,
@@ -290,7 +296,12 @@ impl<'p> FnStructure<'p> {
                 }
                 None => (BoundsReport::default(), Vec::new()),
             };
-        let paths = paths::explore_cfg(&self.cfg, self.function, &self.symbols, path_config);
+        let paths = paths::explore_cfg(
+            &self.cfg,
+            self.function,
+            &self.symbols,
+            &STANDARD_PATH_CONFIG,
+        );
         let has_dead_code = !self.cfg.unreachable_nodes().is_empty();
         let decision_complexity = cyclomatic::decision_complexity(self.function);
         let stmt_hashes = crate::smells::stmt_print_hashes(self.function);
@@ -333,13 +344,9 @@ impl<'p> FunctionContext<'p> {
     /// Build one function's context. Read-only over the shared interning
     /// output, so calls for different functions can run on different
     /// threads.
-    pub fn build(
-        function: &'p Function,
-        program: &ProgramSymbols,
-        path_config: &PathConfig,
-    ) -> FunctionContext<'p> {
+    pub fn build(function: &'p Function, program: &ProgramSymbols) -> FunctionContext<'p> {
         let structure = FnStructure::build(function, program);
-        let payload = structure.compute_payload(path_config);
+        let payload = structure.compute_payload();
         structure.assemble(payload)
     }
 
@@ -369,59 +376,50 @@ pub struct AnalysisContext<'p> {
     pub taint: TaintReport,
     /// Line counts per module, in `program.modules` order.
     pub module_loc: Vec<LocCounts>,
-    path_config: PathConfig,
 }
 
 impl<'p> AnalysisContext<'p> {
     /// Build the context sequentially.
     pub fn build(program: &'p Program) -> AnalysisContext<'p> {
-        Self::build_with(program, |symbols, funcs| {
-            funcs
-                .iter()
-                .map(|&f| FunctionContext::build(f, symbols, &standard_path_config()))
-                .collect()
-        })
+        Self::build_with(
+            program,
+            |symbols, funcs| {
+                funcs
+                    .iter()
+                    .map(|&f| FunctionContext::build(f, symbols))
+                    .collect()
+            },
+            None,
+        )
     }
 
-    /// Build the context with caller-provided per-function fan-out
-    /// (dependency inversion: this crate cannot see the thread pool, so
-    /// the caller maps `FunctionContext::build` over the function list —
-    /// in program order — however it likes). Interning runs first,
-    /// sequentially, so the closure only ever reads the table; the
-    /// interprocedural taint pass runs after the merge.
-    pub fn build_with<F>(program: &'p Program, run: F) -> AnalysisContext<'p>
+    /// Build the context with caller-provided per-function construction —
+    /// the one place a context is put together. Interning runs first,
+    /// sequentially, so `run` only ever reads the table; `run` then maps
+    /// the function list (in `program.functions()` order) to one
+    /// [`FunctionContext`] each, however it likes: fanned out over a
+    /// thread pool this crate cannot see, or joined from cached
+    /// [`FnPayload`]s. The interprocedural taint pass runs after the
+    /// merge, through `memo` when the caller keeps one across builds.
+    pub fn build_with<F>(
+        program: &'p Program,
+        run: F,
+        memo: Option<&dyn IntraMemo>,
+    ) -> AnalysisContext<'p>
     where
         F: FnOnce(&ProgramSymbols, &[&'p Function]) -> Vec<FunctionContext<'p>>,
     {
         let symbols = ProgramSymbols::intern(program);
         let funcs: Vec<&Function> = program.functions().collect();
         let functions = run(&symbols, &funcs);
-        debug_assert_eq!(functions.len(), funcs.len());
-        let taint = taint::analyze_contexts(program, &functions);
-        Self::assemble(program, symbols, functions, taint)
-    }
-
-    /// Assemble a context from parts the caller built itself — the
-    /// incremental engine's entry point: it constructs function contexts
-    /// from cached payloads and runs the memoized taint pass, then needs
-    /// the same `AnalysisContext` every collector consumes. The parts
-    /// must describe `program` exactly as [`AnalysisContext::build`]
-    /// would produce them (functions in `program.functions()` order,
-    /// payloads computed under [`standard_path_config`]).
-    pub fn assemble(
-        program: &'p Program,
-        symbols: ProgramSymbols,
-        functions: Vec<FunctionContext<'p>>,
-        taint: TaintReport,
-    ) -> AnalysisContext<'p> {
-        debug_assert_eq!(functions.len(), program.functions().count());
+        assert_eq!(functions.len(), funcs.len(), "one context per function");
+        let taint = taint::analyze_contexts(program, &functions, memo);
         AnalysisContext {
             program,
             symbols,
             functions,
             taint,
             module_loc: program.modules.iter().map(loc::count_module).collect(),
-            path_config: standard_path_config(),
         }
     }
 
@@ -433,21 +431,17 @@ impl<'p> AnalysisContext<'p> {
         }
         total
     }
-
-    /// The path-exploration limits function contexts were built with.
-    pub fn path_config(&self) -> &PathConfig {
-        &self.path_config
-    }
 }
 
-/// The per-function path-exploration limits the standard collector set
-/// uses: modest bounds so one explosive function cannot swamp extraction.
-pub fn standard_path_config() -> PathConfig {
-    PathConfig {
-        max_states: 4_000,
-        ..Default::default()
-    }
-}
+/// The per-function path-exploration limits every function context is
+/// built with: modest bounds so one explosive function cannot swamp
+/// extraction.
+pub const STANDARD_PATH_CONFIG: PathConfig = PathConfig {
+    loop_bound: 2,
+    max_states: 4_000,
+    prune_infeasible: true,
+    input_range: None,
+};
 
 #[cfg(test)]
 mod tests {
@@ -485,17 +479,21 @@ mod tests {
     #[test]
     fn build_with_merges_in_caller_order() {
         let p = program("fn a() { } fn b() { }");
-        let cx = AnalysisContext::build_with(&p, |symbols, funcs| {
-            // Build in reverse, then restore program order — what a
-            // work-stealing pool's ordered merge does.
-            let mut out: Vec<FunctionContext<'_>> = funcs
-                .iter()
-                .rev()
-                .map(|&f| FunctionContext::build(f, symbols, &standard_path_config()))
-                .collect();
-            out.reverse();
-            out
-        });
+        let cx = AnalysisContext::build_with(
+            &p,
+            |symbols, funcs| {
+                // Build in reverse, then restore program order — what a
+                // work-stealing pool's ordered merge does.
+                let mut out: Vec<FunctionContext<'_>> = funcs
+                    .iter()
+                    .rev()
+                    .map(|&f| FunctionContext::build(f, symbols))
+                    .collect();
+                out.reverse();
+                out
+            },
+            None,
+        );
         assert_eq!(cx.functions[0].function.name, "a");
         assert_eq!(cx.functions[1].function.name, "b");
     }

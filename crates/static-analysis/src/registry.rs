@@ -13,7 +13,6 @@
 use crate::context::AnalysisContext;
 use crate::features::FeatureVector;
 use crate::{callgraph, counts, cyclomatic, dataflow, halstead, interval, smells};
-use minilang::ast::Program;
 use std::time::Instant;
 
 /// One analysis that contributes features for a program, reading shared
@@ -48,23 +47,8 @@ impl Registry {
         self.collectors.iter().map(|c| c.name()).collect()
     }
 
-    /// Build the shared context and run every collector over `program`.
-    pub fn run(&self, program: &Program) -> FeatureVector {
-        let cx = AnalysisContext::build(program);
-        self.run_with(&cx)
-    }
-
-    /// Run every collector over a prebuilt context.
-    pub fn run_with(&self, cx: &AnalysisContext<'_>) -> FeatureVector {
-        let mut fv = FeatureVector::new();
-        for c in &self.collectors {
-            c.collect(cx, &mut fv);
-        }
-        fv
-    }
-
-    /// Run every collector, recording per-collector wall time in
-    /// microseconds (run order preserved).
+    /// Run every collector over a built context, recording per-collector
+    /// wall time in microseconds (run order preserved).
     pub fn run_with_timings(
         &self,
         cx: &AnalysisContext<'_>,
@@ -372,6 +356,7 @@ impl MetricCollector for LanguageCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minilang::ast::Program;
     use minilang::{parse_program, Dialect};
 
     fn program() -> Program {
@@ -396,9 +381,16 @@ mod tests {
         .unwrap()
     }
 
+    /// Build a context and run every collector over it.
+    fn run(registry: &Registry, program: &Program) -> FeatureVector {
+        registry
+            .run_with_timings(&AnalysisContext::build(program))
+            .0
+    }
+
     #[test]
     fn standard_registry_produces_rich_vector() {
-        let fv = standard_registry().run(&program());
+        let fv = run(&standard_registry(), &program());
         // Every collector family must contribute.
         for prefix in [
             "loc.",
@@ -423,7 +415,7 @@ mod tests {
 
     #[test]
     fn features_reflect_program_facts() {
-        let fv = standard_registry().run(&program());
+        let fv = run(&standard_registry(), &program());
         assert_eq!(fv.get("counts.functions"), Some(2.0));
         assert_eq!(fv.get("counts.endpoints"), Some(1.0));
         assert_eq!(fv.get("taint.flows"), Some(1.0));
@@ -443,7 +435,7 @@ mod tests {
 
     #[test]
     fn empty_registry_empty_vector() {
-        let fv = Registry::new().run(&program());
+        let fv = run(&Registry::new(), &program());
         assert!(fv.is_empty());
     }
 
@@ -453,7 +445,7 @@ mod tests {
         let cx = AnalysisContext::build(&p);
         let reg = standard_registry();
         let (fv, timings) = reg.run_with_timings(&cx);
-        assert_eq!(fv, reg.run_with(&cx));
+        assert_eq!(fv, run(&reg, &p));
         let names: Vec<&str> = timings.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, reg.names());
     }
@@ -470,7 +462,7 @@ mod tests {
                 out.set("custom.functions", cx.functions.len() as f64);
             }
         }
-        let fv = Registry::new().with(Box::new(Custom)).run(&program());
+        let fv = run(&Registry::new().with(Box::new(Custom)), &program());
         assert_eq!(fv.get("custom.modules"), Some(1.0));
         assert_eq!(fv.get("custom.functions"), Some(2.0));
     }

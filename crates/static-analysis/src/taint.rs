@@ -97,7 +97,7 @@ pub struct IntraResult {
 
 /// A cross-extraction memo for [`IntraResult`]s, implemented by the
 /// incremental engine. `idx` indexes into the `fcxs` slice handed to
-/// [`analyze_contexts_memo`]; the key is `(params_tainted, digest)` where
+/// [`analyze_contexts`]; the key is `(params_tainted, digest)` where
 /// `digest` is [`summaries_digest`] over the function's callee names —
 /// everything an [`intra_ctx`] call reads besides the function text. A hit
 /// must return *exactly* the value a fresh `intra_ctx` call would produce
@@ -187,28 +187,6 @@ pub fn summaries_digest(callees: &[&str], summaries: &BTreeMap<String, TaintSumm
     h
 }
 
-/// Run the analysis over prebuilt per-function contexts (an
-/// [`crate::context::AnalysisContext`] runs it once per program and keeps
-/// the report as its `taint` field). `fcxs` must be in
-/// `program.functions()` order; duplicate names resolve last-wins.
-pub fn analyze_contexts(program: &Program, fcxs: &[FunctionContext<'_>]) -> TaintReport {
-    run_contexts(program, fcxs, None)
-}
-
-/// [`analyze_contexts`] with a cross-extraction memo for the
-/// intraprocedural passes. The evaluation order does not depend on the
-/// memo; only the per-call `intra_ctx` work is elided on memo hits, so
-/// the report is bit-identical to the memo-free path. Callgraph-edge invalidation falls
-/// out of the key: when a callee's summary changes, every caller's digest
-/// changes and its memo entries stop matching.
-pub fn analyze_contexts_memo(
-    program: &Program,
-    fcxs: &[FunctionContext<'_>],
-    memo: &dyn IntraMemo,
-) -> TaintReport {
-    run_contexts(program, fcxs, Some(memo))
-}
-
 /// The whole-program fixpoint over the last-wins name graph (one node per
 /// distinct function name, numbered in name order; an edge per call to a
 /// defined name).
@@ -226,7 +204,16 @@ pub fn analyze_contexts_memo(
 ///    passes of their own.
 /// 2. **Entry propagation** by worklist over the kept passes.
 /// 3. **Flows**, collected in name order.
-fn run_contexts(
+///
+/// `fcxs` must be in `program.functions()` order (an
+/// [`crate::context::AnalysisContext`] runs this once per program and
+/// keeps the report as its `taint` field); duplicate names resolve
+/// last-wins. `memo`, when given, elides the per-call `intra_ctx` work on
+/// hits without changing the evaluation order, so the report is
+/// bit-identical to the memo-free run. Callgraph-edge invalidation falls
+/// out of its key: when a callee's summary changes, every caller's digest
+/// changes and its memo entries stop matching.
+pub fn analyze_contexts(
     program: &Program,
     fcxs: &[FunctionContext<'_>],
     memo: Option<&dyn IntraMemo>,
@@ -392,7 +379,7 @@ fn taint_callees(
 /// tainted variables as rows of one [`BitMatrix`] over the function's
 /// local symbols; each node's transfer runs in place on one scratch row.
 ///
-/// Monotone in its inputs, which is what lets [`run_contexts`] pick any
+/// Monotone in its inputs, which is what lets [`analyze_contexts`] pick any
 /// evaluation order: a summary bit read here is only ever OR-ed into a
 /// value's taint (`returns_taint_always`, `returns_taint_if_param`) or
 /// into `hit_sink` (`param_reaches_sink`), and tainted parameters only

@@ -24,7 +24,7 @@
 use clairvoyant::prelude::*;
 use clairvoyant::report::{comparison_value, explanation_value, security_report_value, Json};
 use serve::client::{error_type, is_ok, Client};
-use serve::protocol::{read_frame, write_frame};
+use serve::protocol::{read_frame_into, write_frame, FrameError};
 use serve::server::{ModelState, ServeConfig};
 use static_analysis::FeatureVector;
 use std::collections::BTreeMap;
@@ -123,6 +123,14 @@ fn connect(addr: SocketAddr) -> Client {
 }
 
 /// Pull `(model_fingerprint, report_json)` out of a score response.
+/// Block for one response frame on a raw stream.
+fn read_payload(stream: &mut impl std::io::Read) -> Result<Vec<u8>, FrameError> {
+    let mut payload = Vec::new();
+    let n = read_frame_into(stream, &mut payload, &mut || true)?;
+    payload.truncate(n);
+    Ok(payload)
+}
+
 fn score_parts(response: &Json) -> (String, String) {
     assert!(is_ok(response), "score failed: {response}");
     let Json::Object(obj) = response else {
@@ -522,7 +530,7 @@ fn overloaded_explain_returns_typed_busy() {
     assert_eq!(error_type(&response), Some("busy"), "got {response}");
 
     // The admitted explain still completes.
-    let payload = read_frame(&mut held, &mut || true).expect("held response");
+    let payload = read_payload(&mut held).expect("held response");
     let response = serve::json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
     assert!(is_ok(&response), "held explain failed: {response}");
     handle.shutdown();
@@ -580,7 +588,7 @@ fn overload_returns_typed_busy_and_recovers() {
     // The held requests were admitted, so they still complete — and
     // once they drain, the same client is served normally.
     for mut stream in held {
-        let payload = read_frame(&mut stream, &mut || true).expect("held response");
+        let payload = read_payload(&mut stream).expect("held response");
         let response = serve::json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
         let (fp, report) = score_parts(&response);
         assert_eq!(fp, fx.fp_a);
@@ -668,7 +676,7 @@ fn protocol_garbage_never_wedges_the_accept_loop() {
         if expect_reply {
             // In-sync payload problems must produce a typed error on a
             // still-open connection.
-            let payload = read_frame(&mut stream, &mut || true)
+            let payload = read_payload(&mut stream)
                 .unwrap_or_else(|e| panic!("round {round} case {case}: no reply: {e:?}"));
             let response =
                 serve::json::parse(std::str::from_utf8(&payload).expect("UTF-8 response"))
@@ -923,7 +931,7 @@ fn graceful_shutdown_drains_admitted_requests() {
     // …but everything admitted before the shutdown still completes,
     // bit-identical as ever.
     for mut stream in held {
-        let payload = read_frame(&mut stream, &mut || true).expect("drained response");
+        let payload = read_payload(&mut stream).expect("drained response");
         let response = serve::json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
         let (fp, report) = score_parts(&response);
         assert_eq!(fp, fx.fp_a);
