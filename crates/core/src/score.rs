@@ -349,12 +349,16 @@ impl CompiledModel {
             .expect("one app in, one report out")
     }
 
-    /// Serialize to the versioned binary format.
+    /// Serialize to the versioned binary format, in a buffer allocated
+    /// once at its exact size.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        ByteWriter::exact(|w| self.encode(w))
+    }
+
+    fn encode(&self, w: &mut ByteWriter) {
         w.put_bytes(MAGIC);
         w.put_u32(VERSION);
-        put_strings(&mut w, &self.feature_names);
+        put_strings(w, &self.feature_names);
         w.put_u8(self.log_transform as u8);
         w.put_f64s(&self.standardizer.means);
         w.put_f64s(&self.standardizer.stds);
@@ -362,15 +366,15 @@ impl CompiledModel {
         for &i in &self.kept {
             w.put_u64(i as u64);
         }
-        put_strings(&mut w, &self.all_feature_names);
+        put_strings(w, &self.all_feature_names);
         w.put_usize(self.hypotheses.len());
         for (hypothesis, model) in &self.hypotheses {
             // Hypotheses serialize by their stable unique name, matched
             // against the standard battery at load time.
             w.put_str(&hypothesis.name());
-            model.encode(&mut w);
+            model.encode(w);
         }
-        self.count_model.encode(&mut w);
+        self.count_model.encode(w);
         w.put_usize(self.severity_models.len());
         for (band, model) in &self.severity_models {
             let tag = SeverityBand::ALL
@@ -378,10 +382,9 @@ impl CompiledModel {
                 .position(|b| b == band)
                 .expect("band is in ALL") as u8;
             w.put_u8(tag);
-            model.encode(&mut w);
+            model.encode(w);
         }
         w.put_f64s(&self.risk_weights);
-        w.into_bytes()
     }
 
     /// Deserialize from [`to_bytes`](CompiledModel::to_bytes) output.

@@ -25,8 +25,19 @@ use static_analysis::context::{AnalysisContext, FunctionContext};
 use static_analysis::taint::TaintReport;
 use static_analysis::{standard_registry, FeatureVector, Registry};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// `(cwe, "bugfind.cwe_<cwe>")` pairs, names spelled at compile time.
+macro_rules! cwe_features {
+    ($($cwe:literal),*) => { [$(($cwe, concat!("bugfind.cwe_", $cwe))),*] };
+}
+
+/// The per-CWE hint counts the hypotheses ask about, with their feature
+/// names.
+const CWE_FEATURES: [(u32, &str); 10] =
+    cwe_features!(20, 22, 121, 134, 190, 200, 367, 401, 416, 798);
 
 /// The full feature extractor.
 pub struct Testbed {
@@ -38,6 +49,9 @@ pub struct Testbed {
     /// Cumulative per-collector wall time in micros, drained into the
     /// pipeline report by [`pipeline::Extractor::take_collector_timings`].
     timings: Mutex<BTreeMap<String, u64>>,
+    /// Features in the last extracted vector — the schema width, which
+    /// the next vector reserves at once instead of growing to it.
+    width: AtomicUsize,
 }
 
 impl Default for Testbed {
@@ -47,6 +61,7 @@ impl Default for Testbed {
             metatool: MetaTool::new(),
             fn_jobs: 1,
             timings: Mutex::new(BTreeMap::new()),
+            width: AtomicUsize::new(0),
         }
     }
 }
@@ -93,13 +108,18 @@ impl Testbed {
     /// results. This is the whole of [`extract`](Testbed::extract) minus
     /// context construction — the incremental engine builds its context
     /// from cached per-function entries and joins back here, so the
-    /// merged vector is produced by literally the same code path.
+    /// merged vector is produced by literally the same code path. The
+    /// vector comes out at its exact size: it reserves the width of the
+    /// previous one, and only a first extraction (or a change of width)
+    /// pays a final shrink.
     pub(crate) fn run_families(
         &self,
         program: &Program,
         cx: &AnalysisContext<'_>,
     ) -> FeatureVector {
-        let (mut fv, collectors) = self.registry.run_with_timings(cx);
+        let (mut fv, collectors) = self
+            .registry
+            .run_with_timings(cx, self.width.load(Ordering::Relaxed));
         {
             let mut timings = self.timings.lock().unwrap();
             for (name, micros) in collectors {
@@ -115,6 +135,8 @@ impl Testbed {
         let start = Instant::now();
         Self::set_attack(program, &cx.taint, &mut fv);
         self.record("attackgraph", start.elapsed());
+        fv.shrink_to_fit();
+        self.width.store(fv.len(), Ordering::Relaxed);
         fv
     }
 
@@ -159,9 +181,8 @@ impl Testbed {
             report.count_severity(DiagSeverity::Note) as f64,
         );
         fv.set("bugfind.multi_tool_sites", report.multi_tool_sites as f64);
-        // Per-CWE hint counts for the classes the hypotheses ask about.
-        for cwe in [20u32, 22, 121, 134, 190, 200, 367, 401, 416, 798] {
-            fv.set(format!("bugfind.cwe_{cwe}"), report.count_cwe(cwe) as f64);
+        for (cwe, name) in CWE_FEATURES {
+            fv.set(name, report.count_cwe(cwe) as f64);
         }
         // Density: findings per function (size-independent signal).
         let functions = program.function_count().max(1) as f64;

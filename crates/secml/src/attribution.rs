@@ -175,7 +175,7 @@ fn subtree_expected(tree: &FlatTree) -> Vec<f64> {
             expected[i] = tree.threshold[i];
             leaves[i] = 1;
         } else {
-            let (l, r) = (tree.left[i] as usize, tree.right[i] as usize);
+            let (l, r) = (i + 1, tree.right[i] as usize);
             let (cl, cr) = (leaves[l], leaves[r]);
             leaves[i] = cl + cr;
             expected[i] = (expected[l] * cl as f64 + expected[r] * cr as f64) / (cl + cr) as f64;
@@ -232,7 +232,7 @@ impl Credits {
             if tree.feature[i] == LEAF {
                 continue;
             }
-            for child in [tree.left[i] as usize, tree.right[i] as usize] {
+            for child in [i + 1, tree.right[i] as usize] {
                 credits.parent[child] = i as u32;
                 credits.feat[child] = tree.feature[i];
                 credits.delta[child] = expected[child] - expected[i];
@@ -279,10 +279,10 @@ fn attribute_walk_row(
         }
         let v = row.get(f as usize).copied().unwrap_or(0.0);
         i = if v <= nodes.threshold[i] {
-            nodes.left[i]
+            i + 1
         } else {
-            nodes.right[i]
-        } as usize;
+            nodes.right[i] as usize
+        };
     }
 }
 
@@ -362,7 +362,7 @@ fn forest_attribute_batch(forest: &FlatForest, x: &ColMatrix) -> Vec<RowAttribut
     // attribution — are bit-identical.
     let mut bins = vec![0.0f64; n * width];
     let mut sums = vec![0.0f64; n];
-    prog.walk_batch(x, &mut |r, leaf, v| {
+    prog.walk_batch(x, &forest.nodes.threshold, &mut |r, leaf, v| {
         sums[r] += v;
         credits.deposit(leaf as usize, &mut bins[r * width..(r + 1) * width]);
     });
@@ -397,7 +397,7 @@ fn tree_attribute_batch(tree: &FlatTree, x: &ColMatrix) -> Vec<RowAttribution> {
     };
     let mut bins = vec![0.0f64; n * width];
     let mut leaves = vec![0.0f64; n];
-    prog.walk_batch(x, &mut |r, leaf, v| {
+    prog.walk_batch(x, &tree.threshold, &mut |r, leaf, v| {
         leaves[r] = v;
         credits.deposit(leaf as usize, &mut bins[r * width..(r + 1) * width]);
     });

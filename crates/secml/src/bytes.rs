@@ -3,7 +3,8 @@
 //! The workspace builds offline with no registry access, so model
 //! persistence is a hand-rolled little-endian format: fixed-width
 //! integers, `f64::to_le_bytes` floats, and length-prefixed slices and
-//! strings. [`ByteWriter`] appends to a growable buffer; [`ByteReader`]
+//! strings. [`ByteWriter`] appends to a buffer ([`ByteWriter::exact`]
+//! sizes it once, by a measuring pass); [`ByteReader`]
 //! walks a borrowed buffer with bounds checks, returning `Err(String)`
 //! on truncated or malformed input instead of panicking.
 
@@ -11,6 +12,9 @@
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
+    /// `Some(n)` for a measuring writer: it writes nothing and counts
+    /// the `n` bytes it would have written.
+    measured: Option<usize>,
 }
 
 impl ByteWriter {
@@ -18,28 +22,49 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// Run `encode` twice — once measuring, once writing into a buffer
+    /// allocated at exactly the measured size — and return the bytes.
+    /// Slices measure by length alone, so the first pass costs one step
+    /// per field, not per byte, and the buffer never regrows.
+    pub fn exact(encode: impl Fn(&mut ByteWriter)) -> Vec<u8> {
+        let mut sizer = ByteWriter {
+            buf: Vec::new(),
+            measured: Some(0),
+        };
+        encode(&mut sizer);
+        let len = sizer.len();
+        let mut w = ByteWriter {
+            buf: Vec::with_capacity(len),
+            measured: None,
+        };
+        encode(&mut w);
+        debug_assert_eq!(w.buf.len(), len, "both passes encode the same bytes");
+        w.buf
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
+    /// Bytes written (or, measuring, counted) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.measured.unwrap_or(self.buf.len())
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_bytes(&[v]);
     }
 
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
     pub fn put_usize(&mut self, v: usize) {
@@ -47,22 +72,29 @@ impl ByteWriter {
     }
 
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+        match &mut self.measured {
+            Some(n) => *n += v.len(),
+            None => self.buf.extend_from_slice(v),
+        }
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_usize(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
+        self.put_bytes(v.as_bytes());
     }
 
     /// Length-prefixed `f64` slice.
     pub fn put_f64s(&mut self, v: &[f64]) {
         self.put_usize(v.len());
+        if let Some(n) = &mut self.measured {
+            *n += 8 * v.len();
+            return;
+        }
         for &x in v {
             self.put_f64(x);
         }
@@ -70,8 +102,18 @@ impl ByteWriter {
 
     /// Length-prefixed `u32` slice.
     pub fn put_u32s(&mut self, v: &[u32]) {
-        self.put_usize(v.len());
-        for &x in v {
+        self.put_u32_iter(v.len(), v.iter().copied());
+    }
+
+    /// Length-prefixed run of `len` `u32`s drawn from `v` — a slice the
+    /// caller derives instead of storing.
+    pub fn put_u32_iter(&mut self, len: usize, v: impl Iterator<Item = u32>) {
+        self.put_usize(len);
+        if let Some(n) = &mut self.measured {
+            *n += 4 * len;
+            return;
+        }
+        for x in v {
             self.put_u32(x);
         }
     }
@@ -197,6 +239,22 @@ mod tests {
         assert_eq!(fs[2], f64::INFINITY);
         assert_eq!(r.get_u32s().unwrap(), vec![0, u32::MAX]);
         assert!(r.is_done());
+    }
+
+    #[test]
+    fn exact_writer_measures_then_fills_without_slack() {
+        let encode = |w: &mut ByteWriter| {
+            w.put_u8(1);
+            w.put_str("abc");
+            w.put_f64s(&[0.5; 9]);
+            w.put_u32_iter(3, [4, 5, 6].into_iter());
+            w.put_u32s(&[7; 5]);
+        };
+        let mut grown = ByteWriter::new();
+        encode(&mut grown);
+        let bytes = ByteWriter::exact(encode);
+        assert_eq!(bytes, grown.into_bytes());
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 
     #[test]

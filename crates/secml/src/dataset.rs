@@ -12,16 +12,7 @@
 use std::collections::BTreeSet;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-/// Monotone source of [`ColMatrix::identity`] values. Starts at 1 so 0
-/// never names a live matrix.
-static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_matrix_id() -> u64 {
-    NEXT_MATRIX_ID.fetch_add(1, Ordering::Relaxed)
-}
+use std::sync::{OnceLock, Weak};
 
 /// A feature-major (columnar) matrix: one contiguous `Vec<f64>` per
 /// feature, plus lazily computed per-column sort permutations.
@@ -38,11 +29,13 @@ fn fresh_matrix_id() -> u64 {
 pub struct ColMatrix {
     n_rows: usize,
     columns: Columns,
-    /// Unique per construction (clones included): matrices are immutable
-    /// once built, so equal identities imply equal contents — the key the
-    /// compiled kernels' shared rank cache relies on (see
-    /// [`crate::kernel`]). Never reused within a process.
-    id: u64,
+    /// The merged ranks of the first linked battery that scored this
+    /// matrix (see [`crate::kernel`]): computed once, read by every
+    /// sibling model, and dropped with the matrix, so they last one
+    /// scoring pass rather than the model's lifetime. The `Weak` names
+    /// the battery's quantization and pins its allocation, so matching
+    /// it by address cannot mistake a later battery for it.
+    pub(crate) battery_ranks: OnceLock<(Weak<crate::kernel::SharedQuant>, Vec<u16>)>,
     /// Per-column row permutation, ascending by value (ties keep row
     /// order). Computed on first use, shared across threads.
     perms: OnceLock<Vec<Vec<u32>>>,
@@ -60,7 +53,7 @@ impl Default for ColMatrix {
         ColMatrix {
             n_rows: 0,
             columns: Columns::Ram(Vec::new()),
-            id: fresh_matrix_id(),
+            battery_ranks: OnceLock::new(),
             perms: OnceLock::new(),
         }
     }
@@ -75,10 +68,7 @@ impl Clone for ColMatrix {
         ColMatrix {
             n_rows: self.n_rows,
             columns: self.columns.clone(),
-            // A fresh identity is sound (at worst one redundant rank
-            // recompute) and keeps "same id ⟹ same allocation lineage"
-            // trivially true.
-            id: fresh_matrix_id(),
+            battery_ranks: OnceLock::new(),
             perms,
         }
     }
@@ -98,7 +88,7 @@ impl ColMatrix {
         ColMatrix {
             n_rows: rows.len(),
             columns: Columns::Ram(columns),
-            id: fresh_matrix_id(),
+            battery_ranks: OnceLock::new(),
             perms: OnceLock::new(),
         }
     }
@@ -110,7 +100,7 @@ impl ColMatrix {
         ColMatrix {
             n_rows,
             columns: Columns::Ram(columns),
-            id: fresh_matrix_id(),
+            battery_ranks: OnceLock::new(),
             perms: OnceLock::new(),
         }
     }
@@ -123,7 +113,7 @@ impl ColMatrix {
         Ok(ColMatrix {
             n_rows: reader.n_rows,
             columns: Columns::Spilled(reader),
-            id: fresh_matrix_id(),
+            battery_ranks: OnceLock::new(),
             perms: OnceLock::new(),
         })
     }
@@ -163,12 +153,6 @@ impl ColMatrix {
 
     pub fn n_rows(&self) -> usize {
         self.n_rows
-    }
-
-    /// Process-unique identity (see the field docs): cache key for
-    /// derived per-matrix state.
-    pub(crate) fn identity(&self) -> u64 {
-        self.id
     }
 
     pub fn n_cols(&self) -> usize {
@@ -262,7 +246,7 @@ impl ColMatrix {
         let out = ColMatrix {
             n_rows: indices.len(),
             columns: Columns::Ram(columns),
-            id: fresh_matrix_id(),
+            battery_ranks: OnceLock::new(),
             perms: OnceLock::new(),
         };
         if let Some(parent_perms) = self.perms.get() {

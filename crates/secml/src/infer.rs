@@ -5,9 +5,12 @@
 //! re-walks that scattered memory once per row. `compile()` turns each
 //! trained model into a [`CompiledClassifier`]/[`CompiledRegressor`]:
 //! trees become struct-of-arrays node tables ([`FlatTree`] — `feature`,
-//! `threshold`, `left`, `right` as parallel vectors, leaf values stored
-//! inline in the `threshold` slot under a `u32::MAX` feature sentinel),
-//! and a whole forest shares one node table ([`FlatForest`]).
+//! `threshold`, `right` as parallel vectors, 16 bytes a node, leaf
+//! values stored inline in the `threshold` slot under a `u32::MAX`
+//! feature sentinel, every split's left child the next node in
+//! preorder), and a whole forest shares one node table ([`FlatForest`]).
+//! Tables are built at their exact size: the boxed tree is counted
+//! before it is flattened.
 //!
 //! Tree models batch-score through one engine, the compiled program of
 //! [`crate::kernel`]: its mask walk runs every block of at least
@@ -60,11 +63,17 @@ pub(crate) fn map_rows<T>(x: &ColMatrix, mut f: impl FnMut(&[f64]) -> T) -> Vec<
 ///
 /// Node 0 is the root; a compiled tree always has at least one node (an
 /// unfitted tree compiles to a single leaf holding its default value).
+/// Nodes sit in preorder, so a split `i`'s left child is always `i + 1`
+/// and only the right child is stored. The wire format still carries a
+/// `left` array (`i + 1` for splits, `i` for leaves): encode writes it
+/// and decode rejects any table that breaks the invariant.
 #[derive(Debug, Clone, Default)]
 pub struct FlatTree {
     pub(crate) feature: Vec<u32>,
+    /// Leaf values in their leaf slots — the one value table every
+    /// engine reads.
     pub(crate) threshold: Vec<f64>,
-    pub(crate) left: Vec<u32>,
+    /// Each split's right child; a leaf holds its own id.
     pub(crate) right: Vec<u32>,
     /// The compiled program, built on first batch use or by
     /// [`optimize`](Self::optimize); `None` inside means `compile`
@@ -78,28 +87,37 @@ impl PartialEq for FlatTree {
     fn eq(&self, other: &Self) -> bool {
         self.feature == other.feature
             && self.threshold == other.threshold
-            && self.left == other.left
             && self.right == other.right
     }
 }
 
 impl FlatTree {
+    /// An empty table with room for exactly `n` nodes.
+    fn with_capacity(n: usize) -> FlatTree {
+        FlatTree {
+            feature: Vec::with_capacity(n),
+            threshold: Vec::with_capacity(n),
+            right: Vec::with_capacity(n),
+            opt: OnceLock::new(),
+        }
+    }
+
     pub fn n_nodes(&self) -> usize {
         self.feature.len()
     }
 
-    /// Leaves self-loop (`left == right == i`), the wire invariant
-    /// `validate` enforces.
+    /// Leaves self-loop (`right == i`), the wire invariant `validate`
+    /// enforces.
     fn push_leaf(&mut self, value: f64) -> u32 {
         let i = self.feature.len() as u32;
         self.feature.push(LEAF);
         self.threshold.push(value);
-        self.left.push(i);
         self.right.push(i);
         i
     }
 
-    /// Preorder-flatten `node`, returning its index.
+    /// Preorder-flatten `node`, returning its index. The left subtree
+    /// lands right after its split, at `i + 1`.
     fn push_node(&mut self, node: &Node) -> u32 {
         match node {
             Node::Leaf { value } => self.push_leaf(*value),
@@ -112,11 +130,9 @@ impl FlatTree {
                 let i = self.feature.len() as u32;
                 self.feature.push(*feature as u32);
                 self.threshold.push(*threshold);
-                self.left.push(0);
                 self.right.push(0);
-                let l = self.push_node(left);
+                self.push_node(left);
                 let r = self.push_node(right);
-                self.left[i as usize] = l;
                 self.right[i as usize] = r;
                 i
             }
@@ -139,10 +155,10 @@ impl FlatTree {
             }
             let v = row.get(f as usize).copied().unwrap_or(0.0);
             i = if v <= self.threshold[i] {
-                self.left[i]
+                i + 1
             } else {
-                self.right[i]
-            } as usize;
+                self.right[i] as usize
+            };
         }
     }
 
@@ -154,7 +170,7 @@ impl FlatTree {
         let mut depth = vec![0u32; n];
         for i in (0..n).rev() {
             if self.feature[i] != LEAF {
-                depth[i] = 1 + depth[self.left[i] as usize].max(depth[self.right[i] as usize]);
+                depth[i] = 1 + depth[i + 1].max(depth[self.right[i] as usize]);
             }
         }
         depth
@@ -187,7 +203,7 @@ impl FlatTree {
         match self.batch_program(x) {
             Some(prog) => {
                 let mut out = vec![0.0; x.n_rows()];
-                prog.walk_batch(x, &mut |r, _leaf, v| out[r] = v);
+                prog.walk_batch(x, &self.threshold, &mut |r, _leaf, v| out[r] = v);
                 out
             }
             None => map_rows(x, |row| self.score_from(0, row)),
@@ -197,38 +213,46 @@ impl FlatTree {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32s(&self.feature);
         w.put_f64s(&self.threshold);
-        w.put_u32s(&self.left);
+        // The wire `left`: `i + 1` for a split, `i` for a leaf.
+        let left = self.feature.iter().enumerate();
+        w.put_u32_iter(
+            left.len(),
+            left.map(|(i, &f)| i as u32 + u32::from(f != LEAF)),
+        );
         w.put_u32s(&self.right);
     }
 
+    /// Decode a wire table. Its `left` array is read only to check it.
     fn decode(r: &mut ByteReader) -> Result<FlatTree, String> {
+        let feature = r.get_u32s()?;
+        let threshold = r.get_f64s()?;
+        let left = r.get_u32s()?;
         let tree = FlatTree {
-            feature: r.get_u32s()?,
-            threshold: r.get_f64s()?,
-            left: r.get_u32s()?,
+            feature,
+            threshold,
             right: r.get_u32s()?,
-            ..Default::default()
+            opt: OnceLock::new(),
         };
-        tree.validate()?;
+        tree.validate(&left)?;
         Ok(tree)
     }
 
     /// Structural sanity: equal-length arrays, at least one node, every
-    /// split's left child at exactly `i + 1` with the right child in
-    /// bounds after it (the preorder invariants `node_depths` and the
+    /// split's wire `left` child at exactly `i + 1` with the right child
+    /// in bounds after it (the preorder invariants `node_depths` and the
     /// compiled program's walks rely on, which also rule out cycles),
-    /// and every leaf self-looping. A corrupt table must fail at load time,
-    /// not loop or index out of bounds mid-traversal.
-    fn validate(&self) -> Result<(), String> {
+    /// and every leaf self-looping. A corrupt table must fail at load
+    /// time, not loop or index out of bounds mid-traversal.
+    fn validate(&self, left: &[u32]) -> Result<(), String> {
         let n = self.feature.len();
         if n == 0 {
             return Err("flat tree has no nodes".into());
         }
-        if self.threshold.len() != n || self.left.len() != n || self.right.len() != n {
+        if self.threshold.len() != n || left.len() != n || self.right.len() != n {
             return Err("flat tree arrays disagree on node count".into());
         }
-        for i in 0..n {
-            let (l, r) = (self.left[i] as usize, self.right[i] as usize);
+        for (i, &l) in left.iter().enumerate() {
+            let (l, r) = (l as usize, self.right[i] as usize);
             if self.feature[i] == LEAF {
                 if l != i || r != i {
                     return Err(format!("flat tree leaf {i} does not self-loop"));
@@ -244,7 +268,7 @@ impl FlatTree {
 /// Flatten a boxed tree root (`None` = unfitted, which predicts
 /// `default_value`).
 pub(crate) fn flatten_tree(root: Option<&Node>, default_value: f64) -> FlatTree {
-    let mut tree = FlatTree::default();
+    let mut tree = FlatTree::with_capacity(root.map_or(1, Node::n_nodes));
     match root {
         Some(node) => {
             tree.push_node(node);
@@ -353,7 +377,7 @@ impl FlatForest {
         // SAFETY: walk_batch only fires rows `< x.n_rows()` = out.len();
         // this sink runs once per (row, tree) and is the single hottest
         // callback in batch scoring.
-        prog.walk_batch(x, &mut |r, _leaf, v| unsafe {
+        prog.walk_batch(x, &self.nodes.threshold, &mut |r, _leaf, v| unsafe {
             *out.get_unchecked_mut(r) += v;
         });
         out.iter_mut().for_each(|o| *o /= self.n_trees);
@@ -384,13 +408,16 @@ impl FlatForest {
     }
 }
 
-/// Flatten a forest's trees into one shared node table.
+/// Flatten a forest's trees into one shared node table, counted first
+/// so the table is allocated once at its exact size.
 pub(crate) fn flatten_forest<'a>(
-    trees: impl Iterator<Item = Option<&'a Node>>,
+    trees: impl Iterator<Item = Option<&'a Node>> + Clone,
     empty_value: f64,
 ) -> FlatForest {
-    let mut nodes = FlatTree::default();
-    let mut roots = Vec::new();
+    let n_trees = trees.clone().count();
+    let n_nodes: usize = trees.clone().map(|t| t.map_or(1, Node::n_nodes)).sum();
+    let mut nodes = FlatTree::with_capacity(n_nodes.max(1));
+    let mut roots = Vec::with_capacity(n_trees);
     for root in trees {
         roots.push(match root {
             Some(node) => nodes.push_node(node),
@@ -1040,6 +1067,23 @@ mod tests {
         w.put_u32s(&[9]);
         let bytes = w.into_bytes();
         assert!(CompiledClassifier::decode(&mut ByteReader::new(&bytes)).is_err());
+
+        // The wire `left` is not stored, only checked: a split whose left
+        // child is not the next node, or a leaf that does not self-loop,
+        // fails decode even when `right` is sound.
+        for left in [[2, 1, 2], [1, 2, 2], [1, 1, 0]] {
+            let mut w = ByteWriter::new();
+            w.put_u8(1);
+            w.put_u32s(&[0, LEAF, LEAF]);
+            w.put_f64s(&[0.5, 1.0, 2.0]);
+            w.put_u32s(&left);
+            w.put_u32s(&[2, 1, 2]);
+            let bytes = w.into_bytes();
+            assert!(
+                CompiledClassifier::decode(&mut ByteReader::new(&bytes)).is_err(),
+                "left {left:?} decoded"
+            );
+        }
 
         assert!(CompiledClassifier::decode(&mut ByteReader::new(&[250])).is_err());
     }

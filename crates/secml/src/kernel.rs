@@ -20,8 +20,9 @@
 //!   When a feature's threshold set cannot quantize losslessly into the
 //!   `u16` rank space (> [`MAX_CUTS`] distinct cuts), `compile` refuses
 //!   and the model keeps the scalar row walk (`FlatTree::score_from`) —
-//!   the exactness fallback. Ranking is a branchless binary search over
-//!   a power-of-two cut table padded with `+∞`: `log2(cuts)`
+//!   the exactness fallback. Each feature keeps one cut table, padded
+//!   with `+∞` to a power of two and allocated once at that size; large
+//!   tables rank by a branchless binary search over it: `log2(cuts)`
 //!   conditional-move steps per value, no sort of the matrix, and the
 //!   searches for different rows are independent so they pipeline.
 //! - **Feature-subset pruning.** Each tree records the columns its
@@ -58,6 +59,11 @@
 //!   nodes, and a model that only ever scores long batches (bulk
 //!   scoring, retraining) never pays that memory.
 //!
+//! The program holds no leaf values: the walks read them from the
+//! owning flat table's `threshold` slots, which callers pass to
+//! [`walk_batch`](ForestProgram::walk_batch) — one value table per
+//! model, not two.
+//!
 //! Every decision the program makes is provably the decision the
 //! scalar row walk makes, so leaf values — and therefore scores *and*
 //! attribution deposits, which only depend on the landed leaf — are
@@ -66,6 +72,7 @@
 
 use crate::dataset::ColMatrix;
 use crate::infer::{FlatTree, LEAF};
+use std::sync::{Arc, OnceLock};
 
 /// Rows per scoring block: the mask walk packs one block row per bit of
 /// a `u64`.
@@ -107,18 +114,57 @@ const COUNT_CUTS_MAX: usize = 64;
 pub(crate) const MAX_CUTS: usize = u16::MAX as usize - 1;
 
 /// One touched feature: its source column and the forest-wide sorted
-/// table of distinct finite split thresholds on that column.
+/// table of distinct finite split thresholds on that column, padded
+/// with `+∞` to a power of two — the branchless search table. The real
+/// cuts are its first `len` entries ([`cuts`](Self::cuts)). `+∞` pads
+/// are transparent: they are never `< v`, even for `v = +∞`, so the
+/// padded rank equals the real rank.
 #[derive(Debug, Clone)]
 struct FeatQuant {
     column: u32,
-    cuts: Vec<f64>,
-    /// `cuts` padded with `+∞` to a power of two — the branchless
-    /// search table. `+∞` pads are transparent: they are never `< v`,
-    /// even for `v = +∞`, so the padded rank equals the real rank.
-    pad: Vec<f64>,
+    len: u32,
+    pad: Box<[f64]>,
+}
+
+/// Per-column quantization tables from `(column, cut)` pairs: one
+/// [`FeatQuant`] for each of `columns` (sorted, distinct, and covering
+/// every pair's column; a column without finite cuts gets an empty
+/// table), with its cuts sorted, deduped by `==` and padded, each table
+/// allocated once at its padded size. The `==` dedup merges
+/// `-0.0`/`0.0`: `v <= -0.0 ⟺ v <= 0.0` under IEEE, so one
+/// representative rank is exact for both. `None` when a column has more
+/// than [`MAX_CUTS`] distinct cuts.
+fn quant_tables(columns: &[u32], mut pairs: Vec<(u32, f64)>) -> Option<Vec<FeatQuant>> {
+    pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    pairs.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
+    let mut rest = pairs.as_slice();
+    columns
+        .iter()
+        .map(|&column| {
+            let len = rest.partition_point(|p| p.0 == column);
+            if len > MAX_CUTS {
+                return None;
+            }
+            let (cuts, tail) = rest.split_at(len);
+            rest = tail;
+            let mut pad = Vec::with_capacity(len.next_power_of_two());
+            pad.extend(cuts.iter().map(|p| p.1));
+            pad.resize(len.next_power_of_two(), f64::INFINITY);
+            Some(FeatQuant {
+                column,
+                len: len as u32,
+                pad: pad.into_boxed_slice(),
+            })
+        })
+        .collect()
 }
 
 impl FeatQuant {
+    /// The real cut table: sorted, distinct, finite split thresholds.
+    fn cuts(&self) -> &[f64] {
+        &self.pad[..self.len as usize]
+    }
+
     /// Rank an entire column at once: `bucket(v) = 1 + #{cuts < v}`,
     /// with `NaN` pinned above every cut so `bucket(NaN) <= qt` is false
     /// for every node — mirroring IEEE `NaN <= t`.
@@ -134,8 +180,8 @@ impl FeatQuant {
     /// conditional-move steps per value, so cost never exceeds
     /// `O(rows · log cuts)`.
     fn bucket_column(&self, col: &[f64], dst: &mut [u16], counts: &mut Vec<f64>) {
-        let top = self.cuts.len() as u16 + 1;
-        if self.cuts.len() <= COUNT_CUTS_MAX {
+        let top = self.len as u16 + 1;
+        if self.len as usize <= COUNT_CUTS_MAX {
             counts.clear();
             counts.resize(col.len(), 0.0);
             // Counting in f64 keeps the whole accumulation in one lane
@@ -144,7 +190,7 @@ impl FeatQuant {
             // exact f64 range. `c < NaN` is false for every cut, so
             // NaN rows sit at 0 and the conversion pass pins them to
             // the top bucket.
-            for &c in &self.cuts {
+            for &c in self.cuts() {
                 for (a, &v) in counts.iter_mut().zip(col) {
                     *a += if c < v { 1.0 } else { 0.0 };
                 }
@@ -171,8 +217,7 @@ impl FeatQuant {
 }
 
 /// Battery-wide quantization, shared by every linked program: the
-/// per-column *union* of the programs' cut tables, plus a one-slot
-/// cache of the last matrix ranked against it.
+/// per-column *union* of the programs' cut tables.
 ///
 /// Without sharing, every program in a battery re-buckets the same
 /// matrix against its own (largely overlapping) cut tables — for a
@@ -186,12 +231,13 @@ impl FeatQuant {
 /// which merged cuts lie below `v`, and counting the local cuts among
 /// them *is* the local rank.
 ///
-/// The cache keys on [`ColMatrix::identity`] — process-unique per
-/// construction, so a hit can only mean the same immutable matrix —
-/// and deliberately holds one entry: batch scoring walks one matrix
-/// across all models before moving on, and short blocks (serve-style
-/// single rows) never take this path at all (see
-/// [`ForestProgram::walk_batch`]), so there is nothing to thrash.
+/// The merged ranks live on the matrix, not on the models
+/// (`ColMatrix::battery_ranks`): the first linked model to score a
+/// matrix ranks it, its siblings read the same ranks — concurrent ones
+/// wait for that one ranking instead of racing duplicates — and the
+/// ranks go when the pass's matrix does, so a model holds no per-matrix
+/// state between passes. Short blocks (serve-style single rows) never
+/// take this path at all (see [`ForestProgram::walk_batch`]).
 #[derive(Debug)]
 pub(crate) struct SharedQuant {
     feats: Vec<FeatQuant>,
@@ -199,21 +245,11 @@ pub(crate) struct SharedQuant {
     /// than this cannot be ranked shared and fall back to local
     /// bucketing.
     max_column: u32,
-    cache: std::sync::Mutex<Option<(u64, std::sync::Arc<Vec<u16>>)>>,
 }
 
 impl SharedQuant {
-    /// Merged ranks for `x`, slot-major (`feats.len() × n_rows` `u16`s),
-    /// cached across the battery's walks over the same matrix. Computing
-    /// under the lock is intentional: concurrent models asking for the
-    /// same matrix should wait for one ranking, not race duplicates.
-    fn ranks(&self, x: &ColMatrix) -> std::sync::Arc<Vec<u16>> {
-        let mut slot = self.cache.lock().expect("rank cache poisoned");
-        if let Some((id, q)) = slot.as_ref() {
-            if *id == x.identity() {
-                return q.clone();
-            }
-        }
+    /// Merged ranks for `x`, slot-major (`feats.len() × n_rows` `u16`s).
+    fn rank(&self, x: &ColMatrix) -> Vec<u16> {
         let n = x.n_rows();
         let mut q = vec![0u16; self.feats.len() * n];
         let mut counts: Vec<f64> = Vec::new();
@@ -224,8 +260,6 @@ impl SharedQuant {
                 &mut counts,
             );
         }
-        let q = std::sync::Arc::new(q);
-        *slot = Some((x.identity(), q.clone()));
         q
     }
 }
@@ -234,7 +268,7 @@ impl SharedQuant {
 /// in the merged table and how merged ranks map back to local ranks.
 #[derive(Debug, Clone)]
 struct SharedCtx {
-    quant: std::sync::Arc<SharedQuant>,
+    quant: Arc<SharedQuant>,
     /// Program feature slot → merged feature slot.
     mslot: Vec<u32>,
     /// Concatenated per-slot remap tables: `down[down_base[slot] + mb]`
@@ -277,32 +311,23 @@ pub(crate) fn link_programs(programs: &[&ForestProgram]) {
         return;
     }
     // Merged cut tables: union of every program's cuts per source column.
-    let mut merged: std::collections::BTreeMap<u32, Vec<f64>> = std::collections::BTreeMap::new();
-    for prog in programs {
-        for fq in &prog.feats {
-            merged
-                .entry(fq.column)
-                .or_default()
-                .extend_from_slice(&fq.cuts);
-        }
-    }
-    let mut feats = Vec::with_capacity(merged.len());
-    let mut max_column = 0u32;
-    for (column, mut cuts) in merged {
-        cuts.sort_by(f64::total_cmp);
-        cuts.dedup_by(|a, b| a == b);
-        if cuts.len() > MAX_CUTS {
-            return;
-        }
-        let mut pad = cuts.clone();
-        pad.resize(cuts.len().next_power_of_two(), f64::INFINITY);
-        max_column = max_column.max(column);
-        feats.push(FeatQuant { column, cuts, pad });
-    }
-    let quant = std::sync::Arc::new(SharedQuant {
+    let mut columns: Vec<u32> = programs
+        .iter()
+        .flat_map(|prog| prog.feats.iter().map(|fq| fq.column))
+        .collect();
+    columns.sort_unstable();
+    columns.dedup();
+    let pairs = programs
+        .iter()
+        .flat_map(|prog| prog.feats.iter())
+        .flat_map(|fq| fq.cuts().iter().map(|&c| (fq.column, c)))
+        .collect();
+    let Some(feats) = quant_tables(&columns, pairs) else {
+        return;
+    };
+    let quant = Arc::new(SharedQuant {
         feats,
-        max_column,
-        cache: std::sync::Mutex::new(None),
+        max_column: columns.last().copied().unwrap_or(0),
     });
     let merged_slot = |column: u32| {
         quant
@@ -311,14 +336,22 @@ pub(crate) fn link_programs(programs: &[&ForestProgram]) {
             .expect("linked column")
     };
     for prog in programs {
-        let mut mslot = Vec::with_capacity(prog.feats.len());
-        let mut down = Vec::new();
+        let mslot: Vec<u32> = prog
+            .feats
+            .iter()
+            .map(|fq| merged_slot(fq.column) as u32)
+            .collect();
+        // Exact size: each slot's remap has an entry per merged rank.
+        let mut down = Vec::with_capacity(
+            mslot
+                .iter()
+                .map(|&ms| quant.feats[ms as usize].len as usize + 2)
+                .sum(),
+        );
         let mut down_base = Vec::with_capacity(prog.feats.len() + 1);
-        for fq in &prog.feats {
-            let ms = merged_slot(fq.column);
-            mslot.push(ms as u32);
+        for (fq, &ms) in prog.feats.iter().zip(&mslot) {
             down_base.push(down.len() as u32);
-            down_table(&quant.feats[ms].cuts, &fq.cuts, &mut down);
+            down_table(quant.feats[ms as usize].cuts(), fq.cuts(), &mut down);
         }
         down_base.push(down.len() as u32);
         let _ = prog.shared.set(SharedCtx {
@@ -347,9 +380,9 @@ fn qt_of(cuts: &[f64], t: f64) -> u16 {
 /// ladder, packed back to back. Tree `t`'s ladder starts at `start[t]`:
 /// `2^depth - 1` packed nodes (`feat_slot << 16 | qt`), then the
 /// original node id of each of the `2^depth` bottom slots — attribution
-/// wants the id, and values come from the shared `value` table, so the
-/// ladder stays 2 KiB a tree instead of 4. Slot arithmetic replaces
-/// child pointers.
+/// wants the id, and values come from the owning flat table's
+/// `threshold` slots, so the ladder stays 2 KiB a tree instead of 4.
+/// Slot arithmetic replaces child pointers.
 #[derive(Debug, Clone)]
 struct Ladders {
     start: Vec<usize>,
@@ -374,9 +407,6 @@ pub(crate) struct ForestProgram {
     /// Prefix offsets of each feature's `cuts + 2` mask-table ranks
     /// (`0 ..= cuts + 1`); the extra trailing entry is the table size.
     feat_base: Vec<u32>,
-    /// Original per-node values (leaf values in their threshold slots) —
-    /// the leaf lookup for both engines.
-    value: Vec<f64>,
     roots: Vec<u32>,
     /// Per-root max depth when every tree is at most
     /// [`UNROLL_MAX_DEPTH`] deep, so short blocks can run ladders;
@@ -385,11 +415,11 @@ pub(crate) struct ForestProgram {
     /// The ladders, built by [`ladders`](Self::ladders) on the first
     /// block below [`MASK_MIN_ROWS`] rows (like `FlatForest::attr`, on
     /// first use).
-    ladders: std::sync::OnceLock<Ladders>,
+    ladders: OnceLock<Ladders>,
     /// Battery-level quantization, installed once by [`link_programs`]
     /// after every program in the battery has compiled; absent means
     /// this program buckets matrices against its own tables.
-    shared: std::sync::OnceLock<SharedCtx>,
+    shared: OnceLock<SharedCtx>,
 }
 
 impl ForestProgram {
@@ -398,47 +428,21 @@ impl ForestProgram {
     /// (the exactness fallback: the model keeps the scalar row walk).
     pub(crate) fn compile(nodes: &FlatTree, roots: &[u32]) -> Option<ForestProgram> {
         let n = nodes.n_nodes();
-        // Distinct split columns in first-touch order, then sorted: the
-        // union of per-tree touched columns (leaves contribute nothing).
-        let mut columns: Vec<u32> = nodes
-            .feature
-            .iter()
-            .filter(|&&f| f != LEAF)
-            .copied()
-            .collect();
+        let splits = || (0..n).filter(|&i| nodes.feature[i] != LEAF);
+        // Distinct split columns, sorted: the union of per-tree touched
+        // columns (leaves contribute nothing).
+        let mut columns: Vec<u32> = splits().map(|i| nodes.feature[i]).collect();
         columns.sort_unstable();
         columns.dedup();
         if columns.len() > u16::MAX as usize {
             return None;
         }
         let slot_of = |column: u32| columns.binary_search(&column).expect("column is present");
-        let mut feats: Vec<FeatQuant> = columns
-            .iter()
-            .map(|&column| FeatQuant {
-                column,
-                cuts: Vec::new(),
-                pad: Vec::new(),
-            })
+        let pairs = splits()
+            .filter(|&i| !nodes.threshold[i].is_nan())
+            .map(|i| (nodes.feature[i], nodes.threshold[i]))
             .collect();
-        for i in 0..n {
-            if nodes.feature[i] != LEAF && !nodes.threshold[i].is_nan() {
-                feats[slot_of(nodes.feature[i])]
-                    .cuts
-                    .push(nodes.threshold[i]);
-            }
-        }
-        for fq in &mut feats {
-            fq.cuts.sort_by(f64::total_cmp);
-            // `==` dedup merges `-0.0`/`0.0`: `v <= -0.0 ⟺ v <= 0.0`
-            // under IEEE, so one representative rank is exact for both.
-            fq.cuts.dedup_by(|a, b| a == b);
-            if fq.cuts.len() > MAX_CUTS {
-                return None;
-            }
-            fq.pad = fq.cuts.clone();
-            fq.pad
-                .resize(fq.cuts.len().next_power_of_two(), f64::INFINITY);
-        }
+        let feats = quant_tables(&columns, pairs)?;
 
         // Mask-table layout: feature `slot` owns ranks `0 ..= cuts + 1`
         // starting at `feat_base[slot]`, one u64 row mask per rank per
@@ -449,7 +453,7 @@ impl ForestProgram {
         let mut total = 0usize;
         for fq in &feats {
             feat_base.push(total as u32);
-            total += fq.cuts.len() + 2;
+            total += fq.len as usize + 2;
             if total >= u32::MAX as usize {
                 return None;
             }
@@ -463,7 +467,7 @@ impl ForestProgram {
                     u32::MAX
                 } else {
                     let slot = slot_of(f);
-                    feat_base[slot] + u32::from(qt_of(&feats[slot].cuts, nodes.threshold[i]))
+                    feat_base[slot] + u32::from(qt_of(feats[slot].cuts(), nodes.threshold[i]))
                 };
                 u64::from(maskofs) << 32 | u64::from(nodes.right[i])
             })
@@ -475,14 +479,13 @@ impl ForestProgram {
             feats,
             mnodes,
             feat_base,
-            value: nodes.threshold.clone(),
             roots: roots.to_vec(),
             ladder_depths: depths
                 .iter()
                 .all(|&d| d <= UNROLL_MAX_DEPTH)
                 .then_some(depths),
-            ladders: std::sync::OnceLock::new(),
-            shared: std::sync::OnceLock::new(),
+            ladders: OnceLock::new(),
+            shared: OnceLock::new(),
         })
     }
 
@@ -563,7 +566,9 @@ impl ForestProgram {
     }
 
     /// Walk every tree over every row of `x`, calling
-    /// `sink(row, leaf_node_id, leaf_value)`. Trees run in forest order
+    /// `sink(row, leaf_node_id, leaf_value)`, with leaf values read from
+    /// `value` — the `threshold` table of the flat forest this program
+    /// was compiled from. Trees run in forest order
     /// and each row fires exactly once per tree, so every row sees its
     /// trees in forest order — the scalar row walk's per-row fold order
     /// exactly — and per-row sums and attribution deposits are
@@ -572,30 +577,30 @@ impl ForestProgram {
     /// into each other, so only the per-row tree order matters.) The
     /// caller must already have checked [`fits`](Self::fits), which
     /// bounds every column this program buckets.
-    pub(crate) fn walk_batch(&self, x: &ColMatrix, sink: &mut impl FnMut(usize, u32, f64)) {
+    pub(crate) fn walk_batch(
+        &self,
+        x: &ColMatrix,
+        value: &[f64],
+        sink: &mut impl FnMut(usize, u32, f64),
+    ) {
+        // The walks index `value` unchecked by node id.
+        assert_eq!(
+            value.len(),
+            self.mnodes.len(),
+            "value table of another forest"
+        );
         let n = x.n_rows();
         if n == 0 {
             return;
         }
         // Quantize the whole matrix up front: touched columns only, two
         // bytes a rank. Linked batteries rank the matrix once against
-        // the shared merged tables (cached across sibling models) and
-        // remap to local ranks — a table lookup per value; unlinked
-        // programs (and short matrices, where serve-path cache traffic
-        // would outweigh the win) bucket locally (see
-        // [`FeatQuant::bucket_column`]). The shared tables may span
-        // columns this program never touches, so a narrower matrix —
-        // legal for *this* program — must take the local path.
+        // the shared merged tables and remap to local ranks — a table
+        // lookup per value; unlinked programs (and short matrices, where
+        // serve-path traffic would outweigh the win) bucket locally (see
+        // [`FeatQuant::bucket_column`]).
         let mut q = vec![0u16; self.feats.len() * n];
-        let shared = if n >= MASK_MIN_ROWS {
-            self.shared
-                .get()
-                .filter(|ctx| (ctx.quant.max_column as usize) < x.n_cols())
-        } else {
-            None
-        };
-        if let Some(ctx) = shared {
-            let mq = ctx.quant.ranks(x);
+        if let Some((ctx, mq)) = self.shared_ranks(x) {
             for slot in 0..self.feats.len() {
                 let ms = ctx.mslot[slot] as usize;
                 let src = &mq[ms * n..(ms + 1) * n];
@@ -625,12 +630,34 @@ impl ForestProgram {
                     if tile.is_empty() {
                         tile = vec![1u16; self.feats.len() * BLOCK_ROWS];
                     }
-                    self.ladder_block(&q, n, start, len, depths, &mut tile, sink);
+                    self.ladder_block(&q, n, start, len, value, depths, &mut tile, sink);
                 }
-                _ => self.mask_block(&q, n, start, len, &mut masks, &mut stack, sink),
+                _ => self.mask_block(&q, n, start, len, value, &mut masks, &mut stack, sink),
             }
             start += len;
         }
+    }
+
+    /// The battery's merged ranks of `x` with this program's view of
+    /// them, or `None` when `x` must be bucketed locally: the program
+    /// is unlinked, `x` is shorter than [`MASK_MIN_ROWS`] rows, or `x`
+    /// is narrower than the merged tables (which may span columns this
+    /// program never touches, so `x` can still be legal for *this*
+    /// program). The first linked model to ask ranks `x` and stores the
+    /// ranks on it; ranks some other battery left there fail the owner
+    /// check and this program buckets locally.
+    fn shared_ranks<'x>(&self, x: &'x ColMatrix) -> Option<(&SharedCtx, &'x [u16])> {
+        if x.n_rows() < MASK_MIN_ROWS {
+            return None;
+        }
+        let ctx = self
+            .shared
+            .get()
+            .filter(|ctx| (ctx.quant.max_column as usize) < x.n_cols())?;
+        let (owner, ranks) = x
+            .battery_ranks
+            .get_or_init(|| (Arc::downgrade(&ctx.quant), ctx.quant.rank(x)));
+        std::ptr::eq(owner.as_ptr(), Arc::as_ptr(&ctx.quant)).then_some((ctx, ranks.as_slice()))
     }
 
     /// Mask-propagation engine for one block of 1 to [`BLOCK_ROWS`] rows.
@@ -652,13 +679,14 @@ impl ForestProgram {
         n: usize,
         start: usize,
         len: usize,
+        value: &[f64],
         masks: &mut [u64],
         stack: &mut Vec<(u32, u64)>,
         sink: &mut impl FnMut(usize, u32, f64),
     ) {
         for (slot, fq) in self.feats.iter().enumerate() {
             let base = self.feat_base[slot] as usize;
-            let ranks = fq.cuts.len() + 2;
+            let ranks = fq.len as usize + 2;
             masks[base..base + ranks].fill(0);
             for (r, &b) in q[slot * n + start..slot * n + start + len]
                 .iter()
@@ -680,13 +708,14 @@ impl ForestProgram {
                 // right pointer the decode guard range-checked, or a
                 // preorder left child (`node + 1`, in range because
                 // splits are never the last table entry); `mnodes` and
-                // `value` are table-length. A split's `maskofs` is
+                // `value` are table-length (`walk_batch` asserts the
+                // latter). A split's `maskofs` is
                 // `feat_base[slot] + qt ≤ feat_base[slot + 1] - 1 <
                 // masks.len()` by construction. Checked indexing here
                 // costs as much as the mask AND itself.
                 let nd = unsafe { *self.mnodes.get_unchecked(node) };
                 if nd >> 32 == u64::from(u32::MAX) {
-                    let v = unsafe { *self.value.get_unchecked(node) };
+                    let v = unsafe { *value.get_unchecked(node) };
                     let mut bits = m;
                     while bits != 0 {
                         let r = bits.trailing_zeros() as usize;
@@ -733,6 +762,7 @@ impl ForestProgram {
         n: usize,
         start: usize,
         len: usize,
+        value: &[f64],
         depths: &[u32],
         tile: &mut [u16],
         sink: &mut impl FnMut(usize, u32, f64),
@@ -749,17 +779,7 @@ impl ForestProgram {
             let nodes = &ladders.slots[at..at + inner];
             let leaf = &ladders.slots[at + inner..at + 2 * inner + 1];
             for base in (0..padded).step_by(LANES) {
-                ladder_lanes(
-                    depth,
-                    nodes,
-                    tile,
-                    base,
-                    leaf,
-                    &self.value,
-                    len,
-                    start,
-                    sink,
-                );
+                ladder_lanes(depth, nodes, tile, base, leaf, value, len, start, sink);
             }
         }
     }
@@ -885,12 +905,10 @@ mod tests {
         for i in 0..splits {
             t.feature.push(0);
             t.threshold.push(i as f64 * 0.25 - 8.0);
-            t.left.push(i as u32 + 1);
             t.right.push(leaf);
         }
         t.feature.push(LEAF);
         t.threshold.push(42.0);
-        t.left.push(leaf);
         t.right.push(leaf);
         t
     }
@@ -1034,7 +1052,6 @@ mod tests {
         let mut tree = FlatTree::default();
         tree.feature = vec![0, LEAF, LEAF];
         tree.threshold = vec![f64::NAN, 1.0, 2.0];
-        tree.left = vec![1, 1, 2];
         tree.right = vec![2, 1, 2];
         assert!(tree.optimize());
         let x = ColMatrix::from_rows(&synth_rows(130, 3, 19));
@@ -1061,6 +1078,32 @@ mod tests {
     }
 
     #[test]
+    fn battery_ranks_live_on_the_matrix_for_their_own_battery() {
+        // Two linked batteries score one matrix: the first model ranks it
+        // for its battery and leaves the ranks on the matrix, its sibling
+        // reads them, and the other battery's models bucket locally. All
+        // four stay bitwise equal to the scalar row walk.
+        let rows = synth_rows(96, 6, 43);
+        let x = ColMatrix::from_rows(&rows);
+        let ca = trained_forest(&rows, |r| r[0] > 0.2);
+        let cb = trained_forest(&rows, |r| r[3] > 0.1);
+        let cc = trained_forest(&rows, |r| r[1] > -0.3);
+        let cd = trained_forest(&rows, |r| r[4] < 0.4);
+        crate::infer::link_battery([&ca, &cb], []);
+        crate::infer::link_battery([&cc, &cd], []);
+        for model in [&ca, &cb, &cc, &cd] {
+            let scores = model.predict_batch(&x);
+            for (row, got) in rows.iter().zip(&scores) {
+                assert_eq!(got.to_bits(), reference(model, row).to_bits());
+            }
+        }
+        let quant = &ca.program().unwrap().shared.get().unwrap().quant;
+        let (owner, ranks) = x.battery_ranks.get().expect("the first model ranked x");
+        assert!(std::ptr::eq(owner.as_ptr(), Arc::as_ptr(quant)));
+        assert_eq!(ranks.len(), quant.feats.len() * rows.len());
+    }
+
+    #[test]
     fn down_tables_remap_merged_ranks_exactly() {
         // local ⊆ merged (signed zeros deduped by `==` in both): for any
         // probe, ranking against merged then remapping must equal
@@ -1068,8 +1111,8 @@ mod tests {
         let local = quant(vec![-2.0, 0.0, 3.5]);
         let merged = quant(vec![-7.25, -2.0, -0.0, 1.0, 3.5, 9.0]);
         let mut down = Vec::new();
-        down_table(&merged.cuts, &local.cuts, &mut down);
-        assert_eq!(down.len(), merged.cuts.len() + 2);
+        down_table(merged.cuts(), local.cuts(), &mut down);
+        assert_eq!(down.len(), merged.cuts().len() + 2);
         for v in [
             -100.0,
             -7.25,
@@ -1098,29 +1141,45 @@ mod tests {
     }
 
     fn quant(cuts: Vec<f64>) -> FeatQuant {
-        let pad_len = cuts.len().next_power_of_two();
-        let mut pad = cuts.clone();
-        pad.resize(pad_len, f64::INFINITY);
+        let len = cuts.len();
+        let mut pad = cuts;
+        pad.resize(len.next_power_of_two(), f64::INFINITY);
         FeatQuant {
             column: 0,
-            cuts,
-            pad,
+            len: len as u32,
+            pad: pad.into_boxed_slice(),
         }
+    }
+
+    #[test]
+    fn quant_tables_sort_dedup_and_pad_each_column_once() {
+        let pairs = vec![(3, 2.0), (1, 0.0), (3, -1.0), (1, -0.0), (3, 2.0), (1, 5.0)];
+        let feats = quant_tables(&[1, 2, 3], pairs).expect("fits u16");
+        let cuts: Vec<&[f64]> = feats.iter().map(FeatQuant::cuts).collect();
+        assert_eq!(cuts, [&[-0.0, 5.0][..], &[], &[-1.0, 2.0]]);
+        for fq in &feats {
+            assert_eq!(fq.pad.len(), (fq.len as usize).next_power_of_two());
+            assert!(fq.pad[fq.len as usize..]
+                .iter()
+                .all(|&c| c == f64::INFINITY));
+        }
+        let many = (0..=MAX_CUTS).map(|i| (0, i as f64)).collect();
+        assert!(quant_tables(&[0], many).is_none());
     }
 
     #[test]
     fn buckets_rank_against_cuts_exactly() {
         let fq = quant(vec![-1.5, 0.0, 2.25]);
         // v <= c[i]  ⟺  bucket(v) <= i + 1, for every cut and probe.
-        for (i, &c) in fq.cuts.iter().enumerate() {
-            let qt = qt_of(&fq.cuts, c);
+        for (i, &c) in fq.cuts().iter().enumerate() {
+            let qt = qt_of(fq.cuts(), c);
             assert_eq!(qt, i as u16 + 1);
             for &v in &[-10.0, -1.5, -0.0, 0.0, 1.0, 2.25, 3.0, f64::NAN] {
                 assert_eq!(v <= c, bucket_one(&fq, v) <= qt, "v={v} c={c}");
             }
         }
         // NaN thresholds rank 0: no bucket ever satisfies them.
-        assert_eq!(qt_of(&fq.cuts, f64::NAN), 0);
+        assert_eq!(qt_of(fq.cuts(), f64::NAN), 0);
         assert!(bucket_one(&fq, f64::NAN) > 0);
     }
 
@@ -1173,7 +1232,7 @@ mod tests {
                 f64::INFINITY,
                 f64::NEG_INFINITY,
             ] {
-                assert_eq!(bucket_one(&fq, v), reference(&fq.cuts, v), "v={v}");
+                assert_eq!(bucket_one(&fq, v), reference(fq.cuts(), v), "v={v}");
             }
         }
     }

@@ -54,6 +54,14 @@ impl Node {
             Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
         }
     }
+
+    /// Nodes in this subtree — the exact length of its flattened table.
+    pub(crate) fn n_nodes(&self) -> usize {
+        match self {
+            Node::Leaf { .. } => 1,
+            Node::Split { left, right, .. } => 1 + left.n_nodes() + right.n_nodes(),
+        }
+    }
 }
 
 /// Hyper-parameters shared by both tree flavors.

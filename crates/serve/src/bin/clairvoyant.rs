@@ -891,8 +891,11 @@ fn verdict_line(before: f64, after: f64) -> (RiskChange, String) {
 /// the first RAISED verdict (the CI-gate contract). `--once` does a
 /// single round against the state file instead of looping. Each rescore
 /// runs under the pipeline's panic guard: a panic prints an error line
-/// and replaces the engine; the loop keeps polling, while a failed
-/// baseline or `--once` round exits 1.
+/// and replaces the engine. Inside the loop any failed poll — a panic, a
+/// source saved mid-edit that does not parse, a file that vanished
+/// mid-scan — prints an error line and the loop keeps polling, while a
+/// failed baseline or `--once` round fails closed (exit 1 on a panic,
+/// 2 on any other error).
 fn watch(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, String> {
     let mut model_path: Option<PathBuf> = None;
     let mut state_path: Option<PathBuf> = None;
@@ -1000,14 +1003,25 @@ fn watch(args: &[String], jobs: usize, train_jobs: usize) -> Result<ExitCode, St
     println!("baseline risk {score:.1}");
     loop {
         std::thread::sleep(interval);
-        let current = scan_sources(&dir)?;
+        let current = match scan_sources(&dir) {
+            Ok(current) => current,
+            Err(e) => {
+                eprintln!("error: {e}");
+                continue;
+            }
+        };
         if current == stamps {
             continue;
         }
         stamps = current;
         // After a failed rescore, keep polling: the next change retries.
-        let Some(next) = guarded(&mut incr)? else {
-            continue;
+        let next = match guarded(&mut incr) {
+            Ok(Some(next)) => next,
+            Ok(None) => continue,
+            Err(e) => {
+                eprintln!("error: {e}");
+                continue;
+            }
         };
         let (verdict, line) = verdict_line(score, next);
         println!("{line}");

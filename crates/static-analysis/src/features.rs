@@ -35,6 +35,18 @@ impl FeatureVector {
         Self::default()
     }
 
+    /// An empty vector with room for `n` features.
+    pub fn with_capacity(n: usize) -> Self {
+        FeatureVector {
+            values: Vec::with_capacity(n),
+        }
+    }
+
+    /// Release spare room, so the vector holds exactly its features.
+    pub fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+    }
+
     /// Set feature `name` to `value`. Non-finite values are clamped to 0 so
     /// a degenerate analysis result cannot poison the training matrix.
     pub fn set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {

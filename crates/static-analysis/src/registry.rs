@@ -47,13 +47,15 @@ impl Registry {
         self.collectors.iter().map(|c| c.name()).collect()
     }
 
-    /// Run every collector over a built context, recording per-collector
-    /// wall time in microseconds (run order preserved).
+    /// Run every collector over a built context into a vector with room
+    /// for `capacity` features, recording per-collector wall time in
+    /// microseconds (run order preserved).
     pub fn run_with_timings(
         &self,
         cx: &AnalysisContext<'_>,
+        capacity: usize,
     ) -> (FeatureVector, Vec<(String, u64)>) {
-        let mut fv = FeatureVector::new();
+        let mut fv = FeatureVector::with_capacity(capacity);
         let mut timings = Vec::with_capacity(self.collectors.len());
         for c in &self.collectors {
             let start = Instant::now();
@@ -384,7 +386,7 @@ mod tests {
     /// Build a context and run every collector over it.
     fn run(registry: &Registry, program: &Program) -> FeatureVector {
         registry
-            .run_with_timings(&AnalysisContext::build(program))
+            .run_with_timings(&AnalysisContext::build(program), 0)
             .0
     }
 
@@ -444,7 +446,7 @@ mod tests {
         let p = program();
         let cx = AnalysisContext::build(&p);
         let reg = standard_registry();
-        let (fv, timings) = reg.run_with_timings(&cx);
+        let (fv, timings) = reg.run_with_timings(&cx, 0);
         assert_eq!(fv, run(&reg, &p));
         let names: Vec<&str> = timings.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, reg.names());
